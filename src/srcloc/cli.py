@@ -45,6 +45,7 @@ from .geometry import (
 from .likelihood import SearchOptions
 from .montecarlo import (
     EnsembleSpec,
+    _fmt,
     build_ccdf,
     conditioned_ccdf,
     curve_to_csv,
@@ -65,10 +66,6 @@ EXIT_CONFIG = 2
 EXIT_PACKING = 3
 EXIT_NUMERICAL = 4
 EXIT_IO = 5
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _resolve_out_dir(config: ExperimentConfig) -> Path:
@@ -199,6 +196,7 @@ def _run_crlb(config: ExperimentConfig, out: Path) -> list:
     doc.update(
         {
             "per_sensor_term_norms": [float(v) for v in per_sensor_term_norms(source, geom, cfg)],
+            "beta": np.asarray(cfg.beta, dtype=float).tolist(),
             "beta_common": beta_common,
             "has_sub_d0_sensor": bool(np.any(distances(geom, source) < config.d0)),
             "config": config.to_dict(),
@@ -288,7 +286,12 @@ def _ensemble_spec(config: ExperimentConfig) -> EnsembleSpec:
 
 
 def _workers(config: ExperimentConfig) -> int:
-    return config.workers if config.workers else (os.cpu_count() or 1)
+    """Configured worker count, else the CPUs this process may run on."""
+    if config.workers:
+        return config.workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_outage(config: ExperimentConfig, out: Path) -> list:

@@ -42,7 +42,7 @@ class SingularFim(SrclocError):
 
 
 class QuadratureFailure(SrclocError):
-    """Adaptive quadrature could not meet tolerance within its budget."""
+    """The information integral diverges, or its tail bound is above tolerance."""
 
 
 class EmptySubset(SrclocError):

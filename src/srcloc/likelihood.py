@@ -75,58 +75,6 @@ def marginal_energy_cdf(
     return float(out) if out.ndim == 0 else out
 
 
-class RoundLikelihood:
-    """Log-likelihood of one round's energy vector as a function of theta.
-
-    Precomputes everything that does not depend on theta (the two
-    per-sensor exponential log-densities), leaving a cheap evaluation in
-    the optimizer's hot loop.
-    """
-
-    def __init__(self, t: np.ndarray, geom: NetworkGeometry, cfg: SensorEnsembleConfig):
-        t = np.asarray(t, dtype=float)
-        if t.shape != (geom.K,):
-            raise ValueError(f"energy vector has shape {t.shape}, expected ({geom.K},)")
-        if np.any(t < 0):
-            raise ValueError("energies must be nonnegative")
-        sigma2, beta, eb, tau2 = cfg.resolved(geom.K)
-        self.xs = geom.sensors[:, 0].copy()
-        self.ys = geom.sensors[:, 1].copy()
-        self.beta = beta
-        self.inv_sigma = 1.0 / np.sqrt(sigma2)
-        self.d0_sq = cfg.d0 * cfg.d0
-        self.half_alpha = cfg.alpha / 2.0
-        self.log_f0 = -t / tau2 - np.log(tau2)
-        self.log_f1 = -t / (eb + tau2) - np.log(eb + tau2)
-
-    def _decay(self, d2):
-        ratio = self.d0_sq / np.maximum(d2, self.d0_sq)
-        if self.half_alpha == 1.0:
-            return ratio
-        return ratio ** self.half_alpha
-
-    def loglik(self, p0: float, x: float, y: float) -> float:
-        dx = x - self.xs
-        dy = y - self.ys
-        P = p0 * self._decay(dx * dx + dy * dy)
-        s = (np.sqrt(P) - self.beta) * self.inv_sigma
-        # one stacked tail evaluation: log q0 at -s, log q1 at +s
-        tails = log_ndtr(np.concatenate((-s, s)))
-        K = s.shape[0]
-        terms = np.logaddexp(self.log_f0 + tails[:K], self.log_f1 + tails[K:])
-        return float(terms.sum())
-
-    def loglik_batch(self, p0: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        dx = x[:, None] - self.xs[None, :]
-        dy = y[:, None] - self.ys[None, :]
-        P = np.asarray(p0)[:, None] * self._decay(dx * dx + dy * dy)
-        s = (np.sqrt(P) - self.beta) * self.inv_sigma
-        tails = log_ndtr(np.concatenate((-s, s), axis=1))
-        K = s.shape[1]
-        terms = np.logaddexp(self.log_f0 + tails[:, :K], self.log_f1 + tails[:, K:])
-        return terms.sum(axis=1)
-
-
 def log_likelihood(
     t: np.ndarray,
     theta: SourceParams,
@@ -134,7 +82,9 @@ def log_likelihood(
     cfg: SensorEnsembleConfig,
 ) -> float:
     """Joint log-likelihood of the received energies at theta."""
-    return RoundLikelihood(t, geom, cfg).loglik(theta.P0, theta.xT, theta.yT)
+    el = _EnsembleLikelihood(np.reshape(t, (1, -1)), geom, cfg)
+    row = np.zeros(1, dtype=int)
+    return float(el.loglik(row, np.array([theta.P0]), np.array([theta.xT]), np.array([theta.yT]))[0])
 
 
 # --- ML estimation ----------------------------------------------------------

@@ -1,10 +1,13 @@
 import json
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from srcloc.cli import main
+import srcloc
+from srcloc import SensorEnsembleConfig, SourceParams, crlb_sgle
+from srcloc.cli import _workers, main
 from srcloc.config import load_config, parse_k_t_bin
 from srcloc.errors import ParseError, ValidationError
 from srcloc.geometry import load_geometry
@@ -162,6 +165,30 @@ class TestCliModes:
         assert len(doc["fim"]) == 3
         assert len(doc["per_sensor_term_norms"]) == 10
         assert doc["config"]["seed"] == 7
+        assert doc["beta"] == doc["beta_common"] == 4.0
+
+    def test_crlb_per_sensor_records_thresholds(self, tmp_path):
+        # the recorded per-sensor thresholds reproduce the recorded bound
+        cfg = write_config(tmp_path, K=6, channel_snr_db=10.0, threshold_mode="per-sensor")
+        gout, out = tmp_path / "g", tmp_path / "crlb"
+        assert main(["geometry", "--config", str(cfg), "--out", str(gout)]) == 0
+        assert main(["crlb", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "crlb.json").read_text())
+        assert doc["beta_common"] is None
+        assert len(doc["beta"]) == 6
+        echo = doc["config"]
+        sensor_cfg = SensorEnsembleConfig.from_snr_db(
+            p0=echo["P0"],
+            obs_snr_db=echo["obs_snr_db"],
+            channel_snr_db=echo["channel_snr_db"],
+            tx_energy_db=echo["tx_energy_db"],
+            d0=echo["d0"],
+            alpha=echo["alpha"],
+            beta=np.array(doc["beta"]),
+        )
+        source = SourceParams(echo["P0"], *echo["source"])
+        geom = load_geometry(gout / "geometry.json")
+        assert crlb_sgle(source, geom, sensor_cfg).sgle_bound == doc["sgle_bound"]
 
     def test_sweep_snr_mode(self, tmp_path):
         cfg = write_config(
@@ -251,6 +278,20 @@ class TestCliModes:
         cfg = write_config(tmp_path, K=4)
         assert main(["geometry", "--config", str(cfg)]) == 0
         assert (tmp_path / "envout" / "geometry-seed7" / "geometry.json").exists()
+
+
+class TestWorkers:
+    def test_default_follows_cpu_affinity(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+        config = load_config(write_config(tmp_path), mode="outage")
+        assert config.workers is None
+        assert _workers(config) == 1
+
+
+def test_package_exports_resolve_and_are_not_modules():
+    assert len(set(srcloc.__all__)) == len(srcloc.__all__)
+    for name in srcloc.__all__:
+        assert not isinstance(getattr(srcloc, name), types.ModuleType), name
 
 
 class TestExitCodes:

@@ -1,5 +1,9 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import log_ndtr
 
 from srcloc import (
@@ -19,7 +23,7 @@ from srcloc import (
     simulate_rounds,
 )
 from srcloc.crlb import condition_indicator, per_sensor_term_norms
-from tests.conftest import ref_config
+from tests.conftest import REF, ref_config
 
 
 def _trapezoid_mixture_integral(P, beta, sigma, eb, tau2, t_hi=400.0, n=4_000_001):
@@ -32,6 +36,46 @@ def _trapezoid_mixture_integral(P, beta, sigma, eb, tau2, t_hi=400.0, n=4_000_00
     g = (a * np.exp(-a * t) - b * np.exp(-b * t)) ** 2
     f = q0 * b * np.exp(-b * t) + q1 * a * np.exp(-a * t)
     return np.trapezoid(g / f, t)
+
+
+def _quad_mixture_integral(s, eb, tau2):
+    """scipy ``quad`` reference, split at the integrand's features.
+
+    Breaks at 2*tau2, 10*tau2, the branch crossing t*, the mixture
+    crossover t_cross, a few slow-branch lengths past the last of them,
+    and geometric steps from 2*tau2 on, with the rest taken to infinity.
+    The integrand is evaluated in log form.
+    """
+    a, b = 1.0 / (eb + tau2), 1.0 / tau2
+    log_qa = float(log_ndtr(s)) + math.log(a)
+    log_qb = float(log_ndtr(-s)) + math.log(b)
+    t_star = math.log(b / a) / (b - a)
+
+    def f(t):
+        # a - b exp(-(b - a) t) without cancellation near t*
+        diff = -a * math.expm1((b - a) * (t_star - t))
+        if diff == 0.0:
+            return 0.0
+        log_den = np.logaddexp(log_qa, log_qb - (b - a) * t)
+        return math.exp(-a * t + 2.0 * math.log(abs(diff)) - log_den)
+
+    points = {2.0 * tau2, 10.0 * tau2, t_star}
+    t_cross = (log_qb - log_qa) / (b - a)
+    if t_cross > 0.0:
+        points.add(t_cross)
+    last = max(points)
+    points.update(last + k / a for k in (1.0, 5.0, 20.0))
+    t = 2.0 * tau2
+    while t < last + 20.0 / a:
+        points.add(t)
+        t *= 4.0
+    edges = [0.0] + sorted(points) + [math.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return sum(
+            quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        )
 
 
 class TestGMatrix:
@@ -75,6 +119,17 @@ class TestGMatrix:
 
 
 class TestMixtureIntegral:
+    @pytest.mark.parametrize("channel_snr_db", [-10.0, 0.0, 10.0, 20.0, 30.0, 40.0])
+    def test_against_quad_reference(self, channel_snr_db):
+        # every s at which a sensor's weight exp(-s^2) is nonzero
+        cfg = ref_config(channel_snr_db)
+        eb, tau2 = float(cfg.eb), float(cfg.tau2)
+        s = np.arange(-27.0, 27.01, 0.5)
+        beta = np.sqrt(REF["P0"]) - s  # unit sigma, so s is exact
+        got = np.array([mixture_integral(REF["P0"], b, 1.0, eb, tau2) for b in beta])
+        ref = np.array([_quad_mixture_integral(v, eb, tau2) for v in s])
+        np.testing.assert_allclose(got, ref, rtol=1e-8, atol=0.0)
+
     def test_zero_transmit_energy(self):
         assert mixture_integral(100.0, 5.0, 1.0, 0.0, 1.0) == 0.0
 

@@ -22,7 +22,7 @@ from srcloc import (
     simulate_round,
     simulate_rounds,
 )
-from srcloc.likelihood import RoundLikelihood, _polar_grid_seeds
+from srcloc.likelihood import _EnsembleLikelihood, _polar_grid_seeds
 from tests.conftest import ref_config
 
 
@@ -181,13 +181,12 @@ class TestMlEstimate:
         geom = sample_geometry(30, 50.0, 0.0, rng=31)
         cfg = ref_config(channel_snr_db=10.0, beta=4.0)
         search = SearchOptions(radius=geom.R, p0_nominal=10_000.0)
-        rl_seeds = _polar_grid_seeds(search)
+        seeds = _polar_grid_seeds(search)
         for m in range(10):
             rng = np.random.default_rng((32, m))
             t = simulate_round(geom, ref_source, cfg, rng)
             est = ml_estimate(t, geom, cfg, search, rng)
-            rl = RoundLikelihood(t, geom, cfg)
-            grid_best = rl.loglik_batch(*rl_seeds).max()
+            grid_best = _EnsembleLikelihood(t[None, :], geom, cfg).grid_loglik(*seeds).max()
             assert est.log_likelihood >= grid_best - 1e-12
 
     def test_degenerate_all_silent_data_no_crash(self, ref_source):
