@@ -6,7 +6,8 @@ run_manifest.json into the output directory.  Result artifacts are
 deterministic given (config, seed); only the manifest carries wall-clock
 timestamps.
 
-Exit codes: 0 success, 2 configuration, 3 packing, 4 numerical, 5 I/O.
+Exit codes: 0 success, 2 configuration, 3 packing, 4 numerical, 5 I/O,
+6 a pool worker died, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -51,6 +53,7 @@ from .montecarlo import (
     curve_to_csv,
     curve_to_dict,
     curves_to_csv,
+    default_workers,
     outage_ccdf,
     run_trials,
     trials_from_csv,
@@ -66,6 +69,8 @@ EXIT_CONFIG = 2
 EXIT_PACKING = 3
 EXIT_NUMERICAL = 4
 EXIT_IO = 5
+EXIT_WORKER = 6
+EXIT_INTERRUPTED = 130
 
 
 def _resolve_out_dir(config: ExperimentConfig) -> Path:
@@ -148,7 +153,9 @@ def _run_estimate(config: ExperimentConfig, out: Path) -> list:
     est_lines = ["trial,x_hat,y_hat,p0_hat,log_likelihood,converged,sgle"]
     energy_lines = ["round,sensor,t"] if config.dump_energies else None
     sq_errors = []
-    ts, estimates = run_trials(geom, source, cfg, config.n_mc, stream, search)
+    ts, estimates = run_trials(
+        geom, source, cfg, config.n_mc, stream, search, workers=_workers(config)
+    )
     for m, est in enumerate(estimates):
         th = est.theta_hat
         sgle = (th.xT - source.xT) ** 2 + (th.yT - source.yT) ** 2
@@ -211,12 +218,13 @@ def _run_sweep_snr(config: ExperimentConfig, out: Path) -> list:
     source = _source(config)
     search = SearchOptions(radius=geom.R, p0_nominal=config.P0)
     stream = substream(root_stream(config.seed), 0)
+    workers = _workers(config)
 
     lines = ["channel_snr_db,beta_common,rmse,empirical_sgle,sgle_stderr,crlb_sgle,crlb_rmse,n_mc"]
     rows = []
     for eta_db in config.channel_snr_values():
         cfg, beta_common = _tuned_config(config, source, geom, eta_db)
-        _, estimates = run_trials(geom, source, cfg, config.n_mc, stream, search)
+        _, estimates = run_trials(geom, source, cfg, config.n_mc, stream, search, workers=workers)
         sq = np.array(
             [
                 (e.theta_hat.xT - source.xT) ** 2 + (e.theta_hat.yT - source.yT) ** 2
@@ -287,11 +295,7 @@ def _ensemble_spec(config: ExperimentConfig) -> EnsembleSpec:
 
 def _workers(config: ExperimentConfig) -> int:
     """Configured worker count, else the CPUs this process may run on."""
-    if config.workers:
-        return config.workers
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return config.workers or default_workers()
 
 
 def _run_outage(config: ExperimentConfig, out: Path) -> list:
@@ -370,7 +374,7 @@ def run(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _error_record(out: Path, exc: Exception, code: int) -> None:
+def _error_record(out: Path, exc: BaseException, code: int) -> None:
     record = {"error_class": type(exc).__name__, "message": str(exc), "exit_code": code}
     sys.stderr.write(json.dumps(record) + "\n")
     try:
@@ -437,6 +441,12 @@ def main(argv=None) -> int:
     except SrclocError as exc:
         _error_record(out, exc, EXIT_NUMERICAL)
         return EXIT_NUMERICAL
+    except BrokenProcessPool as exc:
+        _error_record(out, exc, EXIT_WORKER)
+        return EXIT_WORKER
+    except KeyboardInterrupt as exc:
+        _error_record(out, exc, EXIT_INTERRUPTED)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

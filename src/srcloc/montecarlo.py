@@ -11,10 +11,17 @@ separately the bound) exceeds gamma^2.
 Every trial draws from a stream keyed by (master seed, geometry index,
 round index), so results are bitwise identical at any worker count and
 any single trial can be replayed in isolation.
+
+Parallelism is one process pool at a time: an ensemble spreads its
+geometries over the workers, and a single geometry's rounds run serially
+inside them; a lone geometry (``run_trials`` with ``workers > 1``)
+spreads its rounds instead, in contiguous blocks of at least
+``_MIN_BLOCK`` rounds.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -68,6 +75,36 @@ class OutageCurve:
     conditioning: Optional[str] = None
 
 
+# Fewest rounds worth a pool task.  Smaller lockstep batches cost more
+# per round: the Nelder-Mead tail, where few of a batch's rounds are
+# still active, is paid once per batch.
+_MIN_BLOCK = 100
+
+
+def default_workers() -> int:
+    """Worker count to use when none is configured: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _ordered_map(fn: Callable, calls: Sequence[tuple], workers: int) -> list:
+    """``[fn(*args) for args in calls]``, in a process pool when workers > 1.
+
+    Results come back in ``calls`` order whatever the worker count.  On
+    an error or an interrupt, calls not yet started are cancelled.
+    """
+    if workers <= 1 or len(calls) <= 1:
+        return [fn(*args) for args in calls]
+    chunk = max(1, len(calls) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=min(workers, len(calls))) as pool:
+        try:
+            return list(pool.map(fn, *zip(*calls), chunksize=chunk))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def default_gamma_grid(R: float, num: int = 64, lo: float = 0.1) -> np.ndarray:
     """Log-spaced outage thresholds from sub-unit errors to the disk diameter."""
     return np.geomspace(lo, 2.0 * R, num)
@@ -81,22 +118,28 @@ def run_trials(
     stream: np.random.SeedSequence,
     search: SearchOptions,
     estimator: Optional[Estimator] = None,
+    workers: int = 1,
 ) -> tuple[np.ndarray, list[EstimateResult]]:
     """Energies and estimates for n_mc rounds of one geometry.
 
     Round m draws from the (ROUND_NS, m) substream of ``stream``, and
     the estimator's random restarts consume the remainder of that
     round's stream, so every trial is individually replayable.  The
-    default estimator refines all rounds in one lockstep batch; an
-    injected estimator is called per round.
+    default estimator refines rounds in lockstep batches: one batch, or
+    with workers > 1 up to ``n_mc // _MIN_BLOCK`` contiguous blocks run
+    in a process pool.  Each round's estimate does not depend on the
+    other rounds of its batch, so the result is the same at any worker
+    count.  An injected estimator is called per round, serially.
+    Energies are always simulated here, in the calling process.
     """
     rngs = [generator(substream(stream, ROUND_NS, m)) for m in range(n_mc)]
     ts = np.stack([simulate_round(geom, source, cfg, rng) for rng in rngs])
-    if estimator is None:
-        estimates = ml_estimate_batch(ts, geom, cfg, search, rngs)
-    else:
-        estimates = [estimator(ts[m], geom, cfg, search, rngs[m]) for m in range(n_mc)]
-    return ts, estimates
+    if estimator is not None:
+        return ts, [estimator(ts[m], geom, cfg, search, rngs[m]) for m in range(n_mc)]
+    n_blocks = max(1, min(workers, n_mc // _MIN_BLOCK))
+    edges = [n_mc * b // n_blocks for b in range(n_blocks + 1)]
+    blocks = [(ts[a:b], geom, cfg, search, rngs[a:b]) for a, b in zip(edges, edges[1:])]
+    return ts, [est for part in _ordered_map(ml_estimate_batch, blocks, n_blocks) for est in part]
 
 
 def empirical_sgle(
@@ -208,30 +251,19 @@ def run_geometry_trial(spec: EnsembleSpec, master_seed: int, geometry_id: int) -
     return result
 
 
-def _trial_star(args):
-    return run_geometry_trial(*args)
-
-
 def run_ensemble(
     spec: EnsembleSpec, master_seed: int, workers: int = 1
 ) -> list[GeometryTrialResult]:
     """All geometry trials of an ensemble, in geometry-index order.
 
     Trials are independent; with workers > 1 they run in a process pool
-    and are reassembled in index order, so the output is identical at
-    any worker count.
+    and come back in index order, so the output is identical at any
+    worker count.  Each trial's rounds run serially in its worker.
     """
     if spec.n_geom < 1:
         raise ValueError("n_geom must be >= 1")
-    indices = range(spec.n_geom)
-    if workers <= 1 or spec.n_geom == 1:
-        return [run_geometry_trial(spec, master_seed, gi) for gi in indices]
-    args = [(spec, master_seed, gi) for gi in indices]
-    chunk = max(1, spec.n_geom // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_trial_star, args, chunksize=chunk))
-    results.sort(key=lambda r: r.geometry_id)
-    return results
+    calls = [(spec, master_seed, gi) for gi in range(spec.n_geom)]
+    return _ordered_map(run_geometry_trial, calls, workers)
 
 
 def build_ccdf(

@@ -8,7 +8,6 @@ asserts its stated tolerance and runtime budget.
 
 import functools
 import json
-import os
 import time
 
 import numpy as np
@@ -40,7 +39,7 @@ from srcloc import (
     transmit_and_detect,
 )
 from srcloc.cli import main
-from srcloc.montecarlo import run_trials
+from srcloc.montecarlo import _MIN_BLOCK, default_workers, run_trials
 from srcloc.streams import root_stream
 
 SRC = SourceParams(10_000.0, 5.0, 10.0)
@@ -238,7 +237,7 @@ def test_criterion_5_threshold_optimality():
 
 def _sgle_trials(geom, cfg, n_mc, stream):
     search = SearchOptions(radius=geom.R, p0_nominal=SRC.P0)
-    _, estimates = run_trials(geom, SRC, cfg, n_mc, stream, search)
+    _, estimates = run_trials(geom, SRC, cfg, n_mc, stream, search, workers=default_workers())
     return np.array(
         [(e.theta_hat.xT - SRC.xT) ** 2 + (e.theta_hat.yT - SRC.yT) ** 2 for e in estimates]
     )
@@ -294,7 +293,7 @@ _ENSEMBLES = {}
 
 def _outage_ensembles():
     if not _ENSEMBLES:
-        workers = os.cpu_count() or 1
+        workers = default_workers()
         for r_ex in (0.0, 5.0):
             spec = EnsembleSpec(
                 K=50, R=50.0, R_ex=r_ex, source=SRC, cfg=_cfg(0.0),
@@ -378,22 +377,33 @@ def test_criterion_9_determinism(tmp_path):
         "K": 10, "R": 50.0, "seed": 900, "n_geom": 4, "n_mc": 3,
         "beta": 4.0, "gamma_num": 16, "channel_snr_db": 10.0,
     }))
+    # enough rounds, and an odd count, for the estimate to split its
+    # rounds into two unequal blocks at 2 workers
+    big_path = tmp_path / "config_big.json"
+    big_path.write_text(json.dumps({
+        "K": 10, "R": 50.0, "seed": 901, "n_mc": 2 * _MIN_BLOCK + 1,
+        "beta": 4.0, "channel_snr_db": 10.0,
+    }))
     runs = {}
-    for tag, args in (
-        ("est_a", ["estimate"]),
-        ("est_b", ["estimate"]),
-        ("out_w1", ["outage", "--workers", "1"]),
-        ("out_w2", ["outage", "--workers", "2"]),
+    for tag, args, path in (
+        ("est_a", ["estimate"], cfg_path),
+        ("est_b", ["estimate"], cfg_path),
+        ("out_w1", ["outage", "--workers", "1"], cfg_path),
+        ("out_w2", ["outage", "--workers", "2"], cfg_path),
+        ("est_w1", ["estimate", "--dump-energies", "--workers", "1"], big_path),
+        ("est_w2", ["estimate", "--dump-energies", "--workers", "2"], big_path),
     ):
         out = tmp_path / tag
-        assert main(args + ["--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(args + ["--config", str(path), "--out", str(out)]) == 0
         runs[tag] = out
     for name in ("estimates.csv", "estimate_summary.json"):
         assert (runs["est_a"] / name).read_bytes() == (runs["est_b"] / name).read_bytes()
     for name in ("outage_curve.csv", "geometry_trials.csv", "outage_curve.json"):
         assert (runs["out_w1"] / name).read_bytes() == (runs["out_w2"] / name).read_bytes()
+    for name in ("estimates.csv", "energies.csv", "estimate_summary.json"):
+        assert (runs["est_w1"] / name).read_bytes() == (runs["est_w2"] / name).read_bytes()
     # manifests agree on everything except wall-clock fields
-    for pair in (("est_a", "est_b"), ("out_w1", "out_w2")):
+    for pair in (("est_a", "est_b"), ("out_w1", "out_w2"), ("est_w1", "est_w2")):
         docs = [json.loads((runs[t] / "run_manifest.json").read_text()) for t in pair]
         for doc in docs:
             for key in ("started_utc", "finished_utc", "duration_s", "workers"):

@@ -1,12 +1,13 @@
 import json
 import types
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import srcloc
-from srcloc import SensorEnsembleConfig, SourceParams, crlb_sgle
+from srcloc import SensorEnsembleConfig, SourceParams, crlb_sgle, cli, montecarlo
 from srcloc.cli import _workers, main
 from srcloc.config import load_config, parse_k_t_bin
 from srcloc.errors import ParseError, ValidationError
@@ -203,6 +204,17 @@ class TestCliModes:
         # the bound tightens with channel quality
         assert doc["rows"][1]["crlb_sgle"] < doc["rows"][0]["crlb_sgle"]
 
+    def test_sweep_snr_worker_invariance(self, tmp_path, monkeypatch):
+        # blocks of 2 rounds, so 5 rounds split over a real 2-worker pool
+        monkeypatch.setattr(montecarlo, "_MIN_BLOCK", 2)
+        cfg = write_config(tmp_path, K=10, n_mc=5, beta=4.0, channel_snr_db=[0.0, 10.0])
+        out1, out2 = tmp_path / "w1", tmp_path / "w2"
+        for out, workers in ((out1, "1"), (out2, "2")):
+            args = ["sweep-snr", "--config", str(cfg), "--out", str(out), "--workers", workers]
+            assert main(args) == 0
+        for name in ("snr_sweep.csv", "snr_sweep.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_outage_mode_and_worker_invariance(self, tmp_path):
         cfg = write_config(
             tmp_path, K=8, n_geom=3, n_mc=2, beta=4.0, gamma_num=16, channel_snr_db=10.0
@@ -329,3 +341,18 @@ class TestExitCodes:
 
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["outage", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "exc, code",
+        [(BrokenProcessPool("a worker died"), 6), (KeyboardInterrupt(), 130)],
+        ids=["broken-pool", "interrupt"],
+    )
+    def test_pool_failure_and_interrupt_exit_codes(self, tmp_path, monkeypatch, exc, code):
+        def runner(config, out):
+            raise exc
+
+        monkeypatch.setitem(cli._RUNNERS, "outage", runner)
+        out = tmp_path / "stopped"
+        assert main(["outage", "--config", str(write_config(tmp_path)), "--out", str(out)]) == code
+        record = json.loads((out / "error.json").read_text())
+        assert record["error_class"] == type(exc).__name__ and record["exit_code"] == code

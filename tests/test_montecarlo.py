@@ -18,10 +18,12 @@ from srcloc import (
     outage_ccdf,
     run_ensemble,
 )
+from srcloc import montecarlo
 from srcloc.montecarlo import (
     GeometryTrialResult,
     curve_to_csv,
     curves_to_csv,
+    run_trials,
     trials_from_csv,
     trials_to_csv,
 )
@@ -135,6 +137,35 @@ class TestEmpiricalSgle:
             mean_log_se.append(np.mean(ses))
         slope = np.polyfit(np.log(n_values), mean_log_se, 1)[0]
         assert abs(slope + 0.5) < 0.05
+
+
+class TestRunTrials:
+    @staticmethod
+    def _args(n_mc):
+        geom = sample_geometry(10, 50.0, 0.0, rng=65)
+        cfg = ref_config(channel_snr_db=10.0, beta=4.0)
+        search = SearchOptions(radius=geom.R, p0_nominal=SRC.P0)
+        return geom, SRC, cfg, n_mc, substream(root_stream(66), 0), search
+
+    def test_below_min_block_stays_serial(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("run_trials started a process pool")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        n_mc = montecarlo._MIN_BLOCK - 1
+        ts1, serial = run_trials(*self._args(n_mc))
+        ts2, asked_two = run_trials(*self._args(n_mc), workers=2)
+        np.testing.assert_array_equal(ts1, ts2)
+        assert asked_two == serial
+
+    def test_blocks_match_one_batch(self, monkeypatch):
+        # two contiguous blocks of 3 and 4 rounds in a real pool reproduce
+        # the single lockstep batch bit for bit
+        monkeypatch.setattr(montecarlo, "_MIN_BLOCK", 2)
+        ts1, serial = run_trials(*self._args(7))
+        ts2, split = run_trials(*self._args(7), workers=2)
+        np.testing.assert_array_equal(ts1, ts2)
+        assert split == serial
 
 
 class TestRunEnsemble:
