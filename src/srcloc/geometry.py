@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import PackingFailure
 
@@ -78,7 +77,9 @@ def min_pairwise_distance(points: np.ndarray) -> float:
     points = np.asarray(points, dtype=float)
     if points.shape[0] < 2:
         return np.inf
-    return float(pdist(points).min())
+    i, j = np.triu_indices(points.shape[0], k=1)
+    diff = points[i] - points[j]
+    return float(np.sqrt((diff * diff).sum(axis=1).min()))
 
 
 def sample_geometry(

@@ -6,6 +6,12 @@ exponential mixture whose weights are the bit probabilities.  The joint
 likelihood over sensors factorizes, and the source parameters
 (P0, xT, yT) are recovered by maximizing the log-likelihood with a
 multi-start Nelder-Mead search seeded from a coarse polar grid.
+
+One kernel, ``_EnsembleLikelihood._log_terms``, evaluates every
+per-sensor term.  It works in the linear domain, ``log(q0*f0 + q1*f1)``
+with one ``ndtr`` and one ``log`` per term, and recomputes the rare
+terms near or below the float underflow threshold in the log domain
+(``log_ndtr`` weights combined with ``logaddexp``).
 """
 
 from __future__ import annotations
@@ -238,8 +244,22 @@ class _EnsembleLikelihood:
     """Likelihood terms for a batch of rounds sharing one geometry.
 
     Theta-dependent pieces (powers, mixture weights) depend only on the
-    probe point; the energy-dependent pieces are per round.  ``rows``
-    maps each probe to its round so many rounds optimize in one batch.
+    probe point; the energy-dependent pieces (the two component
+    densities f0 and f1 of each energy) are per round and computed once.
+    ``rows`` maps each probe to its round so many rounds optimize in one
+    batch.
+
+    Each sensor term is evaluated in the linear domain as
+    ``log(q0*f0 + q1*f1)`` with one ``ndtr`` per element: the smaller
+    weight ``ndtr(-|s|)`` is computed directly and the larger one as its
+    complement, so both are accurate to rounding and the sum, in which
+    one weight is at least 1/2, has no cancellation.  Where a weight or
+    density underflows (f0 of a bit-1 energy at high channel SNR, q1 of a
+    far probe seen by a sharp sensor), a term near the underflow
+    threshold loses digits or becomes 0.  So terms below ``floor`` (about
+    1e-290, see ``__init__``) are recomputed in the log domain with
+    ``log_ndtr`` and ``logaddexp``: every term is finite and matches the
+    log-domain form to rounding.
     """
 
     def __init__(self, ts: np.ndarray, geom: NetworkGeometry, cfg: SensorEnsembleConfig):
@@ -250,7 +270,6 @@ class _EnsembleLikelihood:
             raise ValueError("energies must be nonnegative")
         sigma2, beta, eb, tau2 = cfg.resolved(geom.K)
         self.n_rounds = ts.shape[0]
-        self.K = geom.K
         self.xs = geom.sensors[:, 0].copy()
         self.ys = geom.sensors[:, 1].copy()
         self.beta = beta
@@ -259,8 +278,20 @@ class _EnsembleLikelihood:
         self.half_alpha = cfg.alpha / 2.0
         self.log_f0 = -ts / tau2 - np.log(tau2)  # (n_rounds, K)
         self.log_f1 = -ts / (eb + tau2) - np.log(eb + tau2)
+        self.f0 = np.exp(self.log_f0)
+        self.f1 = np.exp(self.log_f1)
+        # A weight or density that underflows is off by at most tiny, so
+        # it moves a linear term by at most tiny * (2 + max density);
+        # terms above this floor are therefore exact to rounding.
+        fl = np.finfo(float)
+        self.floor = fl.tiny / fl.eps * (2.0 + np.max(1.0 / tau2))
 
-    def _tails(self, p0, x, y):
+    def _log_terms(self, p0, x, y, rows=None):
+        """Per-sensor log mixture densities at the probes (p0, x, y).
+
+        Probe i scores round rows[i], giving (m, K); with rows None every
+        round scores every probe, giving (n_rounds, m, K).
+        """
         dx = x[:, None] - self.xs[None, :]
         dy = y[:, None] - self.ys[None, :]
         d2 = dx * dx + dy * dy
@@ -269,29 +300,33 @@ class _EnsembleLikelihood:
             ratio = ratio**self.half_alpha
         P = np.asarray(p0)[:, None] * ratio
         s = (np.sqrt(P) - self.beta) * self.inv_sigma
-        return log_ndtr(np.concatenate((-s, s), axis=1))
+        sel = (slice(None), None) if rows is None else rows
+        small = ndtr(-np.abs(s))
+        big = 1.0 - small
+        pos = s > 0
+        terms = np.where(pos, small, big) * self.f0[sel]
+        terms += np.where(pos, big, small) * self.f1[sel]
+        low = terms < self.floor
+        with np.errstate(divide="ignore"):
+            np.log(terms, out=terms)
+        if low.any():
+            s = np.broadcast_to(s, terms.shape)[low]
+            terms[low] = np.logaddexp(
+                np.broadcast_to(self.log_f0[sel], terms.shape)[low] + log_ndtr(-s),
+                np.broadcast_to(self.log_f1[sel], terms.shape)[low] + log_ndtr(s),
+            )
+        return terms
 
     def loglik(self, rows: np.ndarray, p0: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per-probe log-likelihood; probe i scores round rows[i]."""
-        tails = self._tails(p0, x, y)
-        K = self.K
-        terms = np.logaddexp(
-            self.log_f0[rows] + tails[:, :K], self.log_f1[rows] + tails[:, K:]
-        )
-        return terms.sum(axis=1)
+        return self._log_terms(p0, x, y, rows).sum(axis=1)
 
     def grid_loglik(self, p0, x, y, chunk: int = 32) -> np.ndarray:
         """(n_rounds, n_seeds) log-likelihoods for theta-only seed points."""
         out = np.empty((self.n_rounds, len(x)))
-        K = self.K
         for lo in range(0, len(x), chunk):
             hi = min(lo + chunk, len(x))
-            tails = self._tails(p0[lo:hi], x[lo:hi], y[lo:hi])  # (g, 2K)
-            terms = np.logaddexp(
-                self.log_f0[:, None, :] + tails[None, :, :K],
-                self.log_f1[:, None, :] + tails[None, :, K:],
-            )
-            out[:, lo:hi] = terms.sum(axis=2)
+            out[:, lo:hi] = self._log_terms(p0[lo:hi], x[lo:hi], y[lo:hi]).sum(axis=2)
         return out
 
 

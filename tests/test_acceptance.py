@@ -42,6 +42,8 @@ from srcloc.cli import main
 from srcloc.montecarlo import _MIN_BLOCK, default_workers, run_trials
 from srcloc.streams import root_stream
 
+pytestmark = pytest.mark.acceptance
+
 SRC = SourceParams(10_000.0, 5.0, 10.0)
 EB_1DB = 10.0 ** 0.1
 _T0 = time.monotonic()

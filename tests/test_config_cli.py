@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import types
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -304,6 +307,18 @@ def test_package_exports_resolve_and_are_not_modules():
     assert len(set(srcloc.__all__)) == len(srcloc.__all__)
     for name in srcloc.__all__:
         assert not isinstance(getattr(srcloc, name), types.ModuleType), name
+
+
+def test_cli_import_leaves_out_scipy_spatial():
+    # every srcloc command is a fresh process, so import cost is paid per run
+    env = dict(os.environ)
+    src_dir = str(Path(srcloc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
+    code = "import sys, srcloc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestExitCodes:

@@ -114,6 +114,18 @@ def test_geometry_invariant_validation():
         NetworkGeometry(sensors=np.array([[0.0, 0.0], [1.0, 0.0]]), R=10.0, R_ex=2.0)
 
 
+def test_min_pairwise_distance_matches_brute_force():
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 17, 60):
+        pts = rng.uniform(-50.0, 50.0, size=(n, 2))
+        brute = min(
+            np.hypot(*(pts[i] - pts[j])) for i in range(n) for j in range(i + 1, n)
+        )
+        assert min_pairwise_distance(pts) == pytest.approx(brute, rel=1e-15)
+    assert min_pairwise_distance(np.zeros((1, 2))) == np.inf
+    assert min_pairwise_distance(np.array([[1.0, 1.0], [1.0, 1.0], [4.0, 5.0]])) == 0.0
+
+
 def test_distance_examples():
     assert distance(SourceParams(1.0, 5.0, 10.0), (5.0, 10.0)) == 0.0
     assert distance(SourceParams(1.0, 5.0, 10.0), (8.0, 14.0)) == 5.0

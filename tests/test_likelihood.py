@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import log_ndtr
 from scipy.stats import chisquare, norm, wilcoxon
 
 from srcloc import (
@@ -174,6 +175,66 @@ class TestLogLikelihood:
                 - log_likelihood(t, SourceParams(theta.P0, theta.xT - h, theta.yT), geom, cfg)
             ) / (2 * h)
             assert fd == pytest.approx(analytic, rel=1e-4, abs=1e-10)
+
+
+def _kernel_case(obs_snr_db, channel_snr_db, n_rounds=12, n_probes=5000):
+    """Rounds on a K=50 geometry plus probes from the truth to the disk edge."""
+    src = SourceParams(10_000.0, 5.0, 10.0)
+    geom = sample_geometry(50, 50.0, 0.0, rng=41)
+    cfg = SensorEnsembleConfig.from_snr_db(10_000.0, obs_snr_db, channel_snr_db, 1.0, beta=4.0)
+    ts = simulate_rounds(geom, src, cfg, n_rounds, np.random.default_rng((42, int(channel_snr_db) + 10)))
+    rng = np.random.default_rng(43)
+    # rays from the truth to the edge of the disk, at every distance along them
+    ang = rng.uniform(0.0, 2.0 * np.pi, n_probes)
+    ux, uy = np.cos(ang), np.sin(ang)
+    b = src.xT * ux + src.yT * uy
+    reach = -b + np.sqrt(b * b - (src.xT**2 + src.yT**2 - geom.R**2))
+    frac = np.concatenate(([0.0, 1e-3, 1.0], rng.uniform(0.0, 1.0, n_probes - 3)))
+    x = src.xT + frac * reach * ux
+    y = src.yT + frac * reach * uy
+    p0 = src.P0 * 10.0 ** rng.uniform(-3.0, 3.0, n_probes)
+    rows = rng.integers(0, n_rounds, n_probes)
+    return ts, geom, cfg, rows, p0, x, y
+
+
+def _log_domain_terms(ts, geom, cfg, p0, x, y):
+    """(probes, K) mixture terms as log_ndtr weights combined with logaddexp."""
+    sigma2, beta, eb, tau2 = cfg.resolved(geom.K)
+    d2 = (x[:, None] - geom.sensors[:, 0]) ** 2 + (y[:, None] - geom.sensors[:, 1]) ** 2
+    P = p0[:, None] * (cfg.d0**2 / np.maximum(d2, cfg.d0**2)) ** (cfg.alpha / 2.0)
+    s = (np.sqrt(P) - beta) / np.sqrt(sigma2)
+    return np.logaddexp(
+        -ts / tau2 - np.log(tau2) + log_ndtr(-s),
+        -ts / (eb + tau2) - np.log(eb + tau2) + log_ndtr(s),
+    )
+
+
+class TestEnsembleKernel:
+    @pytest.mark.parametrize("channel_snr_db", [-10.0, 0.0, 10.0, 20.0, 30.0, 40.0])
+    @pytest.mark.parametrize("obs_snr_db", [40.0, 60.0])
+    def test_matches_log_domain_reference(self, obs_snr_db, channel_snr_db):
+        ts, geom, cfg, rows, p0, x, y = _kernel_case(obs_snr_db, channel_snr_db)
+        ours = _EnsembleLikelihood(ts, geom, cfg).loglik(rows, p0, x, y)
+        ref = _log_domain_terms(ts[rows], geom, cfg, p0, x, y)
+        assert np.all(np.isfinite(ours))
+        # per-probe sums to rel 1e-12 of the summed term magnitudes, which
+        # stays meaningful where positive and negative terms cancel
+        err = np.abs(ours - ref.sum(axis=1))
+        assert np.all(err <= 1e-12 * np.abs(ref).sum(axis=1))
+        if obs_snr_db == 60.0 and channel_snr_db >= 30.0:
+            # sharp sensors and a clean channel: f0 of a bit-1 energy and
+            # q1 of a far probe both underflow, so the linear term is 0
+            assert np.count_nonzero(ref < np.log(np.finfo(float).tiny)) > 100
+
+    @pytest.mark.parametrize("obs_snr_db, channel_snr_db", [(40.0, 0.0), (60.0, 40.0)])
+    def test_grid_loglik_equals_loglik_row_by_row(self, obs_snr_db, channel_snr_db):
+        ts, geom, cfg, _, _, _, _ = _kernel_case(obs_snr_db, channel_snr_db, n_rounds=6)
+        el = _EnsembleLikelihood(ts, geom, cfg)
+        gp, gx, gy = _polar_grid_seeds(SearchOptions(radius=geom.R, p0_nominal=10_000.0))
+        grid = el.grid_loglik(gp, gx, gy)
+        assert grid.shape == (6, gx.size)
+        for m in range(6):
+            np.testing.assert_array_equal(grid[m], el.loglik(np.full(gx.size, m), gp, gx, gy))
 
 
 class TestMlEstimate:
