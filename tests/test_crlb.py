@@ -23,7 +23,7 @@ from srcloc import (
     simulate_rounds,
 )
 from srcloc.crlb import condition_indicator, per_sensor_term_norms
-from tests.conftest import REF, ref_config
+from tests.conftest import ref_config
 
 
 def _trapezoid_mixture_integral(P, beta, sigma, eb, tau2, t_hi=400.0, n=4_000_001):
@@ -125,17 +125,16 @@ class TestMixtureIntegral:
         cfg = ref_config(channel_snr_db)
         eb, tau2 = float(cfg.eb), float(cfg.tau2)
         s = np.arange(-27.0, 27.01, 0.5)
-        beta = np.sqrt(REF["P0"]) - s  # unit sigma, so s is exact
-        got = np.array([mixture_integral(REF["P0"], b, 1.0, eb, tau2) for b in beta])
+        got = mixture_integral(s, eb, tau2)
         ref = np.array([_quad_mixture_integral(v, eb, tau2) for v in s])
         np.testing.assert_allclose(got, ref, rtol=1e-8, atol=0.0)
 
     def test_zero_transmit_energy(self):
-        assert mixture_integral(100.0, 5.0, 1.0, 0.0, 1.0) == 0.0
+        assert mixture_integral((10.0 - 5.0) / 1.0, 0.0, 1.0) == 0.0
 
     def test_against_dense_trapezoid(self):
         # balanced mixture weights, eb = tau2 = 1
-        val = mixture_integral(4.0, 2.0, 1.0, 1.0, 1.0)
+        val = mixture_integral((2.0 - 2.0) / 1.0, 1.0, 1.0)
         oracle = _trapezoid_mixture_integral(4.0, 2.0, 1.0, 1.0, 1.0, t_hi=200.0)
         assert val == pytest.approx(oracle, rel=1e-6)
 
@@ -147,16 +146,17 @@ class TestMixtureIntegral:
             sigma = rng.uniform(0.3, 3.0)
             eb = rng.uniform(0.2, 5.0)
             tau2 = rng.uniform(0.2, 5.0)
-            val = mixture_integral(P, beta, sigma, eb, tau2)
+            val = mixture_integral((np.sqrt(P) - beta) / sigma, eb, tau2)
             oracle = _trapezoid_mixture_integral(P, beta, sigma, eb, tau2, t_hi=600.0)
             assert val == pytest.approx(oracle, rel=1e-5)
 
     def test_energy_scale_invariance(self):
         # rescaling (eb, tau2) by c rescales the integrand pointwise by 1/c
         # under t -> ct, and the measure change cancels it exactly
-        base = mixture_integral(4.0, 2.0, 1.0, 1.0, 1.0)
+        s = (2.0 - 2.0) / 1.0
+        base = mixture_integral(s, 1.0, 1.0)
         for c in (0.3, 3.7, 11.0):
-            scaled = mixture_integral(4.0, 2.0, 1.0, c * 1.0, c * 1.0)
+            scaled = mixture_integral(s, c * 1.0, c * 1.0)
             assert scaled == pytest.approx(base, rel=1e-7)
             oracle = _trapezoid_mixture_integral(4.0, 2.0, 1.0, c, c, t_hi=200.0 * max(1, c))
             assert scaled == pytest.approx(oracle, rel=1e-6)
@@ -164,11 +164,11 @@ class TestMixtureIntegral:
     def test_divergent_degenerate_weights(self):
         # the always-silent limit with eb > tau2 genuinely diverges
         with pytest.raises(QuadratureFailure):
-            mixture_integral(1.0, 1e3, 1.0, 4.0, 1.0)
+            mixture_integral((1.0 - 1e3) / 1.0, 4.0, 1.0)
 
     def test_convergent_degenerate_weights(self):
         # always-silent limit but eb < tau2: integrable; check the oracle
-        val = mixture_integral(1.0, 1e3, 1.0, 0.5, 2.0)
+        val = mixture_integral((1.0 - 1e3) / 1.0, 0.5, 2.0)
         oracle = _trapezoid_mixture_integral(1.0, 1e3, 1.0, 0.5, 2.0, t_hi=800.0)
         assert val == pytest.approx(oracle, rel=1e-5)
 
@@ -297,6 +297,15 @@ class TestCrlbSgle:
         assert np.all(norms >= 0)
 
 
+PER_SENSOR_SNRS_DB = [-10.0, 0.0, 10.0, 20.0, 30.0, 40.0]
+
+
+def _random_geometry(channel_snr_db, k):
+    """Geometry k of the per-sensor cases at this SNR: K = 6 to 10, R = 50."""
+    rng = np.random.default_rng([55, int(channel_snr_db) + 10, k])
+    return sample_geometry(int(rng.integers(6, 11)), 50.0, 0.0, rng=rng)
+
+
 class TestOptimizeThresholds:
     def test_beats_grid_scan(self, ref_source):
         geom = sample_geometry(15, 50.0, 0.0, rng=48)
@@ -331,12 +340,41 @@ class TestOptimizeThresholds:
         assert tuned_m.beta == tuned.beta
 
     def test_per_sensor_no_worse_than_common(self, ref_source):
-        geom = sample_geometry(6, 50.0, 0.0, rng=51)
-        cfg = ref_config(channel_snr_db=3.0)
-        common = optimize_thresholds(ref_source, geom, cfg, mode="common")
-        per = optimize_thresholds(ref_source, geom, cfg, mode="per-sensor")
-        assert per.beta.shape == (6,)
-        assert per.sgle_bound <= common.sgle_bound + 1e-12
+        cases = [(sample_geometry(6, 50.0, 0.0, rng=51), 3.0)]
+        cases += [(_random_geometry(snr, k), snr) for snr in PER_SENSOR_SNRS_DB for k in range(2)]
+        for geom, snr in cases:
+            cfg = ref_config(channel_snr_db=snr)
+            common = optimize_thresholds(ref_source, geom, cfg, mode="common")
+            per = optimize_thresholds(ref_source, geom, cfg, mode="per-sensor")
+            assert per.beta.shape == (geom.K,)
+            assert per.sgle_bound <= common.sgle_bound + 1e-12
+
+    @pytest.mark.parametrize("channel_snr_db", PER_SENSOR_SNRS_DB)
+    def test_per_sensor_thresholds_coordinatewise_optimal(self, ref_source, channel_snr_db):
+        # no sensor's threshold, moved alone across the common-mode bracket,
+        # lowers the per-sensor bound
+        cfg = ref_config(channel_snr_db)
+        sigma = math.sqrt(float(cfg.sigma2))
+        grid = np.linspace(-3.0 * sigma, math.sqrt(ref_source.P0) + 3.0 * sigma, 65)
+        for k in range(2):
+            geom = _random_geometry(channel_snr_db, k)
+            per = optimize_thresholds(ref_source, geom, cfg, mode="per-sensor")
+            for i in range(geom.K):
+                for b in grid:
+                    beta = per.beta.copy()
+                    beta[i] = b
+                    try:
+                        bound = crlb_sgle(ref_source, geom, cfg.with_beta(beta)).sgle_bound
+                    except SingularFim:
+                        continue
+                    assert bound >= per.sgle_bound * (1.0 - 1e-12), (i, b)
+
+    def test_per_sensor_two_basin_geometry(self, ref_source):
+        # the bound as a function of sensor 33's threshold alone has two
+        # basins here, and settling in the worse one gives 1.56161
+        geom = sample_geometry(50, 50.0, 5.0, rng=7)
+        per = optimize_thresholds(ref_source, geom, ref_config(10.0), mode="per-sensor")
+        assert per.sgle_bound <= 1.5402
 
     def test_unknown_mode_rejected(self, ref_source):
         geom = sample_geometry(4, 50.0, 0.0, rng=52)
