@@ -18,37 +18,27 @@ from .geometry import (
     NetworkGeometry,
     SourceParams,
     count_within,
-    distance,
     distances,
     load_geometry,
     sample_geometry,
-    sample_source_position,
     save_geometry,
 )
 from .signal_model import (
     SensorEnsembleConfig,
-    quantize,
     received_power,
-    sense,
     simulate_round,
     simulate_rounds,
     transmit_and_detect,
 )
 from .likelihood import (
     EstimateResult,
-    SearchOptions,
     log_likelihood,
-    marginal_energy_cdf,
-    marginal_energy_pdf,
-    ml_estimate,
-    p_one,
 )
 from .crlb import (
     CrlbResult,
     ThresholdResult,
     crlb_sgle,
     fisher_information,
-    g_matrix,
     mixture_integral,
     optimize_thresholds,
 )
@@ -75,31 +65,21 @@ __all__ = [
     "NetworkGeometry",
     "SourceParams",
     "count_within",
-    "distance",
     "distances",
     "load_geometry",
     "sample_geometry",
-    "sample_source_position",
     "save_geometry",
     "SensorEnsembleConfig",
-    "quantize",
     "received_power",
-    "sense",
     "simulate_round",
     "simulate_rounds",
     "transmit_and_detect",
     "EstimateResult",
-    "SearchOptions",
     "log_likelihood",
-    "marginal_energy_cdf",
-    "marginal_energy_pdf",
-    "ml_estimate",
-    "p_one",
     "CrlbResult",
     "ThresholdResult",
     "crlb_sgle",
     "fisher_information",
-    "g_matrix",
     "mixture_integral",
     "optimize_thresholds",
     "EnsembleSpec",

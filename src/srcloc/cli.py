@@ -44,7 +44,6 @@ from .geometry import (
     sample_geometry,
     save_geometry,
 )
-from .likelihood import SearchOptions
 from .montecarlo import (
     EnsembleSpec,
     _fmt,
@@ -147,15 +146,12 @@ def _run_estimate(config: ExperimentConfig, out: Path) -> list:
     geom = _fixed_geometry(config)
     source = _source(config)
     cfg, beta_common = _tuned_config(config, source, geom, config.channel_snr_values()[0])
-    search = SearchOptions(radius=geom.R, p0_nominal=config.P0)
     stream = substream(root_stream(config.seed), 0)
 
     est_lines = ["trial,x_hat,y_hat,p0_hat,log_likelihood,converged,sgle"]
     energy_lines = ["round,sensor,t"] if config.dump_energies else None
     sq_errors = []
-    ts, estimates = run_trials(
-        geom, source, cfg, config.n_mc, stream, search, workers=_workers(config)
-    )
+    ts, estimates = run_trials(geom, source, cfg, config.n_mc, stream, workers=_workers(config))
     for m, est in enumerate(estimates):
         th = est.theta_hat
         sgle = (th.xT - source.xT) ** 2 + (th.yT - source.yT) ** 2
@@ -216,7 +212,6 @@ def _run_crlb(config: ExperimentConfig, out: Path) -> list:
 def _run_sweep_snr(config: ExperimentConfig, out: Path) -> list:
     geom = _fixed_geometry(config)
     source = _source(config)
-    search = SearchOptions(radius=geom.R, p0_nominal=config.P0)
     stream = substream(root_stream(config.seed), 0)
     workers = _workers(config)
 
@@ -224,7 +219,7 @@ def _run_sweep_snr(config: ExperimentConfig, out: Path) -> list:
     rows = []
     for eta_db in config.channel_snr_values():
         cfg, beta_common = _tuned_config(config, source, geom, eta_db)
-        _, estimates = run_trials(geom, source, cfg, config.n_mc, stream, search, workers=workers)
+        _, estimates = run_trials(geom, source, cfg, config.n_mc, stream, workers=workers)
         sq = np.array(
             [
                 (e.theta_hat.xT - source.xT) ** 2 + (e.theta_hat.yT - source.yT) ** 2
@@ -289,7 +284,6 @@ def _ensemble_spec(config: ExperimentConfig) -> EnsembleSpec:
         threshold_mode="fixed" if config.beta is not None else config.threshold_mode,
         max_attempts=config.max_attempts,
         source_exclusion=config.source_exclusion,
-        search=SearchOptions(radius=config.R, p0_nominal=config.P0),
     )
 
 
@@ -310,7 +304,7 @@ def _run_outage(config: ExperimentConfig, out: Path) -> list:
 
 def _run_conditioned_outage(config: ExperimentConfig, out: Path) -> list:
     if config.trials_file:
-        trials, r_t_list = trials_from_csv(Path(config.trials_file).read_text())
+        trials, r_t_list = trials_from_csv(Path(config.trials_file).read_text(), config.trials_file)
         gamma = _gamma_grid(config, config.R if config.R else max(r_t_list) * 4)
         artifacts = []
     else:
@@ -438,6 +432,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _error_record(out, exc, EXIT_IO)
         return EXIT_IO
+    except ConfigError as exc:  # a malformed geometry file or trials table
+        _error_record(out, exc, EXIT_CONFIG)
+        return EXIT_CONFIG
     except SrclocError as exc:
         _error_record(out, exc, EXIT_NUMERICAL)
         return EXIT_NUMERICAL

@@ -177,16 +177,6 @@ def _outer_terms(c: np.ndarray, v: np.ndarray) -> np.ndarray:
     return c[:, None, None] * (v[:, :, None] * v[:, None, :])  # exactly symmetric
 
 
-def g_matrix(theta: SourceParams, sensor, d0: float, alpha: float) -> np.ndarray:
-    """Rank-one geometry factor of one sensor's information contribution.
-
-    Outer product v v^T with v = [-1/sqrt(P0),
-    sqrt(P0)*alpha*(xT-x_i)/d^2, sqrt(P0)*alpha*(yT-y_i)/d^2].
-    """
-    v = _gradients(theta, np.asarray(sensor, dtype=float).reshape(1, 2), alpha)[0]
-    return np.outer(v, v)
-
-
 def fisher_information(
     theta: SourceParams,
     geom: NetworkGeometry,

@@ -54,7 +54,8 @@ class ConfigError(SrclocError):
 
 
 class ParseError(ConfigError):
-    """The config file is not well-formed (bad JSON, wrong top-level type)."""
+    """An input file is not well-formed: a config file with bad JSON or the
+    wrong top-level type, or a malformed geometry file or trials table."""
 
 
 class ValidationError(ConfigError):

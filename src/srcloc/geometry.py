@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import PackingFailure
+from .errors import PackingFailure, ParseError
 
 GEOMETRY_FORMAT = "network-geometry"
 GEOMETRY_VERSION = 1
@@ -141,31 +141,6 @@ def sample_geometry(
     return NetworkGeometry(sensors=placed, R=float(R), R_ex=float(R_ex))
 
 
-def sample_source_position(
-    R: float,
-    rng: Union[np.random.Generator, np.random.SeedSequence, int, None] = None,
-) -> tuple:
-    """Uniform source position on the surveillance disk.
-
-    The source location is normally a fixed input; density-guideline
-    studies can draw it per realization with this helper.
-    """
-    if not R > 0:
-        raise ValueError("R must be positive")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    while True:
-        x, y = rng.uniform(-R, R, size=2)
-        if x * x + y * y <= R * R:
-            return float(x), float(y)
-
-
-def distance(source: SourceParams, sensor) -> float:
-    """Euclidean distance from the source to one sensor position."""
-    sensor = np.asarray(sensor, dtype=float)
-    return float(np.hypot(source.xT - sensor[0], source.yT - sensor[1]))
-
-
 def distances(geom: NetworkGeometry, source: SourceParams) -> np.ndarray:
     """Source-to-sensor distances for every sensor, shape (K,)."""
     return np.hypot(
@@ -263,9 +238,12 @@ def save_geometry(path, geom: NetworkGeometry, seed: Optional[int] = None) -> No
 
 
 def load_geometry(path) -> NetworkGeometry:
+    """Read either on-disk form; raises ParseError, naming the file, on malformed content."""
     with open(path) as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return geometry_from_json(text)
-    return geometry_from_text(text)
+    try:
+        if text.lstrip().startswith("{"):
+            return geometry_from_json(text)
+        return geometry_from_text(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: malformed geometry file ({type(exc).__name__}: {exc})") from exc

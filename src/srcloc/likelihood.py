@@ -7,6 +7,11 @@ likelihood over sensors factorizes, and the source parameters
 (P0, xT, yT) are recovered by maximizing the log-likelihood with a
 multi-start Nelder-Mead search seeded from a coarse polar grid.
 
+The search's settings are fixed: a 7 x 7 polar grid over the disk crossed
+with P0 factors 0.1, 1 and 10 of nominal seeds it, each round refines its
+4 best spatially distinct grid seeds plus 1 random start, and P0 stays
+within a factor 1e3 of nominal.
+
 One kernel, ``_EnsembleLikelihood._log_terms``, evaluates every
 per-sensor term.  It works in the linear domain, ``log(q0*f0 + q1*f1)``
 with one ``ndtr`` and one ``log`` per term, and recomputes the rare
@@ -17,68 +22,13 @@ terms near or below the float underflow threshold in the log domain
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .geometry import NetworkGeometry, SourceParams
 from .signal_model import SensorEnsembleConfig
-
-ArrayLike = Union[float, np.ndarray]
-
-
-def p_one(P_i: ArrayLike, beta_i: ArrayLike, sigma_i: ArrayLike) -> ArrayLike:
-    """Probability that a sensor with received power P_i reports a 1.
-
-    Equals the Gaussian tail Q((beta - sqrt(P)) / sigma).
-    """
-    s = (np.sqrt(np.asarray(P_i, dtype=float)) - beta_i) / sigma_i
-    out = ndtr(s)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def marginal_energy_pdf(
-    t: ArrayLike,
-    P_i: ArrayLike,
-    beta_i: ArrayLike,
-    sigma_i: ArrayLike,
-    eb: ArrayLike,
-    tau2: ArrayLike,
-) -> ArrayLike:
-    """Marginal density of one sensor's received energy at the FC.
-
-    Mixture of Exponential(mean tau2) weighted by P(u=0) and
-    Exponential(mean eb + tau2) weighted by P(u=1).
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("energies must be nonnegative")
-    s = (np.sqrt(np.asarray(P_i, dtype=float)) - beta_i) / sigma_i
-    q0 = ndtr(-s)
-    q1 = ndtr(s)
-    m1 = eb + tau2
-    out = q0 / tau2 * np.exp(-t / tau2) + q1 / m1 * np.exp(-t / m1)
-    return float(out) if out.ndim == 0 else out
-
-
-def marginal_energy_cdf(
-    t: ArrayLike,
-    P_i: ArrayLike,
-    beta_i: ArrayLike,
-    sigma_i: ArrayLike,
-    eb: ArrayLike,
-    tau2: ArrayLike,
-) -> ArrayLike:
-    """CDF matching marginal_energy_pdf (exponential-mixture CDF)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("energies must be nonnegative")
-    s = (np.sqrt(np.asarray(P_i, dtype=float)) - beta_i) / sigma_i
-    q0 = ndtr(-s)
-    q1 = ndtr(s)
-    out = q0 * (1.0 - np.exp(-t / tau2)) + q1 * (1.0 - np.exp(-t / (eb + tau2)))
-    return float(out) if out.ndim == 0 else out
 
 
 def log_likelihood(
@@ -94,33 +44,20 @@ def log_likelihood(
 
 
 # --- ML estimation ----------------------------------------------------------
+#
+# Fixed search settings (see the module docstring).  A simplex stops when
+# its scaled diameter is below _DIAMETER_TOL_FRAC * R and its relative
+# value spread below _F_SPREAD_REL_TOL, or after _MAX_ITER steps.
 
-
-@dataclass
-class SearchOptions:
-    """Knobs for the multi-start ML search.
-
-    The location estimate is constrained to a disk of the given radius
-    (quadratic penalty outside) and P0 is optimized on a log scale
-    within ``p0_nominal / p0_span .. p0_nominal * p0_span``.  Seeds come
-    from an ``n_grid_radial x n_grid_angular`` polar grid crossed with
-    ``p0_seed_factors``; the ``n_starts`` best-scoring, spatially
-    distinct seeds (plus ``n_random_starts`` uniform draws) each get a
-    local Nelder-Mead refinement.
-    """
-
-    radius: float
-    p0_nominal: float
-    p0_span: float = 1e3
-    n_grid_radial: int = 7
-    n_grid_angular: int = 7
-    p0_seed_factors: Sequence[float] = (0.1, 1.0, 10.0)
-    n_starts: int = 4
-    n_random_starts: int = 1
-    max_iter: int = 2000
-    diameter_tol_frac: float = 1e-6
-    f_spread_rel_tol: float = 1e-9
-    estimate_p0: bool = True
+_P0_SPAN = 1e3
+_N_GRID_RADIAL = 7
+_N_GRID_ANGULAR = 7
+_P0_SEED_FACTORS = np.array([0.1, 1.0, 10.0])
+_N_STARTS = 4
+_N_RANDOM_STARTS = 1
+_MAX_ITER = 2000
+_DIAMETER_TOL_FRAC = 1e-6
+_F_SPREAD_REL_TOL = 1e-9
 
 
 @dataclass
@@ -224,19 +161,14 @@ def _nelder_mead_batch(f, x0s, steps, scale, max_iter, diam_tol, f_rel_tol):
     return verts[sel, order], fv[sel, order], converged
 
 
-def _polar_grid_seeds(search: SearchOptions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    radii = (np.arange(search.n_grid_radial) + 0.5) / search.n_grid_radial * search.radius
-    angles = 2.0 * np.pi * np.arange(search.n_grid_angular) / search.n_grid_angular
+def _polar_grid_seeds(R: float, p0_nominal: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seed points (P0, x, y): the polar grid crossed with the P0 factors."""
+    radii = (np.arange(_N_GRID_RADIAL) + 0.5) / _N_GRID_RADIAL * R
+    angles = 2.0 * np.pi * np.arange(_N_GRID_ANGULAR) / _N_GRID_ANGULAR
     rr, aa = np.meshgrid(radii, angles, indexing="ij")
-    gx = (rr * np.cos(aa)).ravel()
-    gy = (rr * np.sin(aa)).ravel()
-    if search.estimate_p0:
-        factors = np.asarray(search.p0_seed_factors, dtype=float)
-        gx = np.repeat(gx, factors.size)
-        gy = np.repeat(gy, factors.size)
-        gp = np.tile(search.p0_nominal * factors, rr.size)
-    else:
-        gp = np.full(gx.size, search.p0_nominal)
+    gx = np.repeat((rr * np.cos(aa)).ravel(), _P0_SEED_FACTORS.size)
+    gy = np.repeat((rr * np.sin(aa)).ravel(), _P0_SEED_FACTORS.size)
+    gp = np.tile(p0_nominal * _P0_SEED_FACTORS, rr.size)
     return gp, gx, gy
 
 
@@ -334,90 +266,74 @@ def ml_estimate_batch(
     ts: np.ndarray,
     geom: NetworkGeometry,
     cfg: SensorEnsembleConfig,
-    search: SearchOptions,
+    p0_nominal: float,
     rngs: Optional[Sequence[np.random.Generator]] = None,
 ) -> list:
     """ML source estimates for a block of rounds on one geometry.
 
+    The location is searched on the geometry's disk (quadratic penalty
+    outside) and P0 on a log scale within a factor 1e3 of p0_nominal.
     Scores the full seed grid for every round in one pass, then refines
-    each round's best spatially distinct seeds (plus its own random
-    starts) with lockstep Nelder-Mead across all rounds at once.  Per
-    round, ties on log-likelihood break toward the lexicographically
-    smallest (x, y), and the returned log-likelihood is never below the
-    round's best grid seed.
+    each round's best spatially distinct seeds (plus one random start
+    from its own stream when ``rngs`` is given) with lockstep Nelder-Mead
+    across all rounds at once.  Per round, ties on log-likelihood break
+    toward the lexicographically smallest (x, y), and the returned
+    log-likelihood is never below the round's best grid seed.
     """
     ts = np.atleast_2d(np.asarray(ts, dtype=float))
     M = ts.shape[0]
     if rngs is not None and len(rngs) != M:
         raise ValueError("need one random stream per round")
     el = _EnsembleLikelihood(ts, geom, cfg)
-    R = search.radius
-    ln_lo = np.log(search.p0_nominal / search.p0_span)
-    ln_hi = np.log(search.p0_nominal * search.p0_span)
-    estimate_p0 = search.estimate_p0
+    R = geom.R
+    ln_lo = np.log(p0_nominal / _P0_SPAN)
+    ln_hi = np.log(p0_nominal * _P0_SPAN)
 
-    gp, gx, gy = _polar_grid_seeds(search)
+    gp, gx, gy = _polar_grid_seeds(R, p0_nominal)
     grid_ll = el.grid_loglik(gp, gx, gy)  # (M, n_seeds)
     seed_order = np.argsort(-grid_ll, axis=1, kind="stable")
 
     # Per round: high-scoring seeds kept at least one grid cell apart so
     # the local searches explore separate modes, then random extras.
-    min_sep_sq = (R / search.n_grid_radial) ** 2
-    n_random = search.n_random_starts if rngs is not None else 0
-    n_starts = search.n_starts + n_random
-    x0s = np.empty((M * n_starts, 3 if estimate_p0 else 2))
+    min_sep_sq = (R / _N_GRID_RADIAL) ** 2
+    n_random = _N_RANDOM_STARTS if rngs is not None else 0
+    n_starts = _N_STARTS + n_random
+    x0s = np.empty((M * n_starts, 3))
     rows = np.repeat(np.arange(M), n_starts)
     for m in range(M):
         picked = []
         for idx in seed_order[m]:
-            if len(picked) >= search.n_starts:
+            if len(picked) >= _N_STARTS:
                 break
             if any((gx[idx] - px) ** 2 + (gy[idx] - py) ** 2 < min_sep_sq for px, py in picked):
                 continue
             picked.append((gx[idx], gy[idx]))
-            j = m * n_starts + len(picked) - 1
-            x0s[j, 0], x0s[j, 1] = gx[idx], gy[idx]
-            if estimate_p0:
-                x0s[j, 2] = np.log(gp[idx])
+            x0s[m * n_starts + len(picked) - 1] = gx[idx], gy[idx], np.log(gp[idx])
         # duplicate the best seed if the greedy filter ran out of grid
-        while len(picked) < search.n_starts:
+        while len(picked) < _N_STARTS:
             x0s[m * n_starts + len(picked)] = x0s[m * n_starts]
             picked.append(None)
         for r in range(n_random):
             ang = rngs[m].uniform(0.0, 2.0 * np.pi)
             rad = R * np.sqrt(rngs[m].uniform())
-            j = m * n_starts + search.n_starts + r
-            x0s[j, 0], x0s[j, 1] = rad * np.cos(ang), rad * np.sin(ang)
-            if estimate_p0:
-                x0s[j, 2] = np.log(search.p0_nominal)
+            j = m * n_starts + _N_STARTS + r
+            x0s[j] = rad * np.cos(ang), rad * np.sin(ang), np.log(p0_nominal)
 
     def objective(V, sidx):
-        x, y = V[:, 0], V[:, 1]
-        if estimate_p0:
-            lnp0 = V[:, 2]
-            p0 = np.exp(np.clip(lnp0, ln_lo - 30.0, ln_hi + 30.0))
-        else:
-            p0 = np.full(V.shape[0], search.p0_nominal)
+        x, y, lnp0 = V[:, 0], V[:, 1], V[:, 2]
+        p0 = np.exp(np.clip(lnp0, ln_lo - 30.0, ln_hi + 30.0))
         val = -el.loglik(rows[sidx], p0, x, y)
         rad = np.hypot(x, y)
         over = rad > R
         if over.any():
             val = val + np.where(over, 1e6 * (rad / R - 1.0) ** 2, 0.0)
-        if estimate_p0:
-            val = val + np.where(lnp0 < ln_lo, 1e6 * (ln_lo - lnp0) ** 2, 0.0)
-            val = val + np.where(lnp0 > ln_hi, 1e6 * (lnp0 - ln_hi) ** 2, 0.0)
+        val = val + np.where(lnp0 < ln_lo, 1e6 * (ln_lo - lnp0) ** 2, 0.0)
+        val = val + np.where(lnp0 > ln_hi, 1e6 * (lnp0 - ln_hi) ** 2, 0.0)
         return val
 
-    if estimate_p0:
-        steps = np.array([R / 20.0, R / 20.0, 0.25])
-        scale = np.array([1.0, 1.0, R])
-    else:
-        steps = np.array([R / 20.0, R / 20.0])
-        scale = np.array([1.0, 1.0])
-
     results_x, _, results_conv = _nelder_mead_batch(
-        objective, x0s, steps, scale, search.max_iter,
-        search.diameter_tol_frac * R, search.f_spread_rel_tol,
+        objective, x0s, np.array([R / 20.0, R / 20.0, 0.25]), np.array([1.0, 1.0, R]),
+        _MAX_ITER, _DIAMETER_TOL_FRAC * R, _F_SPREAD_REL_TOL,
     )
 
     # Project every refined point into the search domain and rescore the
@@ -428,10 +344,7 @@ def ml_estimate_batch(
     over = rad > R
     x[over] *= R / rad[over]
     y[over] *= R / rad[over]
-    if estimate_p0:
-        p0 = np.exp(np.clip(results_x[:, 2], ln_lo, ln_hi))
-    else:
-        p0 = np.full(x.size, search.p0_nominal)
+    p0 = np.exp(np.clip(results_x[:, 2], ln_lo, ln_hi))
     cand_ll = el.loglik(rows, p0, x, y)
 
     out = []
@@ -457,15 +370,3 @@ def ml_estimate_batch(
             )
         )
     return out
-
-
-def ml_estimate(
-    t: np.ndarray,
-    geom: NetworkGeometry,
-    cfg: SensorEnsembleConfig,
-    search: SearchOptions,
-    rng: Optional[np.random.Generator] = None,
-) -> EstimateResult:
-    """Maximum-likelihood source estimate from one round's energies."""
-    rngs = None if rng is None else [rng]
-    return ml_estimate_batch(np.asarray(t)[None, :], geom, cfg, search, rngs)[0]

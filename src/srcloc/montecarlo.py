@@ -29,15 +29,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .crlb import crlb_sgle, optimize_thresholds
-from .errors import EmptySubset, SingularFim
+from .errors import EmptySubset, ParseError, SingularFim
 from .geometry import NetworkGeometry, SourceParams, count_within, distances, sample_geometry
-from .likelihood import EstimateResult, SearchOptions, ml_estimate_batch
+from .likelihood import EstimateResult, ml_estimate_batch
 from .signal_model import SensorEnsembleConfig, simulate_round
 from .streams import ROUND_NS, PLACEMENT_NS, generator, root_stream, substream
 
 Estimator = Callable[
-    [np.ndarray, NetworkGeometry, SensorEnsembleConfig, SearchOptions, np.random.Generator],
-    EstimateResult,
+    [np.ndarray, NetworkGeometry, SensorEnsembleConfig, np.random.Generator], EstimateResult
 ]
 
 
@@ -116,7 +115,6 @@ def run_trials(
     cfg: SensorEnsembleConfig,
     n_mc: int,
     stream: np.random.SeedSequence,
-    search: SearchOptions,
     estimator: Optional[Estimator] = None,
     workers: int = 1,
 ) -> tuple[np.ndarray, list[EstimateResult]]:
@@ -125,7 +123,8 @@ def run_trials(
     Round m draws from the (ROUND_NS, m) substream of ``stream``, and
     the estimator's random restarts consume the remainder of that
     round's stream, so every trial is individually replayable.  The
-    default estimator refines rounds in lockstep batches: one batch, or
+    default estimator, ``ml_estimate_batch`` with the source's P0 as its
+    nominal P0, refines rounds in lockstep batches: one batch, or
     with workers > 1 up to ``n_mc // _MIN_BLOCK`` contiguous blocks run
     in a process pool.  Each round's estimate does not depend on the
     other rounds of its batch, so the result is the same at any worker
@@ -135,10 +134,10 @@ def run_trials(
     rngs = [generator(substream(stream, ROUND_NS, m)) for m in range(n_mc)]
     ts = np.stack([simulate_round(geom, source, cfg, rng) for rng in rngs])
     if estimator is not None:
-        return ts, [estimator(ts[m], geom, cfg, search, rngs[m]) for m in range(n_mc)]
+        return ts, [estimator(ts[m], geom, cfg, rngs[m]) for m in range(n_mc)]
     n_blocks = max(1, min(workers, n_mc // _MIN_BLOCK))
     edges = [n_mc * b // n_blocks for b in range(n_blocks + 1)]
-    blocks = [(ts[a:b], geom, cfg, search, rngs[a:b]) for a, b in zip(edges, edges[1:])]
+    blocks = [(ts[a:b], geom, cfg, source.P0, rngs[a:b]) for a, b in zip(edges, edges[1:])]
     return ts, [est for part in _ordered_map(ml_estimate_batch, blocks, n_blocks) for est in part]
 
 
@@ -149,7 +148,6 @@ def empirical_sgle(
     n_mc: int,
     stream: np.random.SeedSequence,
     *,
-    search: Optional[SearchOptions] = None,
     estimator: Optional[Estimator] = None,
     r_t_list: Sequence[float] = (),
     geometry_id: int = 0,
@@ -163,10 +161,8 @@ def empirical_sgle(
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
-    if search is None:
-        search = SearchOptions(radius=geom.R, p0_nominal=source.P0)
 
-    _, estimates = run_trials(geom, source, cfg, n_mc, stream, search, estimator)
+    _, estimates = run_trials(geom, source, cfg, n_mc, stream, estimator)
     sq_errors = np.array(
         [
             (est.theta_hat.xT - source.xT) ** 2 + (est.theta_hat.yT - source.yT) ** 2
@@ -213,11 +209,6 @@ class EnsembleSpec:
     threshold_mode: str = "common"  # common | per-sensor | fixed
     max_attempts: int = 10_000
     source_exclusion: float = 0.0
-    search: Optional[SearchOptions] = None
-    estimator: Optional[Estimator] = None
-
-    def resolved_search(self) -> SearchOptions:
-        return self.search or SearchOptions(radius=self.R, p0_nominal=self.source.P0)
 
 
 def run_geometry_trial(spec: EnsembleSpec, master_seed: int, geometry_id: int) -> GeometryTrialResult:
@@ -242,8 +233,6 @@ def run_geometry_trial(spec: EnsembleSpec, master_seed: int, geometry_id: int) -
         cfg,
         spec.n_mc,
         gstream,
-        search=spec.resolved_search(),
-        estimator=spec.estimator,
         r_t_list=spec.r_t_list,
         geometry_id=geometry_id,
     )
@@ -368,30 +357,36 @@ def trials_to_csv(trials: Sequence[GeometryTrialResult], r_t_list: Sequence[floa
     return "\n".join(lines) + "\n"
 
 
-def trials_from_csv(text: str) -> tuple[list[GeometryTrialResult], list[float]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    r_t_list = [float(c.split("@", 1)[1]) for c in header if c.startswith("k_t@")]
-    k_t_cols = [i for i, c in enumerate(header) if c.startswith("k_t@")]
-    col = {name: i for i, name in enumerate(header)}
-    trials = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        beta_raw = parts[col["beta_common"]]
-        trials.append(
-            GeometryTrialResult(
-                geometry_id=int(parts[col["geometry_id"]]),
-                seed=int(parts[col["seed"]]),
-                empirical_sgle=float(parts[col["empirical_sgle"]]),
-                sgle_var=float(parts[col["sgle_var"]]),
-                crlb_sgle=float(parts[col["crlb_sgle"]]),
-                crlb_singular=bool(int(parts[col["crlb_singular"]])),
-                k_t={rt: int(parts[i]) for rt, i in zip(r_t_list, k_t_cols)},
-                has_sub_d0_sensor=bool(int(parts[col["has_sub_d0_sensor"]])),
-                n_mc=int(parts[col["n_mc"]]),
-                beta_common=None if beta_raw == "" else float(beta_raw),
+def trials_from_csv(
+    text: str, origin: str = "trials table"
+) -> tuple[list[GeometryTrialResult], list[float]]:
+    """Inverse of trials_to_csv; raises ParseError, naming ``origin``, on a malformed table."""
+    try:
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        header = lines[0].split(",")
+        r_t_list = [float(c.split("@", 1)[1]) for c in header if c.startswith("k_t@")]
+        k_t_cols = [i for i, c in enumerate(header) if c.startswith("k_t@")]
+        col = {name: i for i, name in enumerate(header)}
+        trials = []
+        for ln in lines[1:]:
+            parts = ln.split(",")
+            beta_raw = parts[col["beta_common"]]
+            trials.append(
+                GeometryTrialResult(
+                    geometry_id=int(parts[col["geometry_id"]]),
+                    seed=int(parts[col["seed"]]),
+                    empirical_sgle=float(parts[col["empirical_sgle"]]),
+                    sgle_var=float(parts[col["sgle_var"]]),
+                    crlb_sgle=float(parts[col["crlb_sgle"]]),
+                    crlb_singular=bool(int(parts[col["crlb_singular"]])),
+                    k_t={rt: int(parts[i]) for rt, i in zip(r_t_list, k_t_cols)},
+                    has_sub_d0_sensor=bool(int(parts[col["has_sub_d0_sensor"]])),
+                    n_mc=int(parts[col["n_mc"]]),
+                    beta_common=None if beta_raw == "" else float(beta_raw),
+                )
             )
-        )
+    except (ValueError, KeyError, IndexError) as exc:
+        raise ParseError(f"{origin}: malformed trials table ({type(exc).__name__}: {exc})") from exc
     return trials, r_t_list
 
 

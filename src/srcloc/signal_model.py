@@ -108,18 +108,6 @@ def received_power(P0: float, d0: float, alpha: float, d: ArrayLike) -> ArrayLik
     return float(power) if power.ndim == 0 else power
 
 
-def sense(P_i: ArrayLike, sigma_i: ArrayLike, rng: np.random.Generator) -> ArrayLike:
-    """Noisy amplitude observation sqrt(P_i) + N(0, sigma_i^2)."""
-    P_i = np.asarray(P_i, dtype=float)
-    return np.sqrt(P_i) + np.asarray(sigma_i) * rng.standard_normal(P_i.shape)
-
-
-def quantize(r: ArrayLike, beta: ArrayLike):
-    """Binary quantization: 1 when r >= beta (boundary maps to 1), else 0."""
-    out = np.greater_equal(r, beta).astype(np.int64)
-    return int(out) if out.ndim == 0 else out
-
-
 def transmit_and_detect(
     u: ArrayLike, eb: ArrayLike, tau2: ArrayLike, rng: np.random.Generator
 ) -> ArrayLike:
@@ -151,11 +139,7 @@ def simulate_round(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One sensing round: the (K,) vector of received energies at the FC."""
-    sigma2, beta, eb, tau2 = cfg.resolved(geom.K)
-    P = received_power(source.P0, cfg.d0, cfg.alpha, distances(geom, source))
-    r = np.sqrt(P) + np.sqrt(sigma2) * rng.standard_normal(geom.K)
-    u = np.greater_equal(r, beta)
-    return transmit_and_detect(u, eb, tau2, rng)
+    return simulate_rounds(geom, source, cfg, 1, rng)[0]
 
 
 def simulate_rounds(
@@ -167,15 +151,13 @@ def simulate_rounds(
 ) -> np.ndarray:
     """Batch of independent rounds, shape (n_rounds, K).
 
-    Same distributions as repeated simulate_round calls, but drawn in a
-    different order from the stream; use one or the other per stream.
+    Draws every round's observation noise first, then every round's
+    fading and channel noise, so a batch of n rounds uses the stream in
+    a different order from n single rounds; use one or the other per
+    stream.  A sensor reports 1 when its observation reaches the
+    threshold (r >= beta).
     """
     sigma2, beta, eb, tau2 = cfg.resolved(geom.K)
     P = received_power(source.P0, cfg.d0, cfg.alpha, distances(geom, source))
-    shape = (n_rounds, geom.K)
-    r = np.sqrt(P) + np.sqrt(sigma2) * rng.standard_normal(shape)
-    u = np.greater_equal(r, beta)
-    h = _circular_gaussian(shape, 1.0, rng)
-    n = _circular_gaussian(shape, tau2, rng)
-    z = h * np.sqrt(eb) * u + n
-    return np.abs(z) ** 2
+    r = np.sqrt(P) + np.sqrt(sigma2) * rng.standard_normal((n_rounds, geom.K))
+    return transmit_and_detect(np.greater_equal(r, beta), eb, tau2, rng)

@@ -11,8 +11,8 @@ Layout used by the Monte-Carlo driver, all relative to the master seed:
     (gi, 1, m)     observation/channel noise and estimator restarts for
                    round ``m`` of geometry ``gi``
 
-``empirical_sgle`` derives the ``(1, m)`` suffix itself; callers hand it
-the per-geometry stream ``(gi,)`` and keep namespace 0 for placement.
+``run_trials`` derives the ``(1, m)`` suffix itself; callers hand it the
+per-geometry stream ``(gi,)`` and keep namespace 0 for placement.
 """
 
 from __future__ import annotations

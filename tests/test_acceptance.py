@@ -19,7 +19,6 @@ from scipy.stats import expon, kstest
 from srcloc import (
     EnsembleSpec,
     NetworkGeometry,
-    SearchOptions,
     SensorEnsembleConfig,
     SingularFim,
     SourceParams,
@@ -28,9 +27,6 @@ from srcloc import (
     crlb_sgle,
     default_gamma_grid,
     fisher_information,
-    g_matrix,
-    marginal_energy_cdf,
-    marginal_energy_pdf,
     optimize_thresholds,
     outage_ccdf,
     received_power,
@@ -39,8 +35,10 @@ from srcloc import (
     transmit_and_detect,
 )
 from srcloc.cli import main
+from srcloc.crlb import _gradients
 from srcloc.montecarlo import _MIN_BLOCK, default_workers, run_trials
 from srcloc.streams import root_stream
+from tests.conftest import marginal_energy_cdf, marginal_energy_pdf
 
 pytestmark = pytest.mark.acceptance
 
@@ -149,7 +147,8 @@ def test_criterion_3_fim_structure():
         )
         # geometry factors: symmetric, rank <= 1
         for i in range(K):
-            G = g_matrix(theta, geom.sensors[i], cfg.d0, cfg.alpha)
+            v = _gradients(theta, geom.sensors[i : i + 1], cfg.alpha)[0]
+            G = np.outer(v, v)
             np.testing.assert_array_equal(G, G.T)
             scale = max(np.abs(G).max(), 1e-300)
             for r in range(3):
@@ -238,8 +237,7 @@ def test_criterion_5_threshold_optimality():
 
 
 def _sgle_trials(geom, cfg, n_mc, stream):
-    search = SearchOptions(radius=geom.R, p0_nominal=SRC.P0)
-    _, estimates = run_trials(geom, SRC, cfg, n_mc, stream, search, workers=default_workers())
+    _, estimates = run_trials(geom, SRC, cfg, n_mc, stream, workers=default_workers())
     return np.array(
         [(e.theta_hat.xT - SRC.xT) ** 2 + (e.theta_hat.yT - SRC.yT) ** 2 for e in estimates]
     )

@@ -358,6 +358,26 @@ class TestExitCodes:
         assert main(["outage", "--config", str(tmp_path / "nope.json")]) == 2
 
     @pytest.mark.parametrize(
+        "mode, flag, name, content",
+        [
+            ("crlb", "--geometry", "geometry.txt", "# R: 50\nindex x y\n0 1.0\n"),
+            ("crlb", "--geometry", "geometry.json", '{"format": "network-geometry", "R": 50.0}'),
+            ("conditioned-outage", "--trials", "trials.csv", "geometry_id,seed\n0,7\n"),
+            ("conditioned-outage", "--trials", "trials.csv", ""),
+        ],
+        ids=["text-row", "json-no-sensors", "csv-no-beta-column", "empty-trials"],
+    )
+    def test_malformed_input_file_exit_2(self, tmp_path, mode, flag, name, content):
+        bad = tmp_path / name
+        bad.write_text(content)
+        out = tmp_path / "out"
+        args = [mode, "--config", str(write_config(tmp_path, beta=4.0)), "--out", str(out)]
+        assert main(args + [flag, str(bad)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error_class"] == "ParseError" and record["exit_code"] == 2
+        assert str(bad) in record["message"]
+
+    @pytest.mark.parametrize(
         "exc, code",
         [(BrokenProcessPool("a worker died"), 6), (KeyboardInterrupt(), 130)],
         ids=["broken-pool", "interrupt"],

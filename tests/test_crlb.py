@@ -15,14 +15,13 @@ from srcloc import (
     SourceParams,
     crlb_sgle,
     fisher_information,
-    g_matrix,
     mixture_integral,
     optimize_thresholds,
     received_power,
     sample_geometry,
     simulate_rounds,
 )
-from srcloc.crlb import condition_indicator, per_sensor_term_norms
+from srcloc.crlb import _gradients, condition_indicator, per_sensor_term_norms
 from tests.conftest import ref_config
 
 
@@ -76,6 +75,12 @@ def _quad_mixture_integral(s, eb, tau2):
             quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
             for lo, hi in zip(edges[:-1], edges[1:])
         )
+
+
+def g_matrix(theta, sensor, d0, alpha):
+    """Rank-one geometry factor v v^T of one sensor's information term."""
+    v = _gradients(theta, np.asarray(sensor, dtype=float).reshape(1, 2), alpha)[0]
+    return np.outer(v, v)
 
 
 class TestGMatrix:

@@ -11,9 +11,8 @@ from srcloc import (
     PackingFailure,
     SourceParams,
     count_within,
-    distance,
+    distances,
     sample_geometry,
-    sample_source_position,
 )
 from srcloc.geometry import (
     geometry_from_json,
@@ -75,18 +74,6 @@ def test_packing_failure_when_infeasible():
         sample_geometry(100, 5.0, 5.0, max_attempts=500, rng=0)
 
 
-def test_sample_source_position_uniform_in_disk():
-    rng = np.random.default_rng(77)
-    pts = np.array([sample_source_position(10.0, rng) for _ in range(20_000)])
-    r2 = np.sum(pts**2, axis=1)
-    assert np.all(r2 <= 100.0)
-    assert abs(np.mean(r2 <= 25.0) - 0.25) < 0.02  # area ratio
-    # deterministic given the stream
-    a = sample_source_position(10.0, np.random.SeedSequence(3))
-    b = sample_source_position(10.0, np.random.SeedSequence(3))
-    assert a == b
-
-
 def test_source_exclusion_zone():
     for seed in range(50):
         geom = sample_geometry(
@@ -127,9 +114,11 @@ def test_min_pairwise_distance_matches_brute_force():
 
 
 def test_distance_examples():
-    assert distance(SourceParams(1.0, 5.0, 10.0), (5.0, 10.0)) == 0.0
-    assert distance(SourceParams(1.0, 5.0, 10.0), (8.0, 14.0)) == 5.0
-    assert distance(SourceParams(1.0, 0.0, 0.0), (50.0, 0.0)) == 50.0
+    geom = NetworkGeometry(sensors=np.array([[5.0, 10.0], [8.0, 14.0], [50.0, 0.0]]), R=50.0)
+    d = distances(geom, SourceParams(1.0, 5.0, 10.0))
+    assert d[0] == 0.0
+    assert d[1] == 5.0
+    assert distances(geom, SourceParams(1.0, 0.0, 0.0))[2] == 50.0
 
 
 def test_count_within_bounds_and_extremes():

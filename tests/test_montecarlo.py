@@ -9,7 +9,6 @@ from srcloc import (
     EstimateResult,
     NetworkGeometry,
     PackingFailure,
-    SearchOptions,
     SourceParams,
     build_ccdf,
     conditioned_ccdf,
@@ -34,19 +33,19 @@ from tests.conftest import ref_config
 SRC = SourceParams(10_000.0, 5.0, 10.0)
 
 
-def _perfect_estimator(t, geom, cfg, search, rng):
+def _perfect_estimator(t, geom, cfg, rng):
     return EstimateResult(
-        theta_hat=SourceParams(search.p0_nominal, SRC.xT, SRC.yT),
+        theta_hat=SourceParams(SRC.P0, SRC.xT, SRC.yT),
         log_likelihood=0.0,
         converged=True,
         starts_used=0,
     )
 
 
-def _noisy_stub(t, geom, cfg, search, rng):
+def _noisy_stub(t, geom, cfg, rng):
     dx, dy = 0.8 * rng.standard_normal(2)
     return EstimateResult(
-        theta_hat=SourceParams(search.p0_nominal, SRC.xT + dx, SRC.yT + dy),
+        theta_hat=SourceParams(SRC.P0, SRC.xT + dx, SRC.yT + dy),
         log_likelihood=0.0,
         converged=True,
         starts_used=0,
@@ -144,8 +143,7 @@ class TestRunTrials:
     def _args(n_mc):
         geom = sample_geometry(10, 50.0, 0.0, rng=65)
         cfg = ref_config(channel_snr_db=10.0, beta=4.0)
-        search = SearchOptions(radius=geom.R, p0_nominal=SRC.P0)
-        return geom, SRC, cfg, n_mc, substream(root_stream(66), 0), search
+        return geom, SRC, cfg, n_mc, substream(root_stream(66), 0)
 
     def test_below_min_block_stays_serial(self, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -2,22 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import expon, kstest
 
 from srcloc import (
+    NetworkGeometry,
     SensorEnsembleConfig,
     SourceParams,
-    marginal_energy_cdf,
-    p_one,
-    quantize,
     received_power,
     sample_geometry,
-    sense,
     simulate_round,
     simulate_rounds,
     transmit_and_detect,
 )
-from tests.conftest import ref_config
+from tests.conftest import marginal_energy_cdf, ref_config
 
 
 EB_1DB = 10.0 ** 0.1  # transmit energy at the 1 dB operating point
@@ -40,44 +38,51 @@ class TestReceivedPower:
         assert np.all(np.diff(p) <= 0)
 
 
+def _sensing_bits(distance, beta, sigma2=1e-300, seed=0):
+    """Bits of one round, read off the energies of a noiseless channel.
+
+    Sensors sit at the given distances from a P0 = 1e4 source.  With
+    tau2 = 1e-300 a silent sensor's energy is about 1e-300 and a firing
+    one's is eb * |h|^2, so the energy shows the bit.
+    """
+    src = SourceParams(10_000.0, 0.0, 0.0)
+    d = np.atleast_1d(np.asarray(distance, dtype=float))
+    geom = NetworkGeometry(sensors=np.column_stack([d, np.zeros_like(d)]), R=float(d.max()) + 1.0)
+    cfg = SensorEnsembleConfig(d0=1.0, alpha=2.0, sigma2=sigma2, beta=beta, eb=2.0, tau2=1e-300)
+    return simulate_round(geom, src, cfg, np.random.default_rng(seed)) > 1e-6
+
+
 class TestSense:
     def test_noiseless_limit(self):
-        rng = np.random.default_rng(0)
-        r = sense(10_000.0, 1e-300, rng)
-        assert r == pytest.approx(100.0)
-
-    def test_sample_moments(self):
-        rng = np.random.default_rng(1)
-        r = sense(np.full(1_000_000, 10_000.0), 1.0, rng)
-        assert abs(r.mean() - 100.0) < 0.01  # 3 sigma/sqrt(N) = 0.003
-        assert abs(r.var() - 1.0) < 0.01
-
-    def test_zero_power_is_pure_noise(self):
-        rng = np.random.default_rng(2)
-        r = sense(np.zeros(500_000), 2.0, rng)
-        assert abs(r.mean()) < 0.02
-        assert abs(r.std() - 2.0) < 0.02
+        # sigma2 = 1e-300: the observation is the amplitude sqrt(1e4) = 100
+        # exactly, so the bit flips between beta = 100 and the next float
+        assert _sensing_bits(1.0, 100.0)[0]
+        assert not _sensing_bits(1.0, np.nextafter(100.0, np.inf))[0]
 
 
 class TestQuantize:
     def test_boundary_maps_to_one(self):
-        assert quantize(3.0, 3.0) == 1
+        # one sensor at distance 10 from a P0 = 1e4 source: sqrt(P) = 10.0
+        # exactly, and a noiseless observation on the threshold reports 1
+        assert _sensing_bits(10.0, 10.0)[0]
 
     def test_below_threshold(self):
-        assert quantize(3.0 - 1e-12, 3.0) == 0
+        assert not _sensing_bits(10.0, np.nextafter(10.0, np.inf))[0]
 
     def test_minus_infinity_threshold(self):
-        assert quantize(-1e300, -np.inf) == 1
+        assert np.all(_sensing_bits(np.linspace(1.0, 1e6, 20), -np.inf, sigma2=1e6))
 
     @given(
         st.floats(-1e6, 1e6),
         st.floats(-1e6, 1e6),
-        st.floats(-1e6, 1e6),
+        st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
-    def test_non_increasing_in_threshold(self, r, b1, b2):
+    def test_non_increasing_in_threshold(self, b1, b2, seed):
+        # the same stream gives the same observations at both thresholds
         lo, hi = min(b1, b2), max(b1, b2)
-        assert quantize(r, lo) >= quantize(r, hi)
+        d = np.geomspace(1.0, 1e3, 12)
+        assert np.all(_sensing_bits(d, lo, 1e4, seed) >= _sensing_bits(d, hi, 1e4, seed))
 
 
 class TestTransmitAndDetect:
@@ -124,7 +129,7 @@ class TestSimulateRound:
         sigma2, beta, eb, tau2 = cfg.resolved(geom.K)
         d = np.hypot(geom.sensors[:, 0] - 5.0, geom.sensors[:, 1] - 10.0)
         P = received_power(10_000.0, 1.0, 2.0, d)
-        p1 = p_one(P, beta, np.sqrt(sigma2))
+        p1 = ndtr((np.sqrt(P) - beta) / np.sqrt(sigma2))
         expected = np.mean(p1 * (eb + tau2) + (1 - p1) * tau2)
         t = simulate_rounds(geom, ref_source, cfg, 10_000, np.random.default_rng(11))
         assert abs(t.mean() - expected) / expected < 0.01
