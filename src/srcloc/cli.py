@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, load_config, parse_k_t_bin
-from .crlb import crlb_result_to_dict, crlb_sgle, optimize_thresholds, per_sensor_term_norms
+from .crlb import crlb_result_to_dict, crlb_sgle, per_sensor_term_norms
 from .errors import (
     ConfigError,
     DegenerateGeometry,
@@ -35,15 +35,7 @@ from .errors import (
     SingularFim,
     SrclocError,
 )
-from .geometry import (
-    NetworkGeometry,
-    SourceParams,
-    count_within,
-    distances,
-    load_geometry,
-    sample_geometry,
-    save_geometry,
-)
+from .geometry import NetworkGeometry, SourceParams, distances, load_geometry, save_geometry
 from .montecarlo import (
     EnsembleSpec,
     _fmt,
@@ -54,12 +46,16 @@ from .montecarlo import (
     curves_to_csv,
     default_workers,
     outage_ccdf,
+    place_geometry,
     run_trials,
+    squared_errors,
+    trial_result,
     trials_from_csv,
     trials_to_csv,
+    with_thresholds,
 )
 from .signal_model import SensorEnsembleConfig
-from .streams import PLACEMENT_NS, generator, root_stream, substream
+from .streams import root_stream, substream
 
 OUT_DIR_ENV = "SRCLOC_OUT"
 
@@ -81,10 +77,6 @@ def _resolve_out_dir(config: ExperimentConfig) -> Path:
     return Path("srcloc_runs") / f"{config.mode}-seed{config.seed}"
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text)
-
-
 def _sensor_config(config: ExperimentConfig, channel_snr_db: float) -> SensorEnsembleConfig:
     return SensorEnsembleConfig.from_snr_db(
         p0=config.P0,
@@ -97,34 +89,20 @@ def _sensor_config(config: ExperimentConfig, channel_snr_db: float) -> SensorEns
     )
 
 
+def _threshold_mode(config: ExperimentConfig) -> str:
+    """A configured beta means fixed thresholds, whatever threshold_mode says."""
+    return "fixed" if config.beta is not None else config.threshold_mode
+
+
 def _source(config: ExperimentConfig) -> SourceParams:
     return SourceParams(P0=config.P0, xT=config.source[0], yT=config.source[1])
 
 
 def _fixed_geometry(config: ExperimentConfig) -> NetworkGeometry:
-    """The working geometry: loaded from file, or slot 0 of the ensemble."""
+    """The working geometry: loaded from file, or geometry 0 of the ensemble."""
     if config.geometry_file:
         return load_geometry(config.geometry_file)
-    rng = generator(substream(root_stream(config.seed), 0, PLACEMENT_NS))
-    return sample_geometry(
-        config.K,
-        config.R,
-        config.R_ex,
-        max_attempts=config.max_attempts,
-        rng=rng,
-        source_xy=config.source,
-        source_exclusion=config.source_exclusion,
-    )
-
-
-def _tuned_config(config, source, geom, channel_snr_db):
-    """Sensor config with thresholds either fixed or bound-optimized."""
-    cfg = _sensor_config(config, channel_snr_db)
-    if config.threshold_mode == "fixed" or config.beta is not None:
-        return cfg, float(config.beta)
-    tuned = optimize_thresholds(source, geom, cfg, mode=config.threshold_mode)
-    beta = tuned.beta
-    return cfg.with_beta(beta), (float(beta) if np.ndim(beta) == 0 else None)
+    return place_geometry(_ensemble_spec(config), config.seed, 0)
 
 
 def _gamma_grid(config: ExperimentConfig, R: float) -> np.ndarray:
@@ -145,47 +123,40 @@ def _run_geometry(config: ExperimentConfig, out: Path) -> list:
 def _run_estimate(config: ExperimentConfig, out: Path) -> list:
     geom = _fixed_geometry(config)
     source = _source(config)
-    cfg, beta_common = _tuned_config(config, source, geom, config.channel_snr_values()[0])
+    cfg = _sensor_config(config, config.channel_snr_values()[0])
+    cfg = with_thresholds(source, geom, cfg, _threshold_mode(config))
     stream = substream(root_stream(config.seed), 0)
+    ts, estimates = run_trials(geom, source, cfg, config.n_mc, stream, workers=_workers(config))
 
     est_lines = ["trial,x_hat,y_hat,p0_hat,log_likelihood,converged,sgle"]
     energy_lines = ["round,sensor,t"] if config.dump_energies else None
-    sq_errors = []
-    ts, estimates = run_trials(geom, source, cfg, config.n_mc, stream, workers=_workers(config))
-    for m, est in enumerate(estimates):
+    for m, (est, sgle) in enumerate(zip(estimates, squared_errors(estimates, source))):
         th = est.theta_hat
-        sgle = (th.xT - source.xT) ** 2 + (th.yT - source.yT) ** 2
-        sq_errors.append(sgle)
         est_lines.append(
             f"{m},{_fmt(th.xT)},{_fmt(th.yT)},{_fmt(th.P0)},"
             f"{_fmt(est.log_likelihood)},{int(est.converged)},{_fmt(sgle)}"
         )
         if energy_lines is not None:
             energy_lines.extend(f"{m},{i},{_fmt(v)}" for i, v in enumerate(ts[m]))
-    _write(out / "estimates.csv", "\n".join(est_lines) + "\n")
+    (out / "estimates.csv").write_text("\n".join(est_lines) + "\n")
 
-    sq = np.asarray(sq_errors)
-    try:
-        bound = crlb_sgle(source, geom, cfg).sgle_bound
-        singular = False
-    except SingularFim:
-        bound, singular = None, True
+    trial = trial_result(geom, source, cfg, estimates, config.r_t_list)
     summary = {
-        "empirical_sgle": float(sq.mean()),
-        "rmse": float(np.sqrt(sq.mean())),
-        "sgle_var": float(sq.var(ddof=1)) if sq.size > 1 else 0.0,
-        "crlb_sgle": bound,
-        "crlb_singular": singular,
-        "beta_common": beta_common,
-        "k_t": {_fmt(rt): count_within(geom, source, rt) for rt in config.r_t_list},
-        "has_sub_d0_sensor": bool(np.any(distances(geom, source) < config.d0)),
+        "empirical_sgle": trial.empirical_sgle,
+        "rmse": float(np.sqrt(trial.empirical_sgle)),
+        "sgle_var": trial.sgle_var,
+        "crlb_sgle": None if trial.crlb_singular else trial.crlb_sgle,
+        "crlb_singular": trial.crlb_singular,
+        "beta_common": trial.beta_common,
+        "k_t": {_fmt(rt): n for rt, n in trial.k_t.items()},
+        "has_sub_d0_sensor": trial.has_sub_d0_sensor,
         "n_mc": config.n_mc,
         "config": config.to_dict(),
     }
-    _write(out / "estimate_summary.json", json.dumps(summary, indent=2) + "\n")
+    (out / "estimate_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     artifacts = ["estimates.csv", "estimate_summary.json"]
     if energy_lines is not None:
-        _write(out / "energies.csv", "\n".join(energy_lines) + "\n")
+        (out / "energies.csv").write_text("\n".join(energy_lines) + "\n")
         artifacts.append("energies.csv")
     return artifacts
 
@@ -193,19 +164,19 @@ def _run_estimate(config: ExperimentConfig, out: Path) -> list:
 def _run_crlb(config: ExperimentConfig, out: Path) -> list:
     geom = _fixed_geometry(config)
     source = _source(config)
-    cfg, beta_common = _tuned_config(config, source, geom, config.channel_snr_values()[0])
-    result = crlb_sgle(source, geom, cfg)
-    doc = crlb_result_to_dict(result)
+    cfg = _sensor_config(config, config.channel_snr_values()[0])
+    cfg = with_thresholds(source, geom, cfg, _threshold_mode(config))
+    doc = crlb_result_to_dict(crlb_sgle(source, geom, cfg))
     doc.update(
         {
             "per_sensor_term_norms": [float(v) for v in per_sensor_term_norms(source, geom, cfg)],
             "beta": np.asarray(cfg.beta, dtype=float).tolist(),
-            "beta_common": beta_common,
+            "beta_common": cfg.beta_common,
             "has_sub_d0_sensor": bool(np.any(distances(geom, source) < config.d0)),
             "config": config.to_dict(),
         }
     )
-    _write(out / "crlb.json", json.dumps(doc, indent=2) + "\n")
+    (out / "crlb.json").write_text(json.dumps(doc, indent=2) + "\n")
     return ["crlb.json"]
 
 
@@ -218,49 +189,29 @@ def _run_sweep_snr(config: ExperimentConfig, out: Path) -> list:
     lines = ["channel_snr_db,beta_common,rmse,empirical_sgle,sgle_stderr,crlb_sgle,crlb_rmse,n_mc"]
     rows = []
     for eta_db in config.channel_snr_values():
-        cfg, beta_common = _tuned_config(config, source, geom, eta_db)
+        cfg = with_thresholds(source, geom, _sensor_config(config, eta_db), _threshold_mode(config))
         _, estimates = run_trials(geom, source, cfg, config.n_mc, stream, workers=workers)
-        sq = np.array(
-            [
-                (e.theta_hat.xT - source.xT) ** 2 + (e.theta_hat.yT - source.yT) ** 2
-                for e in estimates
-            ]
-        )
-        try:
-            bound = crlb_sgle(source, geom, cfg).sgle_bound
-        except SingularFim:
-            bound = float("nan")
-        stderr = float(np.sqrt(sq.var(ddof=1) / sq.size)) if sq.size > 1 else 0.0
-        crlb_rmse = float(np.sqrt(bound))
+        trial = trial_result(geom, source, cfg, estimates)
+        crlb_rmse = float(np.sqrt(trial.crlb_sgle))
         row = {
             "channel_snr_db": eta_db,
-            "beta_common": beta_common,
-            "rmse": float(np.sqrt(sq.mean())),
-            "empirical_sgle": float(sq.mean()),
-            "sgle_stderr": stderr,
-            "crlb_sgle": bound if np.isfinite(bound) else None,
-            "crlb_rmse": crlb_rmse if np.isfinite(crlb_rmse) else None,
+            "beta_common": trial.beta_common,
+            "rmse": float(np.sqrt(trial.empirical_sgle)),
+            "empirical_sgle": trial.empirical_sgle,
+            "sgle_stderr": trial.sgle_stderr if config.n_mc > 1 else 0.0,
+            "crlb_sgle": None if trial.crlb_singular else trial.crlb_sgle,
+            "crlb_rmse": None if trial.crlb_singular else crlb_rmse,
             "n_mc": config.n_mc,
         }
         rows.append(row)
+        # the CSV row holds the JSON row's fields, with nan for a singular bound
+        cells = dict(row, crlb_sgle=trial.crlb_sgle, crlb_rmse=crlb_rmse).values()
         lines.append(
-            ",".join(
-                [
-                    _fmt(eta_db),
-                    "" if beta_common is None else _fmt(beta_common),
-                    _fmt(row["rmse"]),
-                    _fmt(row["empirical_sgle"]),
-                    _fmt(row["sgle_stderr"]),
-                    _fmt(bound),
-                    _fmt(crlb_rmse),
-                    str(config.n_mc),
-                ]
-            )
+            ",".join("" if v is None else str(v) if isinstance(v, int) else _fmt(v) for v in cells)
         )
-    _write(out / "snr_sweep.csv", "\n".join(lines) + "\n")
-    _write(
-        out / "snr_sweep.json",
-        json.dumps({"rows": rows, "config": config.to_dict()}, indent=2) + "\n",
+    (out / "snr_sweep.csv").write_text("\n".join(lines) + "\n")
+    (out / "snr_sweep.json").write_text(
+        json.dumps({"rows": rows, "config": config.to_dict()}, indent=2) + "\n"
     )
     return ["snr_sweep.csv", "snr_sweep.json"]
 
@@ -281,7 +232,7 @@ def _ensemble_spec(config: ExperimentConfig) -> EnsembleSpec:
         n_mc=config.n_mc,
         gamma=_gamma_grid(config, config.R),
         r_t_list=r_t_list,
-        threshold_mode="fixed" if config.beta is not None else config.threshold_mode,
+        threshold_mode=_threshold_mode(config),
         max_attempts=config.max_attempts,
         source_exclusion=config.source_exclusion,
     )
@@ -295,10 +246,10 @@ def _workers(config: ExperimentConfig) -> int:
 def _run_outage(config: ExperimentConfig, out: Path) -> list:
     spec = _ensemble_spec(config)
     curve, trials = outage_ccdf(spec, config.seed, workers=_workers(config))
-    _write(out / "outage_curve.csv", curve_to_csv(curve))
-    _write(out / "geometry_trials.csv", trials_to_csv(trials, spec.r_t_list))
+    (out / "outage_curve.csv").write_text(curve_to_csv(curve))
+    (out / "geometry_trials.csv").write_text(trials_to_csv(trials, spec.r_t_list))
     doc = {"curve": curve_to_dict(curve), "config": config.to_dict()}
-    _write(out / "outage_curve.json", json.dumps(doc, indent=2) + "\n")
+    (out / "outage_curve.json").write_text(json.dumps(doc, indent=2) + "\n")
     return ["outage_curve.csv", "geometry_trials.csv", "outage_curve.json"]
 
 
@@ -311,7 +262,7 @@ def _run_conditioned_outage(config: ExperimentConfig, out: Path) -> list:
         spec = _ensemble_spec(config)
         _, trials = outage_ccdf(spec, config.seed, workers=_workers(config))
         gamma = spec.gamma
-        _write(out / "geometry_trials.csv", trials_to_csv(trials, spec.r_t_list))
+        (out / "geometry_trials.csv").write_text(trials_to_csv(trials, spec.r_t_list))
         artifacts = ["geometry_trials.csv"]
 
     r_t = float(config.conditioning_r_t)
@@ -323,14 +274,14 @@ def _run_conditioned_outage(config: ExperimentConfig, out: Path) -> list:
             curves.append(conditioned_ccdf(trials, r_t, predicate, gamma, f"{label}@R_T={_fmt(r_t)}"))
         except EmptySubset:
             empty_bins.append(spec_str)
-    _write(out / "conditioned_curves.csv", curves_to_csv(curves))
+    (out / "conditioned_curves.csv").write_text(curves_to_csv(curves))
     doc = {
         "conditioning_r_t": r_t,
         "curves": [curve_to_dict(c) for c in curves],
         "empty_bins": empty_bins,
         "config": config.to_dict(),
     }
-    _write(out / "conditioned_curves.json", json.dumps(doc, indent=2) + "\n")
+    (out / "conditioned_curves.json").write_text(json.dumps(doc, indent=2) + "\n")
     return artifacts + ["conditioned_curves.csv", "conditioned_curves.json"]
 
 
@@ -364,7 +315,7 @@ def run(config: ExperimentConfig) -> int:
         "duration_s": time.monotonic() - t0,
         "config": config.to_dict(),
     }
-    _write(out / "run_manifest.json", json.dumps(manifest, indent=2) + "\n")
+    (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -373,7 +324,7 @@ def _error_record(out: Path, exc: BaseException, code: int) -> None:
     sys.stderr.write(json.dumps(record) + "\n")
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _write(out / "error.json", json.dumps(record, indent=2) + "\n")
+        (out / "error.json").write_text(json.dumps(record, indent=2) + "\n")
     except OSError:
         pass
 

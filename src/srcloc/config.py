@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import ParseError, ValidationError
@@ -86,7 +86,6 @@ class ExperimentConfig:
     geometry_file: Optional[str]
     trials_file: Optional[str]
     dump_energies: bool
-    extra: dict = field(default_factory=dict, repr=False)
 
     def channel_snr_values(self) -> list:
         v = self.channel_snr_db
@@ -280,7 +279,6 @@ def load_config(
     if not isinstance(raw["dump_energies"], bool):
         raise ValidationError("dump_energies", "dump_energies must be a boolean")
 
-    raw["extra"] = {}
     return ExperimentConfig(**raw)
 
 

@@ -10,8 +10,8 @@ over the two position coordinates, and quantization thresholds are
 chosen to minimize exactly that bound.
 
 Per-sensor thresholds have a closed form.  beta_i enters only the scalar
-factor g(s_i) = exp(-s_i^2) * mixture_integral(s_i, eb_i, tau2_i) of
-sensor i's rank-one term, with s_i = (sqrt(P_i) - beta_i) / sigma_i, and
+factor g(s_i) = exp(-s_i^2) * mixture_integral(s_i, eb, tau2) of sensor
+i's rank-one term, with s_i = (sqrt(P_i) - beta_i) / sigma, and
 a larger factor raises the information matrix in the Loewner order and
 so cannot raise the bound: each sensor sits at s* = argmax g.
 """
@@ -54,8 +54,8 @@ def mixture_integral(s, eb, tau2):
     Integrates (f1 - f0)^2 / (q1 f1 + q0 f0) over t in [0, inf), where
     f0 and f1 are the exponential energy densities with means tau2 and
     eb + tau2, q1 = Phi(s) and q0 = 1 - q1.  A sensor with received
-    power P_i, threshold beta_i and noise deviation sigma_i operates at
-    s = (sqrt(P_i) - beta_i) / sigma_i.  The arguments broadcast; scalar
+    power P_i, threshold beta_i and noise deviation sigma operates at
+    s = (sqrt(P_i) - beta_i) / sigma.  The arguments broadcast; scalar
     arguments give a float.  eb == 0 gives 0.
 
     The rule is fixed: 20-point Gauss-Legendre on panels broken at
@@ -161,14 +161,13 @@ def _information_terms(theta, geom, cfg):
     c is zero where the Gaussian quantizer weight underflows: such a
     sensor's bit is deterministic and carries no information.
     """
-    sigma2, beta, eb, tau2 = cfg.resolved(geom.K)
     v = _gradients(theta, geom.sensors, cfg.alpha)
     P = received_power(theta.P0, cfg.d0, cfg.alpha, distances(geom, theta))
-    x = (np.sqrt(P) - beta) / np.sqrt(sigma2)
-    weight = P * np.exp(-x * x) / (8.0 * np.pi * sigma2 * theta.P0)
+    x = (np.sqrt(P) - cfg.thresholds(geom.K)) / np.sqrt(cfg.sigma2)
+    weight = P * np.exp(-x * x) / (8.0 * np.pi * cfg.sigma2 * theta.P0)
     c = np.zeros(weight.shape)
     live = weight != 0.0
-    c[live] = weight[live] * mixture_integral(x[live], eb[live], tau2[live])
+    c[live] = weight[live] * mixture_integral(x[live], cfg.eb, cfg.tau2)
     return c, v
 
 
@@ -323,11 +322,11 @@ def optimize_thresholds(
     """Pick quantization threshold(s) minimizing the location-error bound.
 
     Common mode scans _N_COARSE points over
-    [-3*sigma_max, sqrt(P0) + 3*sigma_max], golden-section refines the
-    best local basins, and returns the best point actually evaluated.
+    [-3*sigma, sqrt(P0) + 3*sigma], golden-section refines the best local
+    basins, and returns the best point actually evaluated.
 
-    Per-sensor mode is the exact optimum, beta_i = sqrt(P_i) - sigma_i*s*,
-    with s* = argmax g found once per distinct (eb, tau2) pair.  Sensor i
+    Per-sensor mode is the exact optimum, beta_i = sqrt(P_i) - sigma*s*,
+    with s* = argmax g found once for the network's (eb, tau2).  Sensor i
     adds c_i * outer(v_i, v_i) with v_i free of beta and c_i proportional
     to g(s_i), and a larger c_i raises the information matrix in the
     Loewner order, so no c_i below its maximum can lower the bound.
@@ -338,20 +337,17 @@ def optimize_thresholds(
     if mode not in ("common", "per-sensor"):
         raise ValueError(f"unknown threshold mode {mode!r}")
     if mode == "per-sensor":
-        sigma2, _, eb, tau2 = cfg.resolved(geom.K)
-        pairs, which = np.unique(np.stack([eb, tau2], axis=1), axis=0, return_inverse=True)
-        s_star = np.array([_best_operating_point(e, t) for e, t in pairs])[which.ravel()]
+        s_star = _best_operating_point(cfg.eb, cfg.tau2)
         # No clip to the common bracket is needed: s* lies in [-3, 3], and
-        # since P_i <= P0 and sigma_i <= sigma_max, beta_i stays inside
-        # [-3*sigma_max, sqrt(P0) + 3*sigma_max].
+        # since P_i <= P0, beta_i stays inside [-3*sigma, sqrt(P0) + 3*sigma].
         P = received_power(theta.P0, cfg.d0, cfg.alpha, distances(geom, theta))
-        beta = np.sqrt(P) - np.sqrt(sigma2) * s_star
+        beta = np.sqrt(P) - np.sqrt(cfg.sigma2) * s_star
         bound = crlb_sgle(theta, geom, cfg.with_beta(beta)).sgle_bound
         return ThresholdResult(beta=beta, sgle_bound=bound)
 
-    sigma_max = float(np.sqrt(np.max(np.asarray(cfg.sigma2))))
-    lo = -3.0 * sigma_max
-    hi = math.sqrt(theta.P0) + 3.0 * sigma_max
+    sigma = math.sqrt(cfg.sigma2)
+    lo = -3.0 * sigma
+    hi = math.sqrt(theta.P0) + 3.0 * sigma
     tol = 1e-4 * math.sqrt(theta.P0)
 
     def common_objective(beta):

@@ -1,8 +1,15 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class SrclocError(Exception):
     """Base class for all package-specific errors."""
+
+    def __reduce__(self):
+        # Rebuild without __init__, whose parameters differ from ``args``,
+        # so an error raised in a pool worker unpickles in the parent.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class PackingFailure(SrclocError):

@@ -200,12 +200,12 @@ class _EnsembleLikelihood:
             raise ValueError(f"energy block has shape {ts.shape}, expected (*, {geom.K})")
         if np.any(ts < 0):
             raise ValueError("energies must be nonnegative")
-        sigma2, beta, eb, tau2 = cfg.resolved(geom.K)
+        eb, tau2 = cfg.eb, cfg.tau2
         self.n_rounds = ts.shape[0]
         self.xs = geom.sensors[:, 0].copy()
         self.ys = geom.sensors[:, 1].copy()
-        self.beta = beta
-        self.inv_sigma = 1.0 / np.sqrt(sigma2)
+        self.beta = cfg.thresholds(geom.K)
+        self.inv_sigma = 1.0 / np.sqrt(cfg.sigma2)
         self.d0_sq = cfg.d0 * cfg.d0
         self.half_alpha = cfg.alpha / 2.0
         self.log_f0 = -ts / tau2 - np.log(tau2)  # (n_rounds, K)
@@ -216,7 +216,7 @@ class _EnsembleLikelihood:
         # it moves a linear term by at most tiny * (2 + max density);
         # terms above this floor are therefore exact to rounding.
         fl = np.finfo(float)
-        self.floor = fl.tiny / fl.eps * (2.0 + np.max(1.0 / tau2))
+        self.floor = fl.tiny / fl.eps * (2.0 + 1.0 / tau2)
 
     def _log_terms(self, p0, x, y, rows=None):
         """Per-sensor log mixture densities at the probes (p0, x, y).

@@ -141,6 +141,49 @@ def run_trials(
     return ts, [est for part in _ordered_map(ml_estimate_batch, blocks, n_blocks) for est in part]
 
 
+def squared_errors(estimates: Sequence[EstimateResult], source: SourceParams) -> np.ndarray:
+    """Squared location error of each estimate."""
+    return np.array(
+        [(e.theta_hat.xT - source.xT) ** 2 + (e.theta_hat.yT - source.yT) ** 2 for e in estimates]
+    )
+
+
+def trial_result(
+    geom: NetworkGeometry,
+    source: SourceParams,
+    cfg: SensorEnsembleConfig,
+    estimates: Sequence[EstimateResult],
+    r_t_list: Sequence[float] = (),
+    geometry_id: int = 0,
+    seed: int = -1,
+) -> GeometryTrialResult:
+    """Outcome of one geometry from the estimates of its rounds.
+
+    The error bound is computed once, at ``cfg``'s thresholds; a singular
+    information matrix is recorded (nan bound, flag set) rather than
+    aborting the empirical estimate.
+    """
+    sq = squared_errors(estimates, source)
+    try:
+        bound = crlb_sgle(source, geom, cfg).sgle_bound
+        singular = False
+    except SingularFim:
+        bound = np.nan
+        singular = True
+    return GeometryTrialResult(
+        geometry_id=geometry_id,
+        seed=seed,
+        empirical_sgle=float(sq.mean()),
+        sgle_var=float(sq.var(ddof=1)) if sq.size > 1 else 0.0,
+        crlb_sgle=bound,
+        crlb_singular=singular,
+        k_t={float(rt): count_within(geom, source, rt) for rt in r_t_list},
+        has_sub_d0_sensor=bool(np.any(distances(geom, source) < cfg.d0)),
+        n_mc=sq.size,
+        beta_common=cfg.beta_common,
+    )
+
+
 def empirical_sgle(
     geom: NetworkGeometry,
     source: SourceParams,
@@ -154,43 +197,15 @@ def empirical_sgle(
 ) -> GeometryTrialResult:
     """Average squared location error over n_mc rounds of one geometry.
 
-    The error bound is computed once per geometry; a singular
-    information matrix is recorded (nan bound, flag set) rather than
-    aborting the empirical estimate.  Thresholds must already be set on
-    ``cfg`` before calling.
+    Thresholds must already be set on ``cfg`` before calling.  The
+    result's seed is the entropy of ``stream``, the master seed of the
+    streams ``run_geometry_trial`` derives.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
-
     _, estimates = run_trials(geom, source, cfg, n_mc, stream, estimator)
-    sq_errors = np.array(
-        [
-            (est.theta_hat.xT - source.xT) ** 2 + (est.theta_hat.yT - source.yT) ** 2
-            for est in estimates
-        ]
-    )
-
-    try:
-        bound = crlb_sgle(source, geom, cfg).sgle_bound
-        singular = False
-    except SingularFim:
-        bound = np.nan
-        singular = True
-
-    beta = np.asarray(cfg.beta, dtype=float)
     seed = stream.entropy if isinstance(stream.entropy, int) else -1
-    return GeometryTrialResult(
-        geometry_id=geometry_id,
-        seed=seed,
-        empirical_sgle=float(sq_errors.mean()),
-        sgle_var=float(sq_errors.var(ddof=1)) if n_mc > 1 else 0.0,
-        crlb_sgle=bound,
-        crlb_singular=singular,
-        k_t={float(rt): count_within(geom, source, rt) for rt in r_t_list},
-        has_sub_d0_sensor=bool(np.any(distances(geom, source) < cfg.d0)),
-        n_mc=n_mc,
-        beta_common=float(beta) if beta.ndim == 0 else None,
-    )
+    return trial_result(geom, source, cfg, estimates, r_t_list, geometry_id, seed)
 
 
 @dataclass
@@ -211,33 +226,40 @@ class EnsembleSpec:
     source_exclusion: float = 0.0
 
 
-def run_geometry_trial(spec: EnsembleSpec, master_seed: int, geometry_id: int) -> GeometryTrialResult:
-    """Sample, tune, and evaluate geometry ``geometry_id`` of an ensemble."""
-    gstream = substream(root_stream(master_seed), geometry_id)
-    geom = sample_geometry(
+def place_geometry(spec: EnsembleSpec, master_seed: int, geometry_id: int) -> NetworkGeometry:
+    """Geometry ``geometry_id`` of an ensemble, placed from stream (geometry_id, PLACEMENT_NS)."""
+    return sample_geometry(
         spec.K,
         spec.R,
         spec.R_ex,
         max_attempts=spec.max_attempts,
-        rng=generator(substream(gstream, PLACEMENT_NS)),
+        rng=generator(substream(root_stream(master_seed), geometry_id, PLACEMENT_NS)),
         source_xy=(spec.source.xT, spec.source.yT),
         source_exclusion=spec.source_exclusion,
     )
-    cfg = spec.cfg
-    if spec.threshold_mode != "fixed":
-        tuned = optimize_thresholds(spec.source, geom, cfg, mode=spec.threshold_mode)
-        cfg = cfg.with_beta(tuned.beta)
-    result = empirical_sgle(
+
+
+def with_thresholds(
+    source: SourceParams, geom: NetworkGeometry, cfg: SensorEnsembleConfig, mode: str
+) -> SensorEnsembleConfig:
+    """``cfg`` with its thresholds tuned against the bound, or as given in fixed mode."""
+    if mode == "fixed":
+        return cfg
+    return cfg.with_beta(optimize_thresholds(source, geom, cfg, mode=mode).beta)
+
+
+def run_geometry_trial(spec: EnsembleSpec, master_seed: int, geometry_id: int) -> GeometryTrialResult:
+    """Place, tune, and evaluate geometry ``geometry_id`` of an ensemble."""
+    geom = place_geometry(spec, master_seed, geometry_id)
+    return empirical_sgle(
         geom,
         spec.source,
-        cfg,
+        with_thresholds(spec.source, geom, spec.cfg, spec.threshold_mode),
         spec.n_mc,
-        gstream,
+        substream(root_stream(master_seed), geometry_id),
         r_t_list=spec.r_t_list,
         geometry_id=geometry_id,
     )
-    result.seed = master_seed
-    return result
 
 
 def run_ensemble(

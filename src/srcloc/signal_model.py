@@ -15,7 +15,7 @@ circular Gaussian is exponential with its total variance as mean.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -26,22 +26,23 @@ ArrayLike = Union[float, np.ndarray]
 
 @dataclass
 class SensorEnsembleConfig:
-    """Per-sensor model parameters; scalars broadcast to all K sensors.
+    """Sensor model parameters, shared by every sensor except the threshold.
 
     d0     : reference distance of the power-decay model
     alpha  : power-decay exponent
-    sigma2 : observation-noise variance(s)
-    beta   : binary quantization threshold(s)
-    eb     : transmit energy(ies) for bit 1
-    tau2   : channel-noise variance(s)
+    sigma2 : observation-noise variance
+    beta   : binary quantization threshold: one for all sensors, or a (K,)
+             array of per-sensor thresholds
+    eb     : transmit energy for bit 1
+    tau2   : channel-noise variance
     """
 
     d0: float
     alpha: float
-    sigma2: ArrayLike
+    sigma2: float
     beta: ArrayLike
-    eb: ArrayLike
-    tau2: ArrayLike
+    eb: float
+    tau2: float
 
     def __post_init__(self):
         if not self.d0 > 0:
@@ -49,16 +50,17 @@ class SensorEnsembleConfig:
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         for name in ("sigma2", "eb", "tau2"):
-            if np.any(np.asarray(getattr(self, name)) <= 0):
-                raise ValueError(f"{name} must be positive")
+            val = getattr(self, name)
+            if np.ndim(val) != 0 or not val > 0:
+                raise ValueError(f"{name} must be a positive scalar")
 
     @classmethod
     def from_snr_db(
         cls,
         p0: float,
-        obs_snr_db: ArrayLike,
-        channel_snr_db: ArrayLike,
-        tx_energy_db: ArrayLike,
+        obs_snr_db: float,
+        channel_snr_db: float,
+        tx_energy_db: float,
         d0: float = 1.0,
         alpha: float = 2.0,
         beta: ArrayLike = 0.0,
@@ -72,40 +74,43 @@ class SensorEnsembleConfig:
         return cls(
             d0=d0,
             alpha=alpha,
-            sigma2=p0 * 10.0 ** (-np.asarray(obs_snr_db, dtype=float) / 10.0),
+            sigma2=float(p0 * 10.0 ** (-np.asarray(obs_snr_db, dtype=float) / 10.0)),
             beta=beta,
-            eb=eb,
-            tau2=eb * 10.0 ** (-np.asarray(channel_snr_db, dtype=float) / 10.0),
+            eb=float(eb),
+            tau2=float(eb * 10.0 ** (-np.asarray(channel_snr_db, dtype=float) / 10.0)),
         )
 
     def with_beta(self, beta: ArrayLike) -> "SensorEnsembleConfig":
         """Copy of this config with the quantization threshold(s) replaced."""
         return replace(self, beta=beta)
 
-    def resolved(self, K: int):
-        """Per-sensor arrays (sigma2, beta, eb, tau2), each of length K."""
-        out = []
-        for name in ("sigma2", "beta", "eb", "tau2"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim == 0:
-                arr = np.full(K, float(arr))
-            elif arr.shape != (K,):
-                raise ValueError(
-                    f"{name} has length {arr.shape[0]}, expected {K}"
-                )
-            out.append(arr)
-        return tuple(out)
+    def thresholds(self, K: int) -> np.ndarray:
+        """The (K,) per-sensor thresholds; a scalar beta is shared by all K."""
+        beta = np.asarray(self.beta, dtype=float)
+        if beta.ndim == 0:
+            return np.full(K, float(beta))
+        if beta.shape != (K,):
+            raise ValueError(f"beta has length {beta.shape[0]}, expected {K}")
+        return beta
+
+    @property
+    def beta_common(self) -> Optional[float]:
+        """The threshold every sensor shares, or None for per-sensor thresholds."""
+        return float(self.beta) if np.ndim(self.beta) == 0 else None
 
 
 def received_power(P0: float, d0: float, alpha: float, d: ArrayLike) -> ArrayLike:
     """Source power observed at distance d: P0*(d0/d)^alpha, clamped at P0.
 
     The decay model only holds beyond the reference distance, so inside
-    d0 the power saturates at P0 (bounded, continuous in d).
+    d0 the power saturates at P0 (bounded, continuous in d).  A scalar d
+    is evaluated as a one-element array, because numpy's scalar power
+    can differ in the last bit from its array power.
     """
-    d = np.asarray(d, dtype=float)
+    scalar = np.ndim(d) == 0
+    d = np.atleast_1d(np.asarray(d, dtype=float))
     power = P0 * (d0 / np.maximum(d, d0)) ** alpha
-    return float(power) if power.ndim == 0 else power
+    return float(power[0]) if scalar else power
 
 
 def transmit_and_detect(
@@ -157,7 +162,6 @@ def simulate_rounds(
     stream.  A sensor reports 1 when its observation reaches the
     threshold (r >= beta).
     """
-    sigma2, beta, eb, tau2 = cfg.resolved(geom.K)
     P = received_power(source.P0, cfg.d0, cfg.alpha, distances(geom, source))
-    r = np.sqrt(P) + np.sqrt(sigma2) * rng.standard_normal((n_rounds, geom.K))
-    return transmit_and_detect(np.greater_equal(r, beta), eb, tau2, rng)
+    r = np.sqrt(P) + np.sqrt(cfg.sigma2) * rng.standard_normal((n_rounds, geom.K))
+    return transmit_and_detect(np.greater_equal(r, cfg.thresholds(geom.K)), cfg.eb, cfg.tau2, rng)

@@ -115,7 +115,7 @@ def test_criterion_2_distributional():
     # full forward chain against the analytic marginal mixture, per sensor
     geom = sample_geometry(4, 50.0, 0.0, rng=np.random.SeedSequence(203))
     cfg = _cfg(3.0, beta=4.0)
-    sigma2, beta, eb, tau2 = cfg.resolved(geom.K)
+    beta = cfg.thresholds(geom.K)
     d = np.hypot(geom.sensors[:, 0] - SRC.xT, geom.sensors[:, 1] - SRC.yT)
     P = received_power(SRC.P0, 1.0, 2.0, d)
     t = simulate_rounds(geom, SRC, cfg, 100_000, np.random.default_rng(204))
@@ -123,7 +123,7 @@ def test_criterion_2_distributional():
         res = kstest(
             t[:, i],
             lambda v, i=i: marginal_energy_cdf(
-                v, P[i], beta[i], np.sqrt(sigma2[i]), eb[i], tau2[i]
+                v, P[i], beta[i], np.sqrt(cfg.sigma2), cfg.eb, cfg.tau2
             ),
         )
         pvals.append(res.pvalue)

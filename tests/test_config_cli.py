@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 import types
@@ -13,8 +14,20 @@ import srcloc
 from srcloc import SensorEnsembleConfig, SourceParams, crlb_sgle, cli, montecarlo
 from srcloc.cli import _workers, main
 from srcloc.config import load_config, parse_k_t_bin
-from srcloc.errors import ParseError, ValidationError
+from srcloc import errors
+from srcloc.errors import (
+    ConfigError,
+    DegenerateGeometry,
+    EmptySubset,
+    PackingFailure,
+    ParseError,
+    QuadratureFailure,
+    SingularFim,
+    SrclocError,
+    ValidationError,
+)
 from srcloc.geometry import load_geometry
+from srcloc.montecarlo import trials_from_csv
 
 
 def write_config(tmp_path: Path, name="config.json", **kw) -> Path:
@@ -233,6 +246,33 @@ class TestCliModes:
         ccdf = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
         assert np.all(np.diff(ccdf[:, 1]) <= 0) and np.all(np.diff(ccdf[:, 2]) <= 0)
 
+    @pytest.mark.parametrize(
+        "kw", [{}, {"threshold_mode": "per-sensor"}, {"beta": 4.0}], ids=["common", "per-sensor", "fixed"]
+    )
+    def test_estimate_outage_and_sweep_agree_on_one_geometry(self, tmp_path, kw):
+        # estimate, row 0 of an outage ensemble and a one-SNR sweep all
+        # evaluate geometry 0 of the same seed
+        base = dict(K=20, R_ex=5.0, seed=61, n_mc=4, r_t_list=[10.0, 14.0], **kw)
+        runs = {
+            "estimate": write_config(tmp_path, "estimate.json", **base),
+            "outage": write_config(tmp_path, "outage.json", n_geom=1, **base),
+            "sweep-snr": write_config(tmp_path, "sweep.json", channel_snr_db=[0.0], **base),
+        }
+        for mode, cfg in runs.items():
+            assert main([mode, "--config", str(cfg), "--out", str(tmp_path / mode)]) == 0
+        est = json.loads((tmp_path / "estimate" / "estimate_summary.json").read_text())
+        trials, _ = trials_from_csv((tmp_path / "outage" / "geometry_trials.csv").read_text())
+        row = trials[0]
+        assert est["empirical_sgle"] == row.empirical_sgle
+        assert est["sgle_var"] == row.sgle_var
+        assert est["crlb_sgle"] == row.crlb_sgle
+        assert est["beta_common"] == row.beta_common
+        assert est["k_t"] == {f"{rt:.17g}": n for rt, n in row.k_t.items()}
+        assert est["has_sub_d0_sensor"] == row.has_sub_d0_sensor
+        sweep = json.loads((tmp_path / "sweep-snr" / "snr_sweep.json").read_text())["rows"][0]
+        for key in ("empirical_sgle", "rmse", "crlb_sgle", "beta_common", "n_mc"):
+            assert sweep[key] == est[key], key
+
     def test_conditioned_outage_from_trials_file(self, tmp_path):
         cfg = write_config(
             tmp_path, K=20, n_geom=4, n_mc=2, beta=4.0, gamma_num=8, channel_snr_db=10.0
@@ -321,6 +361,34 @@ def test_cli_import_leaves_out_scipy_spatial():
     assert out.stdout.strip() == "[]"
 
 
+ERROR_SAMPLES = [
+    SrclocError("base"),
+    PackingFailure(3, 200),
+    DegenerateGeometry("sensor coincides with the source"),
+    SingularFim(1e13),
+    SingularFim(2.0, "information matrix inverse is not usable"),
+    QuadratureFailure("tail bound above tolerance"),
+    EmptySubset("no geometry satisfies the K_T condition"),
+    ConfigError("bad config"),
+    ParseError("config.json: line 1, column 2: Expecting value"),
+    ValidationError("K"),
+    ValidationError("K", "K must be an integer >= 1"),
+]
+
+
+def test_every_error_class_has_a_pickle_sample():
+    classes = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, SrclocError)}
+    assert classes == {type(e) for e in ERROR_SAMPLES}
+
+
+@pytest.mark.parametrize("exc", ERROR_SAMPLES, ids=lambda e: type(e).__name__)
+def test_errors_survive_pickling(exc):
+    # an error raised in a pool worker reaches the parent pickled
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc) and back.args == exc.args and vars(back) == vars(exc)
+
+
 class TestExitCodes:
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -345,6 +413,23 @@ class TestExitCodes:
         assert main(["outage", "--config", str(cfg), "--out", str(out)]) == 3
         record = json.loads((out / "error.json").read_text())
         assert record["error_class"] == "PackingFailure" and record["exit_code"] == 3
+
+    @pytest.mark.parametrize(
+        "kw, code, error_class",
+        [
+            (dict(K=100, R=5.0, R_ex=5.0, source=[0.0, 1.0], max_attempts=200, beta=4.0),
+             3, "PackingFailure"),
+            (dict(K=2, R=50.0), 4, "SingularFim"),
+        ],
+        ids=["packing", "singular-common-tuning"],
+    )
+    def test_error_in_pool_worker_keeps_exit_code(self, tmp_path, kw, code, error_class):
+        cfg = write_config(tmp_path, n_geom=2, n_mc=2, **kw)
+        out = tmp_path / "poolfail"
+        args = ["outage", "--config", str(cfg), "--out", str(out), "--workers", "2"]
+        assert main(args) == code
+        record = json.loads((out / "error.json").read_text())
+        assert record["error_class"] == error_class and record["exit_code"] == code
 
     def test_numerical_error_exit_4(self, tmp_path):
         # a single sensor cannot localize: the bound is undefined

@@ -106,14 +106,14 @@ class TestMarginalEnergyPdf:
         # bin is n/nbins, so chi-square directly checks the mixture shape
         geom = sample_geometry(4, 50.0, 0.0, rng=21)
         cfg = ref_config(channel_snr_db=5.0, beta=4.0)
-        sigma2, beta, eb, tau2 = cfg.resolved(geom.K)
+        beta = cfg.thresholds(geom.K)
         d = np.hypot(geom.sensors[:, 0] - 5.0, geom.sensors[:, 1] - 10.0)
         P = received_power(10_000.0, 1.0, 2.0, d)
         n = 100_000
         t = simulate_rounds(geom, ref_source, cfg, n, np.random.default_rng(22))
         nbins = 40
         for i in range(geom.K):
-            args = (P[i], beta[i], np.sqrt(sigma2[i]), eb[i], tau2[i])
+            args = (P[i], beta[i], np.sqrt(cfg.sigma2), cfg.eb, cfg.tau2)
             edges = [
                 brentq(lambda v: marginal_energy_cdf(v, *args) - p, 0.0, 1e4)
                 for p in np.linspace(0.0, 1.0, nbins + 1)[1:-1]
@@ -159,7 +159,7 @@ class TestLogLikelihood:
         # central differences of the implementation
         geom = sample_geometry(15, 50.0, 0.0, rng=28)
         cfg = ref_config(channel_snr_db=5.0, beta=4.0)
-        sigma2, beta, eb, tau2 = cfg.resolved(geom.K)
+        sigma2, beta, eb, tau2 = cfg.sigma2, cfg.thresholds(geom.K), cfg.eb, cfg.tau2
         t = simulate_round(geom, ref_source, cfg, np.random.default_rng(29))
         rng = np.random.default_rng(30)
         for _ in range(5):
@@ -210,7 +210,7 @@ def _kernel_case(obs_snr_db, channel_snr_db, n_rounds=12, n_probes=5000):
 
 def _log_domain_terms(ts, geom, cfg, p0, x, y):
     """(probes, K) mixture terms as log_ndtr weights combined with logaddexp."""
-    sigma2, beta, eb, tau2 = cfg.resolved(geom.K)
+    sigma2, beta, eb, tau2 = cfg.sigma2, cfg.thresholds(geom.K), cfg.eb, cfg.tau2
     d2 = (x[:, None] - geom.sensors[:, 0]) ** 2 + (y[:, None] - geom.sensors[:, 1]) ** 2
     P = p0[:, None] * (cfg.d0**2 / np.maximum(d2, cfg.d0**2)) ** (cfg.alpha / 2.0)
     s = (np.sqrt(P) - beta) / np.sqrt(sigma2)

@@ -37,6 +37,14 @@ class TestReceivedPower:
         p = received_power(10_000.0, 1.0, 2.0, d)
         assert np.all(np.diff(p) <= 0)
 
+    @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 3.7, 4.0])
+    def test_scalar_matches_array_bitwise(self, alpha):
+        # numpy's scalar power can differ in the last bit from its array power
+        d = np.linspace(0.5, 100.0, 5100)
+        arr = received_power(10_000.0, 1.0, alpha, d)
+        scalar = np.array([received_power(10_000.0, 1.0, alpha, float(x)) for x in d])
+        np.testing.assert_array_equal(scalar, arr)
+
 
 def _sensing_bits(distance, beta, sigma2=1e-300, seed=0):
     """Bits of one round, read off the energies of a noiseless channel.
@@ -126,7 +134,7 @@ class TestSimulateRound:
     def test_round_mean_matches_mixture_mean(self, ref_source):
         geom = sample_geometry(50, 50.0, 0.0, rng=10)
         cfg = ref_config(channel_snr_db=0.0, beta=3.0)
-        sigma2, beta, eb, tau2 = cfg.resolved(geom.K)
+        sigma2, beta, eb, tau2 = cfg.sigma2, cfg.thresholds(geom.K), cfg.eb, cfg.tau2
         d = np.hypot(geom.sensors[:, 0] - 5.0, geom.sensors[:, 1] - 10.0)
         P = received_power(10_000.0, 1.0, 2.0, d)
         p1 = ndtr((np.sqrt(P) - beta) / np.sqrt(sigma2))
@@ -137,7 +145,7 @@ class TestSimulateRound:
     def test_energies_match_analytic_mixture_cdf(self, ref_source):
         geom = sample_geometry(5, 50.0, 0.0, rng=12)
         cfg = ref_config(channel_snr_db=3.0, beta=3.0)
-        sigma2, beta, eb, tau2 = cfg.resolved(geom.K)
+        beta = cfg.thresholds(geom.K)
         d = np.hypot(geom.sensors[:, 0] - 5.0, geom.sensors[:, 1] - 10.0)
         P = received_power(10_000.0, 1.0, 2.0, d)
         t = simulate_rounds(geom, ref_source, cfg, 100_000, np.random.default_rng(13))
@@ -145,7 +153,7 @@ class TestSimulateRound:
             result = kstest(
                 t[:, i],
                 lambda v, i=i: marginal_energy_cdf(
-                    v, P[i], beta[i], np.sqrt(sigma2[i]), eb[i], tau2[i]
+                    v, P[i], beta[i], np.sqrt(cfg.sigma2), cfg.eb, cfg.tau2
                 ),
             )
             assert result.pvalue >= 0.01, f"sensor {i}: p={result.pvalue}"
@@ -171,11 +179,10 @@ class TestConfig:
 
     def test_broadcast_and_length_check(self):
         cfg = SensorEnsembleConfig(d0=1.0, alpha=2.0, sigma2=1.0, beta=0.0, eb=2.0, tau2=1.0)
-        sigma2, beta, eb, tau2 = cfg.resolved(4)
-        assert sigma2.shape == beta.shape == eb.shape == tau2.shape == (4,)
+        assert cfg.thresholds(4).shape == (4,)
         cfg2 = cfg.with_beta(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            cfg2.resolved(4)
+            cfg2.thresholds(4)
 
     def test_positivity_validation(self):
         with pytest.raises(ValueError):
@@ -184,3 +191,11 @@ class TestConfig:
             SensorEnsembleConfig(d0=1.0, alpha=2.0, sigma2=-1.0, beta=0.0, eb=1.0, tau2=1.0)
         with pytest.raises(ValueError):
             SensorEnsembleConfig(d0=1.0, alpha=2.0, sigma2=1.0, beta=0.0, eb=1.0, tau2=0.0)
+
+    @pytest.mark.parametrize("name", ["sigma2", "eb", "tau2"])
+    def test_only_beta_may_be_per_sensor(self, name):
+        params = dict(d0=1.0, alpha=2.0, sigma2=1.0, beta=np.ones(3), eb=1.0, tau2=1.0)
+        SensorEnsembleConfig(**params)
+        params[name] = np.ones(3)
+        with pytest.raises(ValueError, match=name):
+            SensorEnsembleConfig(**params)
