@@ -43,12 +43,10 @@ from .crlb import (
     optimize_thresholds,
 )
 from .montecarlo import (
-    EnsembleSpec,
     GeometryTrialResult,
     OutageCurve,
     build_ccdf,
     conditioned_ccdf,
-    default_gamma_grid,
     empirical_sgle,
     outage_ccdf,
     run_ensemble,
@@ -82,12 +80,10 @@ __all__ = [
     "fisher_information",
     "mixture_integral",
     "optimize_thresholds",
-    "EnsembleSpec",
     "GeometryTrialResult",
     "OutageCurve",
     "build_ccdf",
     "conditioned_ccdf",
-    "default_gamma_grid",
     "empirical_sgle",
     "outage_ccdf",
     "run_ensemble",

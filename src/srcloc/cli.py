@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, load_config, parse_k_t_bin
+from .config import GEOMETRY_MODES, ExperimentConfig, load_config, parse_k_t_bin
 from .crlb import crlb_result_to_dict, crlb_sgle, per_sensor_term_norms
 from .errors import (
     ConfigError,
@@ -35,9 +35,8 @@ from .errors import (
     SingularFim,
     SrclocError,
 )
-from .geometry import NetworkGeometry, SourceParams, distances, load_geometry, save_geometry
+from .geometry import NetworkGeometry, distances, load_geometry, save_geometry
 from .montecarlo import (
-    EnsembleSpec,
     _fmt,
     build_ccdf,
     conditioned_ccdf,
@@ -47,6 +46,7 @@ from .montecarlo import (
     default_workers,
     outage_ccdf,
     place_geometry,
+    run_ensemble,
     run_trials,
     squared_errors,
     trial_result,
@@ -54,7 +54,6 @@ from .montecarlo import (
     trials_to_csv,
     with_thresholds,
 )
-from .signal_model import SensorEnsembleConfig
 from .streams import root_stream, substream
 
 OUT_DIR_ENV = "SRCLOC_OUT"
@@ -77,37 +76,11 @@ def _resolve_out_dir(config: ExperimentConfig) -> Path:
     return Path("srcloc_runs") / f"{config.mode}-seed{config.seed}"
 
 
-def _sensor_config(config: ExperimentConfig, channel_snr_db: float) -> SensorEnsembleConfig:
-    return SensorEnsembleConfig.from_snr_db(
-        p0=config.P0,
-        obs_snr_db=config.obs_snr_db,
-        channel_snr_db=channel_snr_db,
-        tx_energy_db=config.tx_energy_db,
-        d0=config.d0,
-        alpha=config.alpha,
-        beta=0.0 if config.beta is None else config.beta,
-    )
-
-
-def _threshold_mode(config: ExperimentConfig) -> str:
-    """A configured beta means fixed thresholds, whatever threshold_mode says."""
-    return "fixed" if config.beta is not None else config.threshold_mode
-
-
-def _source(config: ExperimentConfig) -> SourceParams:
-    return SourceParams(P0=config.P0, xT=config.source[0], yT=config.source[1])
-
-
 def _fixed_geometry(config: ExperimentConfig) -> NetworkGeometry:
     """The working geometry: loaded from file, or geometry 0 of the ensemble."""
     if config.geometry_file:
         return load_geometry(config.geometry_file)
-    return place_geometry(_ensemble_spec(config), config.seed, 0)
-
-
-def _gamma_grid(config: ExperimentConfig, R: float) -> np.ndarray:
-    hi = config.gamma_max if config.gamma_max is not None else 2.0 * R
-    return np.geomspace(config.gamma_min, hi, config.gamma_num)
+    return place_geometry(config, 0)
 
 
 # --- mode runners -----------------------------------------------------------
@@ -122,9 +95,8 @@ def _run_geometry(config: ExperimentConfig, out: Path) -> list:
 
 def _run_estimate(config: ExperimentConfig, out: Path) -> list:
     geom = _fixed_geometry(config)
-    source = _source(config)
-    cfg = _sensor_config(config, config.channel_snr_values()[0])
-    cfg = with_thresholds(source, geom, cfg, _threshold_mode(config))
+    source = config.source_params
+    cfg = with_thresholds(config, geom, config.channel_snr_values()[0])
     stream = substream(root_stream(config.seed), 0)
     ts, estimates = run_trials(geom, source, cfg, config.n_mc, stream, workers=_workers(config))
 
@@ -163,9 +135,8 @@ def _run_estimate(config: ExperimentConfig, out: Path) -> list:
 
 def _run_crlb(config: ExperimentConfig, out: Path) -> list:
     geom = _fixed_geometry(config)
-    source = _source(config)
-    cfg = _sensor_config(config, config.channel_snr_values()[0])
-    cfg = with_thresholds(source, geom, cfg, _threshold_mode(config))
+    source = config.source_params
+    cfg = with_thresholds(config, geom, config.channel_snr_values()[0])
     doc = crlb_result_to_dict(crlb_sgle(source, geom, cfg))
     doc.update(
         {
@@ -182,14 +153,14 @@ def _run_crlb(config: ExperimentConfig, out: Path) -> list:
 
 def _run_sweep_snr(config: ExperimentConfig, out: Path) -> list:
     geom = _fixed_geometry(config)
-    source = _source(config)
+    source = config.source_params
     stream = substream(root_stream(config.seed), 0)
     workers = _workers(config)
 
     lines = ["channel_snr_db,beta_common,rmse,empirical_sgle,sgle_stderr,crlb_sgle,crlb_rmse,n_mc"]
     rows = []
     for eta_db in config.channel_snr_values():
-        cfg = with_thresholds(source, geom, _sensor_config(config, eta_db), _threshold_mode(config))
+        cfg = with_thresholds(config, geom, eta_db)
         _, estimates = run_trials(geom, source, cfg, config.n_mc, stream, workers=workers)
         trial = trial_result(geom, source, cfg, estimates)
         crlb_rmse = float(np.sqrt(trial.crlb_sgle))
@@ -216,38 +187,15 @@ def _run_sweep_snr(config: ExperimentConfig, out: Path) -> list:
     return ["snr_sweep.csv", "snr_sweep.json"]
 
 
-def _ensemble_spec(config: ExperimentConfig) -> EnsembleSpec:
-    source = _source(config)
-    cfg = _sensor_config(config, config.channel_snr_values()[0])
-    r_t_list = list(config.r_t_list)
-    if config.conditioning_r_t is not None and config.conditioning_r_t not in r_t_list:
-        r_t_list.append(config.conditioning_r_t)
-    return EnsembleSpec(
-        K=config.K,
-        R=config.R,
-        R_ex=config.R_ex,
-        source=source,
-        cfg=cfg,
-        n_geom=config.n_geom,
-        n_mc=config.n_mc,
-        gamma=_gamma_grid(config, config.R),
-        r_t_list=r_t_list,
-        threshold_mode=_threshold_mode(config),
-        max_attempts=config.max_attempts,
-        source_exclusion=config.source_exclusion,
-    )
-
-
 def _workers(config: ExperimentConfig) -> int:
     """Configured worker count, else the CPUs this process may run on."""
     return config.workers or default_workers()
 
 
 def _run_outage(config: ExperimentConfig, out: Path) -> list:
-    spec = _ensemble_spec(config)
-    curve, trials = outage_ccdf(spec, config.seed, workers=_workers(config))
+    curve, trials = outage_ccdf(config, workers=_workers(config))
     (out / "outage_curve.csv").write_text(curve_to_csv(curve))
-    (out / "geometry_trials.csv").write_text(trials_to_csv(trials, spec.r_t_list))
+    (out / "geometry_trials.csv").write_text(trials_to_csv(trials, config.r_t_list))
     doc = {"curve": curve_to_dict(curve), "config": config.to_dict()}
     (out / "outage_curve.json").write_text(json.dumps(doc, indent=2) + "\n")
     return ["outage_curve.csv", "geometry_trials.csv", "outage_curve.json"]
@@ -255,16 +203,14 @@ def _run_outage(config: ExperimentConfig, out: Path) -> list:
 
 def _run_conditioned_outage(config: ExperimentConfig, out: Path) -> list:
     if config.trials_file:
-        trials, r_t_list = trials_from_csv(Path(config.trials_file).read_text(), config.trials_file)
-        gamma = _gamma_grid(config, config.R if config.R else max(r_t_list) * 4)
+        trials, _ = trials_from_csv(Path(config.trials_file).read_text(), config.trials_file)
         artifacts = []
     else:
-        spec = _ensemble_spec(config)
-        _, trials = outage_ccdf(spec, config.seed, workers=_workers(config))
-        gamma = spec.gamma
-        (out / "geometry_trials.csv").write_text(trials_to_csv(trials, spec.r_t_list))
+        trials = run_ensemble(config, workers=_workers(config))
+        (out / "geometry_trials.csv").write_text(trials_to_csv(trials, config.r_t_list))
         artifacts = ["geometry_trials.csv"]
 
+    gamma = config.gamma_grid()
     r_t = float(config.conditioning_r_t)
     curves = [build_ccdf(trials, gamma)]
     empty_bins = []
@@ -337,33 +283,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in _RUNNERS:
+        # every flag but --config sets the config key named by its dest;
+        # an absent flag is None and leaves the file's value
         p = sub.add_parser(mode)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--out", default=None, help="output directory override")
+        p.add_argument("--out", dest="out_dir", default=None, help="output directory override")
         p.add_argument("--profile", choices=("desk", "paper"), default=None)
         p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--geometry", default=None, help="geometry file override")
+        if mode in GEOMETRY_MODES:
+            p.add_argument("--geometry", dest="geometry_file", default=None, help="geometry file override")
         if mode == "conditioned-outage":
-            p.add_argument("--trials", default=None, help="reuse a geometry_trials.csv")
+            p.add_argument("--trials", dest="trials_file", default=None, help="reuse a geometry_trials.csv")
         if mode == "estimate":
             p.add_argument("--dump-energies", action="store_true", default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "out_dir": args.out,
-        "profile": args.profile,
-        "workers": args.workers,
-        "geometry_file": args.geometry,
-        "trials_file": getattr(args, "trials", None),
-        "dump_energies": getattr(args, "dump_energies", None),
-    }
+    overrides = vars(build_parser().parse_args(argv))
+    path, mode = overrides.pop("config"), overrides.pop("mode")
     try:
-        config = load_config(args.config, mode=args.mode, overrides=overrides)
+        config = load_config(path, mode=mode, overrides=overrides)
     except ConfigError as exc:
         sys.stderr.write(
             json.dumps({"error_class": type(exc).__name__, "message": str(exc), "exit_code": EXIT_CONFIG})

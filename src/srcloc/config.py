@@ -2,94 +2,100 @@
 
 A single flat JSON file configures every mode; flag overrides from the
 CLI take precedence over the file, which takes precedence over the
-defaults below.  Unknown keys are rejected so typos fail loudly.
+defaults on ``ExperimentConfig``'s fields.  Unknown keys are rejected so
+typos fail loudly.  The validated config is the one description of an
+experiment: every mode, and every ensemble worker, runs from it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
+from .geometry import SourceParams
+from .signal_model import SensorEnsembleConfig
 
 MODES = ("geometry", "estimate", "crlb", "sweep-snr", "outage", "conditioned-outage")
+
+# Modes that read a geometry (from geometry_file, else geometry 0 of the
+# seed's ensemble); the outage modes place their own.
+GEOMETRY_MODES = ("geometry", "estimate", "crlb", "sweep-snr")
 
 # (n_geom, n_mc): desk scale keeps CI fast, paper scale matches the
 # reference experiment sizes.
 PROFILES = {"desk": (100, 200), "paper": (500, 1000)}
 
-_DEFAULTS = {
-    "mode": None,
-    "K": None,
-    "R": None,
-    "R_ex": 0.0,
-    "source": (5.0, 10.0),
-    "P0": 10_000.0,
-    "d0": 1.0,
-    "alpha": 2.0,
-    "obs_snr_db": 40.0,
-    "channel_snr_db": 0.0,
-    "tx_energy_db": 1.0,
-    "beta": None,
-    "threshold_mode": "common",
-    "profile": None,
-    "n_geom": None,
-    "n_mc": None,
-    "gamma_num": 64,
-    "gamma_min": 0.1,
-    "gamma_max": None,
-    "r_t_list": (14.0,),
-    "conditioning_r_t": None,
-    "k_t_bins": ("1", "2", "3+"),
-    "source_exclusion": 0.0,
-    "max_attempts": 10_000,
-    "seed": None,
-    "workers": None,
-    "out_dir": None,
-    "geometry_file": None,
-    "trials_file": None,
-    "dump_energies": False,
-}
-
 
 @dataclass
 class ExperimentConfig:
-    mode: str
-    K: Optional[int]
-    R: Optional[float]
-    R_ex: float
-    source: tuple
-    P0: float
-    d0: float
-    alpha: float
-    obs_snr_db: float
-    channel_snr_db: Union[float, Sequence[float]]
-    tx_energy_db: float
-    beta: Optional[float]
-    threshold_mode: str
-    profile: Optional[str]
-    n_geom: int
-    n_mc: int
-    gamma_num: int
-    gamma_min: float
-    gamma_max: Optional[float]
-    r_t_list: tuple
-    conditioning_r_t: Optional[float]
-    k_t_bins: tuple
-    source_exclusion: float
-    max_attempts: int
-    seed: int
-    workers: Optional[int]
-    out_dir: Optional[str]
-    geometry_file: Optional[str]
-    trials_file: Optional[str]
-    dump_energies: bool
+    """One experiment.  Field order is the order of the config echo."""
+
+    mode: Optional[str] = None
+    K: Optional[int] = None
+    R: Optional[float] = None
+    R_ex: float = 0.0
+    source: tuple = (5.0, 10.0)
+    P0: float = 10_000.0
+    d0: float = 1.0
+    alpha: float = 2.0
+    obs_snr_db: float = 40.0
+    channel_snr_db: Union[float, Sequence[float]] = 0.0
+    tx_energy_db: float = 1.0
+    beta: Optional[float] = None
+    threshold_mode: str = "common"
+    profile: Optional[str] = None
+    n_geom: Optional[int] = None  # None: from the profile
+    n_mc: Optional[int] = None  # None: from the profile
+    gamma_num: int = 64
+    gamma_min: float = 0.1
+    gamma_max: Optional[float] = None  # None: the disk diameter
+    r_t_list: tuple = (14.0,)
+    conditioning_r_t: Optional[float] = None  # None: the first of r_t_list
+    k_t_bins: tuple = ("1", "2", "3+")
+    source_exclusion: float = 0.0
+    max_attempts: int = 10_000
+    seed: Optional[int] = None
+    workers: Optional[int] = None
+    out_dir: Optional[str] = None
+    geometry_file: Optional[str] = None
+    trials_file: Optional[str] = None
+    dump_energies: bool = False
 
     def channel_snr_values(self) -> list:
         v = self.channel_snr_db
         return [float(x) for x in v] if isinstance(v, (list, tuple)) else [float(v)]
+
+    @property
+    def source_params(self) -> SourceParams:
+        """The true source parameters (P0, xT, yT)."""
+        return SourceParams(P0=self.P0, xT=self.source[0], yT=self.source[1])
+
+    def sensor_config(self, channel_snr_db: float) -> SensorEnsembleConfig:
+        """The sensor model at one channel SNR; beta is 0 until thresholds are tuned."""
+        return SensorEnsembleConfig.from_snr_db(
+            p0=self.P0,
+            obs_snr_db=self.obs_snr_db,
+            channel_snr_db=channel_snr_db,
+            tx_energy_db=self.tx_energy_db,
+            d0=self.d0,
+            alpha=self.alpha,
+            beta=0.0 if self.beta is None else self.beta,
+        )
+
+    @property
+    def threshold_policy(self) -> str:
+        """A configured beta means fixed thresholds, whatever threshold_mode says."""
+        return "fixed" if self.beta is not None else self.threshold_mode
+
+    def gamma_grid(self) -> np.ndarray:
+        """Log-spaced outage thresholds from gamma_min to gamma_max, else the disk diameter."""
+        hi = self.gamma_max if self.gamma_max is not None else 2.0 * self.R
+        return np.geomspace(self.gamma_min, hi, self.gamma_num)
 
     def to_dict(self) -> dict:
         """Config echo embedded in every artifact.
@@ -99,13 +105,13 @@ class ExperimentConfig:
         across reruns at any worker count.
         """
         out = {}
-        for key in _DEFAULTS:
-            if key in ("out_dir", "workers"):
+        for f in fields(self):
+            if f.name in ("out_dir", "workers"):
                 continue
-            val = getattr(self, key)
+            val = getattr(self, f.name)
             if isinstance(val, tuple):
                 val = list(val)
-            out[key] = val
+            out[f.name] = val
         return out
 
 
@@ -170,11 +176,11 @@ def load_config(
         if not isinstance(file_raw, dict):
             raise ParseError(f"{path}: top level must be a JSON object")
 
-    unknown = set(file_raw) - set(_DEFAULTS)
+    unknown = set(file_raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValidationError(sorted(unknown)[0], f"unknown config key {sorted(unknown)[0]!r}")
 
-    raw = dict(_DEFAULTS)
+    raw = vars(ExperimentConfig())
     raw.update(file_raw)
     for key, val in (overrides or {}).items():
         if val is not None:
@@ -185,6 +191,11 @@ def load_config(
     if raw["mode"] not in MODES:
         raise ValidationError("mode", f"mode must be one of {MODES}, got {raw['mode']!r}")
 
+    if raw["geometry_file"] is not None and raw["mode"] not in GEOMETRY_MODES:
+        raise ValidationError(
+            "geometry_file",
+            f"{raw['mode']} places its own geometries; geometry_file is only read by {GEOMETRY_MODES}",
+        )
     # Geometry files carry K/R/R_ex themselves.
     if raw["geometry_file"] is None:
         _require(raw, "K")
@@ -279,7 +290,10 @@ def load_config(
     if not isinstance(raw["dump_energies"], bool):
         raise ValidationError("dump_energies", "dump_energies must be a boolean")
 
-    return ExperimentConfig(**raw)
+    config = ExperimentConfig(**raw)
+    for eta in config.channel_snr_values():
+        config.sensor_config(eta)  # raises ValidationError on a degenerate noise level
+    return config
 
 
 def parse_k_t_bin(spec: str):

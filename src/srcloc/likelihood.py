@@ -22,7 +22,7 @@ terms near or below the float underflow threshold in the log domain
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
@@ -67,7 +67,6 @@ class EstimateResult:
     theta_hat: SourceParams
     log_likelihood: float
     converged: bool
-    starts_used: int
 
 
 def _nelder_mead_batch(f, x0s, steps, scale, max_iter, diam_tol, f_rel_tol):
@@ -267,22 +266,22 @@ def ml_estimate_batch(
     geom: NetworkGeometry,
     cfg: SensorEnsembleConfig,
     p0_nominal: float,
-    rngs: Optional[Sequence[np.random.Generator]] = None,
+    rngs: Sequence[np.random.Generator],
 ) -> list:
     """ML source estimates for a block of rounds on one geometry.
 
     The location is searched on the geometry's disk (quadratic penalty
     outside) and P0 on a log scale within a factor 1e3 of p0_nominal.
     Scores the full seed grid for every round in one pass, then refines
-    each round's best spatially distinct seeds (plus one random start
-    from its own stream when ``rngs`` is given) with lockstep Nelder-Mead
+    each round's best spatially distinct seeds, plus one random start
+    from the round's own generator in ``rngs``, with lockstep Nelder-Mead
     across all rounds at once.  Per round, ties on log-likelihood break
     toward the lexicographically smallest (x, y), and the returned
     log-likelihood is never below the round's best grid seed.
     """
     ts = np.atleast_2d(np.asarray(ts, dtype=float))
     M = ts.shape[0]
-    if rngs is not None and len(rngs) != M:
+    if len(rngs) != M:
         raise ValueError("need one random stream per round")
     el = _EnsembleLikelihood(ts, geom, cfg)
     R = geom.R
@@ -294,10 +293,11 @@ def ml_estimate_batch(
     seed_order = np.argsort(-grid_ll, axis=1, kind="stable")
 
     # Per round: high-scoring seeds kept at least one grid cell apart so
-    # the local searches explore separate modes, then random extras.
+    # the local searches explore separate modes, then random extras.  The
+    # 7 outer-ring seeds are about 0.81 R apart and a pick blocks only
+    # points within R/7, so 3 picks leave a 4th distinct seed.
     min_sep_sq = (R / _N_GRID_RADIAL) ** 2
-    n_random = _N_RANDOM_STARTS if rngs is not None else 0
-    n_starts = _N_STARTS + n_random
+    n_starts = _N_STARTS + _N_RANDOM_STARTS
     x0s = np.empty((M * n_starts, 3))
     rows = np.repeat(np.arange(M), n_starts)
     for m in range(M):
@@ -309,11 +309,7 @@ def ml_estimate_batch(
                 continue
             picked.append((gx[idx], gy[idx]))
             x0s[m * n_starts + len(picked) - 1] = gx[idx], gy[idx], np.log(gp[idx])
-        # duplicate the best seed if the greedy filter ran out of grid
-        while len(picked) < _N_STARTS:
-            x0s[m * n_starts + len(picked)] = x0s[m * n_starts]
-            picked.append(None)
-        for r in range(n_random):
+        for r in range(_N_RANDOM_STARTS):
             ang = rngs[m].uniform(0.0, 2.0 * np.pi)
             rad = R * np.sqrt(rngs[m].uniform())
             j = m * n_starts + _N_STARTS + r
@@ -366,7 +362,6 @@ def ml_estimate_batch(
                 theta_hat=SourceParams(P0=float(best[3]), xT=float(best[1]), yT=float(best[2])),
                 log_likelihood=float(best[0]),
                 converged=bool(results_conv[sl].any()),
-                starts_used=n_starts,
             )
         )
     return out

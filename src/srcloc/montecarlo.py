@@ -28,6 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .crlb import crlb_sgle, optimize_thresholds
 from .errors import EmptySubset, ParseError, SingularFim
 from .geometry import NetworkGeometry, SourceParams, count_within, distances, sample_geometry
@@ -102,11 +103,6 @@ def _ordered_map(fn: Callable, calls: Sequence[tuple], workers: int) -> list:
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-
-
-def default_gamma_grid(R: float, num: int = 64, lo: float = 0.1) -> np.ndarray:
-    """Log-spaced outage thresholds from sub-unit errors to the disk diameter."""
-    return np.geomspace(lo, 2.0 * R, num)
 
 
 def run_trials(
@@ -208,72 +204,56 @@ def empirical_sgle(
     return trial_result(geom, source, cfg, estimates, r_t_list, geometry_id, seed)
 
 
-@dataclass
-class EnsembleSpec:
-    """Everything one geometry ensemble needs besides the master seed."""
-
-    K: int
-    R: float
-    R_ex: float
-    source: SourceParams
-    cfg: SensorEnsembleConfig
-    n_geom: int
-    n_mc: int
-    gamma: np.ndarray
-    r_t_list: Sequence[float] = (14.0,)
-    threshold_mode: str = "common"  # common | per-sensor | fixed
-    max_attempts: int = 10_000
-    source_exclusion: float = 0.0
-
-
-def place_geometry(spec: EnsembleSpec, master_seed: int, geometry_id: int) -> NetworkGeometry:
-    """Geometry ``geometry_id`` of an ensemble, placed from stream (geometry_id, PLACEMENT_NS)."""
+def place_geometry(config: ExperimentConfig, geometry_id: int) -> NetworkGeometry:
+    """Geometry ``geometry_id`` of the config's ensemble, placed from stream (geometry_id, PLACEMENT_NS)."""
     return sample_geometry(
-        spec.K,
-        spec.R,
-        spec.R_ex,
-        max_attempts=spec.max_attempts,
-        rng=generator(substream(root_stream(master_seed), geometry_id, PLACEMENT_NS)),
-        source_xy=(spec.source.xT, spec.source.yT),
-        source_exclusion=spec.source_exclusion,
+        config.K,
+        config.R,
+        config.R_ex,
+        max_attempts=config.max_attempts,
+        rng=generator(substream(root_stream(config.seed), geometry_id, PLACEMENT_NS)),
+        source_xy=config.source,
+        source_exclusion=config.source_exclusion,
     )
 
 
 def with_thresholds(
-    source: SourceParams, geom: NetworkGeometry, cfg: SensorEnsembleConfig, mode: str
+    config: ExperimentConfig, geom: NetworkGeometry, channel_snr_db: float
 ) -> SensorEnsembleConfig:
-    """``cfg`` with its thresholds tuned against the bound, or as given in fixed mode."""
-    if mode == "fixed":
+    """The sensor model at one channel SNR, its thresholds tuned against the
+    bound at the true source, or as configured under the fixed policy."""
+    cfg = config.sensor_config(channel_snr_db)
+    if config.threshold_policy == "fixed":
         return cfg
-    return cfg.with_beta(optimize_thresholds(source, geom, cfg, mode=mode).beta)
+    return cfg.with_beta(
+        optimize_thresholds(config.source_params, geom, cfg, mode=config.threshold_policy).beta
+    )
 
 
-def run_geometry_trial(spec: EnsembleSpec, master_seed: int, geometry_id: int) -> GeometryTrialResult:
-    """Place, tune, and evaluate geometry ``geometry_id`` of an ensemble."""
-    geom = place_geometry(spec, master_seed, geometry_id)
+def run_geometry_trial(config: ExperimentConfig, geometry_id: int) -> GeometryTrialResult:
+    """Place, tune, and evaluate geometry ``geometry_id`` of the config's ensemble."""
+    geom = place_geometry(config, geometry_id)
     return empirical_sgle(
         geom,
-        spec.source,
-        with_thresholds(spec.source, geom, spec.cfg, spec.threshold_mode),
-        spec.n_mc,
-        substream(root_stream(master_seed), geometry_id),
-        r_t_list=spec.r_t_list,
+        config.source_params,
+        with_thresholds(config, geom, config.channel_snr_values()[0]),
+        config.n_mc,
+        substream(root_stream(config.seed), geometry_id),
+        r_t_list=config.r_t_list,
         geometry_id=geometry_id,
     )
 
 
-def run_ensemble(
-    spec: EnsembleSpec, master_seed: int, workers: int = 1
-) -> list[GeometryTrialResult]:
-    """All geometry trials of an ensemble, in geometry-index order.
+def run_ensemble(config: ExperimentConfig, workers: int = 1) -> list[GeometryTrialResult]:
+    """All geometry trials of the config's ensemble, in geometry-index order.
 
     Trials are independent; with workers > 1 they run in a process pool
     and come back in index order, so the output is identical at any
     worker count.  Each trial's rounds run serially in its worker.
     """
-    if spec.n_geom < 1:
+    if config.n_geom < 1:
         raise ValueError("n_geom must be >= 1")
-    calls = [(spec, master_seed, gi) for gi in range(spec.n_geom)]
+    calls = [(config, gi) for gi in range(config.n_geom)]
     return _ordered_map(run_geometry_trial, calls, workers)
 
 
@@ -310,15 +290,15 @@ def build_ccdf(
 
 
 def outage_ccdf(
-    spec: EnsembleSpec, master_seed: int, workers: int = 1
+    config: ExperimentConfig, workers: int = 1
 ) -> tuple[OutageCurve, list[GeometryTrialResult]]:
-    """Run an ensemble and estimate its outage CCDFs.
+    """Run the config's ensemble and estimate its outage CCDFs on its gamma grid.
 
     Returns the curve plus the per-geometry trials for post-hoc
     conditioning.  A PackingFailure in any geometry aborts the ensemble.
     """
-    trials = run_ensemble(spec, master_seed, workers=workers)
-    return build_ccdf(trials, spec.gamma), trials
+    trials = run_ensemble(config, workers=workers)
+    return build_ccdf(trials, config.gamma_grid()), trials
 
 
 def conditioned_ccdf(

@@ -19,6 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .errors import ValidationError
 from .geometry import NetworkGeometry, SourceParams, distances
 
 ArrayLike = Union[float, np.ndarray]
@@ -69,16 +70,22 @@ class SensorEnsembleConfig:
 
         sigma2 = P0 * 10^(-obs_snr_db/10), eb = 10^(tx_energy_db/10),
         tau2 = eb * 10^(-channel_snr_db/10).
+
+        Raises ValidationError, naming the dB setting, when sigma2, eb or
+        tau2 overflows or underflows (is not positive and finite).
         """
-        eb = 10.0 ** (np.asarray(tx_energy_db, dtype=float) / 10.0)
-        return cls(
-            d0=d0,
-            alpha=alpha,
-            sigma2=float(p0 * 10.0 ** (-np.asarray(obs_snr_db, dtype=float) / 10.0)),
-            beta=beta,
-            eb=float(eb),
-            tau2=float(eb * 10.0 ** (-np.asarray(channel_snr_db, dtype=float) / 10.0)),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            eb = 10.0 ** (np.asarray(tx_energy_db, dtype=float) / 10.0)
+            levels = {
+                "sigma2": float(p0 * 10.0 ** (-np.asarray(obs_snr_db, dtype=float) / 10.0)),
+                "eb": float(eb),
+                "tau2": float(eb * 10.0 ** (-np.asarray(channel_snr_db, dtype=float) / 10.0)),
+            }
+        for name, key in (("sigma2", "obs_snr_db"), ("eb", "tx_energy_db"), ("tau2", "channel_snr_db")):
+            if not 0.0 < levels[name] < np.inf:
+                msg = f"{key} gives {name} = {levels[name]!r}; it must be positive and finite"
+                raise ValidationError(key, msg)
+        return cls(d0=d0, alpha=alpha, beta=beta, **levels)
 
     def with_beta(self, beta: ArrayLike) -> "SensorEnsembleConfig":
         """Copy of this config with the quantization threshold(s) replaced."""

@@ -17,7 +17,6 @@ from scipy.special import log_ndtr
 from scipy.stats import expon, kstest
 
 from srcloc import (
-    EnsembleSpec,
     NetworkGeometry,
     SensorEnsembleConfig,
     SingularFim,
@@ -25,7 +24,6 @@ from srcloc import (
     conditioned_ccdf,
     count_within,
     crlb_sgle,
-    default_gamma_grid,
     fisher_information,
     optimize_thresholds,
     outage_ccdf,
@@ -35,6 +33,7 @@ from srcloc import (
     transmit_and_detect,
 )
 from srcloc.cli import main
+from srcloc.config import load_config
 from srcloc.crlb import _gradients
 from srcloc.montecarlo import _MIN_BLOCK, default_workers, run_trials
 from srcloc.streams import root_stream
@@ -295,12 +294,11 @@ def _outage_ensembles():
     if not _ENSEMBLES:
         workers = default_workers()
         for r_ex in (0.0, 5.0):
-            spec = EnsembleSpec(
-                K=50, R=50.0, R_ex=r_ex, source=SRC, cfg=_cfg(0.0),
-                n_geom=100, n_mc=200, gamma=default_gamma_grid(50.0),
-                r_t_list=(14.0,), threshold_mode="common",
-            )
-            _ENSEMBLES[r_ex] = outage_ccdf(spec, master_seed=700, workers=workers)
+            config = load_config(None, mode="outage", overrides=dict(
+                K=50, R=50.0, R_ex=r_ex, seed=700, n_geom=100, n_mc=200,
+                channel_snr_db=0.0, r_t_list=(14.0,), threshold_mode="common",
+            ))
+            _ENSEMBLES[r_ex] = outage_ccdf(config, workers=workers)
     return _ENSEMBLES
 
 

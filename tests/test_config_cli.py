@@ -13,7 +13,7 @@ import pytest
 import srcloc
 from srcloc import SensorEnsembleConfig, SourceParams, crlb_sgle, cli, montecarlo
 from srcloc.cli import _workers, main
-from srcloc.config import load_config, parse_k_t_bin
+from srcloc.config import ExperimentConfig, load_config, parse_k_t_bin
 from srcloc import errors
 from srcloc.errors import (
     ConfigError,
@@ -104,6 +104,33 @@ class TestLoadConfig:
             with pytest.raises(ValidationError) as err:
                 load_config(path, mode="outage")
             assert err.value.field == field
+
+    def test_echo_key_order(self):
+        # the echo is embedded in every result file, so a reordered field
+        # would move every artifact's bytes
+        assert list(ExperimentConfig().to_dict()) == [
+            "mode", "K", "R", "R_ex", "source", "P0", "d0", "alpha", "obs_snr_db",
+            "channel_snr_db", "tx_energy_db", "beta", "threshold_mode", "profile", "n_geom",
+            "n_mc", "gamma_num", "gamma_min", "gamma_max", "r_t_list", "conditioning_r_t",
+            "k_t_bins", "source_exclusion", "max_attempts", "seed", "geometry_file",
+            "trials_file", "dump_energies",
+        ]
+
+    @pytest.mark.parametrize(
+        "mode, kw",
+        [
+            ("estimate", {"obs_snr_db": 4000}),  # sigma2 underflows to 0
+            ("estimate", {"tx_energy_db": 4000}),  # eb overflows to inf
+            ("estimate", {"channel_snr_db": 4000}),  # tau2 underflows to 0
+            ("sweep-snr", {"channel_snr_db": [0.0, 4000]}),
+        ],
+        ids=["sigma2", "eb", "tau2", "tau2-sweep-entry"],
+    )
+    def test_degenerate_noise_level_rejected(self, tmp_path, mode, kw):
+        path = write_config(tmp_path, beta=4.0, **kw)
+        with pytest.raises(ValidationError) as err:
+            load_config(path, mode=mode)
+        assert err.value.field == next(iter(kw))
 
     def test_geometry_file_waives_k_and_r(self, tmp_path):
         path = tmp_path / "geomcfg.json"
@@ -438,6 +465,27 @@ class TestExitCodes:
         assert main(["crlb", "--config", str(cfg), "--out", str(out)]) == 4
         record = json.loads((out / "error.json").read_text())
         assert record["error_class"] == "SingularFim"
+
+    def test_degenerate_noise_level_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "loud.json"
+        path.write_text(json.dumps({"K": 5, "R": 50.0, "seed": 1, "obs_snr_db": 4000, "beta": 4.0}))
+        assert main(["estimate", "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error_class"] == "ValidationError" and "obs_snr_db" in record["message"]
+
+    @pytest.mark.parametrize("mode", ["outage", "conditioned-outage"])
+    def test_ensemble_modes_read_no_geometry(self, tmp_path, capsys, mode):
+        # an ensemble places its own geometries, so a geometry file is refused
+        # as a flag and as a config key, before it is read
+        cfg = write_config(tmp_path, n_geom=2, n_mc=2, beta=4.0)
+        with pytest.raises(SystemExit) as exit_:
+            main([mode, "--config", str(cfg), "--geometry", "g.json"])
+        assert exit_.value.code == 2
+        capsys.readouterr()
+        keyed = write_config(tmp_path, name="keyed.json", n_geom=2, n_mc=2, geometry_file="g.json")
+        assert main([mode, "--config", str(keyed), "--out", str(tmp_path / "out")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error_class"] == "ValidationError" and "geometry_file" in record["message"]
 
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["outage", "--config", str(tmp_path / "nope.json")]) == 2

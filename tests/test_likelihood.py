@@ -19,8 +19,6 @@ from srcloc import (
     simulate_rounds,
 )
 from srcloc.likelihood import (
-    _N_RANDOM_STARTS,
-    _N_STARTS,
     _EnsembleLikelihood,
     _polar_grid_seeds,
     ml_estimate_batch,
@@ -280,7 +278,6 @@ class TestMlEstimate:
             est = ml_estimate(t, geom, cfg, 10_000.0, rng)
             assert np.hypot(est.theta_hat.xT, est.theta_hat.yT) <= geom.R + 1e-12
             assert 10.0 <= est.theta_hat.P0 <= 1e7
-            assert est.starts_used == _N_STARTS + _N_RANDOM_STARTS
 
     def test_asymptotic_consistency_high_channel_snr(self, ref_source):
         # favorable fixed geometry, strong channel: RMSE over 200 rounds

@@ -5,19 +5,18 @@ from hypothesis import strategies as st
 
 from srcloc import (
     EmptySubset,
-    EnsembleSpec,
     EstimateResult,
     NetworkGeometry,
     PackingFailure,
     SourceParams,
     build_ccdf,
     conditioned_ccdf,
-    default_gamma_grid,
     empirical_sgle,
     outage_ccdf,
     run_ensemble,
 )
 from srcloc import montecarlo
+from srcloc.config import load_config
 from srcloc.montecarlo import (
     GeometryTrialResult,
     curve_to_csv,
@@ -38,7 +37,6 @@ def _perfect_estimator(t, geom, cfg, rng):
         theta_hat=SourceParams(SRC.P0, SRC.xT, SRC.yT),
         log_likelihood=0.0,
         converged=True,
-        starts_used=0,
     )
 
 
@@ -48,25 +46,14 @@ def _noisy_stub(t, geom, cfg, rng):
         theta_hat=SourceParams(SRC.P0, SRC.xT + dx, SRC.yT + dy),
         log_likelihood=0.0,
         converged=True,
-        starts_used=0,
     )
 
 
-def _mini_spec(**kw):
-    defaults = dict(
-        K=8,
-        R=50.0,
-        R_ex=0.0,
-        source=SRC,
-        cfg=ref_config(channel_snr_db=10.0, beta=4.0),
-        n_geom=4,
-        n_mc=3,
-        gamma=default_gamma_grid(50.0, num=16),
-        r_t_list=(14.0,),
-        threshold_mode="fixed",
-    )
-    defaults.update(kw)
-    return EnsembleSpec(**defaults)
+def _mini_config(seed, **kw):
+    """A small fixed-threshold outage ensemble; beta=None tunes the thresholds."""
+    overrides = dict(K=8, R=50.0, seed=seed, n_geom=4, n_mc=3, channel_snr_db=10.0, beta=4.0, gamma_num=16)
+    overrides.update(kw)
+    return load_config(None, mode="outage", overrides=overrides)
 
 
 class TestEmpiricalSgle:
@@ -168,9 +155,9 @@ class TestRunTrials:
 
 class TestRunEnsemble:
     def test_worker_count_invariance(self):
-        spec = _mini_spec()
-        serial = run_ensemble(spec, 99, workers=1)
-        parallel = run_ensemble(spec, 99, workers=2)
+        config = _mini_config(99)
+        serial = run_ensemble(config, workers=1)
+        parallel = run_ensemble(config, workers=2)
         assert len(serial) == len(parallel) == 4
         for a, b in zip(serial, parallel):
             assert a.geometry_id == b.geometry_id
@@ -182,19 +169,20 @@ class TestRunEnsemble:
             assert a.k_t == b.k_t
 
     def test_rerun_is_bitwise_identical(self):
-        spec = _mini_spec()
-        a = run_ensemble(spec, 42, workers=1)
-        b = run_ensemble(spec, 42, workers=1)
+        config = _mini_config(42)
+        a = run_ensemble(config, workers=1)
+        b = run_ensemble(config, workers=1)
         assert [t.empirical_sgle for t in a] == [t.empirical_sgle for t in b]
 
     def test_packing_failure_aborts(self):
-        spec = _mini_spec(K=100, R=5.0, R_ex=5.0, max_attempts=200)
+        # the source moves inside the radius-5 disk, which the config requires
+        config = _mini_config(1, K=100, R=5.0, R_ex=5.0, max_attempts=200, source=[0.0, 1.0])
         with pytest.raises(PackingFailure):
-            run_ensemble(spec, 1, workers=1)
+            run_ensemble(config, workers=1)
 
     def test_threshold_optimization_path(self):
-        spec = _mini_spec(n_geom=2, threshold_mode="common")
-        trials = run_ensemble(spec, 3, workers=1)
+        config = _mini_config(3, n_geom=2, beta=None, threshold_mode="common")
+        trials = run_ensemble(config, workers=1)
         assert all(t.beta_common is not None for t in trials)
 
 
@@ -237,7 +225,7 @@ class TestBuildCcdf:
             GeometryTrialResult(i, 0, s, 0.0, s, False, {}, False, 1)
             for i, s in enumerate(sgles)
         ]
-        curve = build_ccdf(trials, default_gamma_grid(50.0, num=32))
+        curve = build_ccdf(trials, np.geomspace(0.1, 100.0, 32))
         n = len(sgles)
         for arr in (curve.ccdf_empirical, curve.ccdf_crlb):
             assert np.all(np.diff(arr) <= 0)
@@ -260,22 +248,22 @@ class TestConditionedCcdf:
 
     def test_trivial_condition_matches_unconditioned(self):
         trials = self._trials()
-        gamma = default_gamma_grid(50.0, num=16)
+        gamma = np.geomspace(0.1, 100.0, 16)
         full = build_ccdf(trials, gamma)
         cond = conditioned_ccdf(trials, 14.0, lambda k: k >= 0, gamma)
         np.testing.assert_array_equal(cond.ccdf_empirical, full.ccdf_empirical)
 
     def test_empty_subset_raises(self):
         with pytest.raises(EmptySubset):
-            conditioned_ccdf(self._trials(), 14.0, lambda k: k > 99, default_gamma_grid(50.0))
+            conditioned_ccdf(self._trials(), 14.0, lambda k: k > 99, np.geomspace(0.1, 100.0, 64))
 
     def test_missing_radius_raises(self):
         with pytest.raises(ValueError):
-            conditioned_ccdf(self._trials(), 7.0, lambda k: True, default_gamma_grid(50.0))
+            conditioned_ccdf(self._trials(), 7.0, lambda k: True, np.geomspace(0.1, 100.0, 64))
 
     def test_mixture_reconstructs_unconditioned(self):
         trials = self._trials()
-        gamma = default_gamma_grid(50.0, num=24)
+        gamma = np.geomspace(0.1, 100.0, 24)
         full = build_ccdf(trials, gamma)
         ks = sorted({t.k_t[14.0] for t in trials})
         mix = np.zeros_like(gamma)
@@ -287,9 +275,9 @@ class TestConditionedCcdf:
 
 class TestSerialization:
     def test_trials_csv_roundtrip_exact(self):
-        spec = _mini_spec(n_geom=3)
-        trials = run_ensemble(spec, 11, workers=1)
-        text = trials_to_csv(trials, spec.r_t_list)
+        config = _mini_config(11, n_geom=3)
+        trials = run_ensemble(config, workers=1)
+        text = trials_to_csv(trials, config.r_t_list)
         back, r_t_list = trials_from_csv(text)
         assert r_t_list == [14.0]
         for a, b in zip(trials, back):
@@ -318,7 +306,7 @@ class TestSerialization:
 
 
 def test_outage_ccdf_end_to_end():
-    spec = _mini_spec(n_geom=3, n_mc=2)
-    curve, trials = outage_ccdf(spec, 21, workers=1)
+    config = _mini_config(21, n_geom=3, n_mc=2)
+    curve, trials = outage_ccdf(config, workers=1)
     assert curve.n_geometries == 3 and len(trials) == 3
     assert np.all(np.diff(curve.ccdf_empirical) <= 0)
