@@ -242,7 +242,9 @@ def load_config(
     if (
         not isinstance(src, (list, tuple))
         or len(src) != 2
-        or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in src)
+        or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in src
+        )
     ):
         raise ValidationError("source", "source must be a pair of finite coordinates")
     raw["source"] = (float(src[0]), float(src[1]))
@@ -273,10 +275,13 @@ def load_config(
 
     if raw["conditioning_r_t"] is None:
         raw["conditioning_r_t"] = raw["r_t_list"][0] if raw["r_t_list"] else None
-    elif float(raw["conditioning_r_t"]) not in raw["r_t_list"]:
-        raise ValidationError(
-            "conditioning_r_t", "conditioning_r_t must appear in r_t_list"
-        )
+    else:
+        _finite(raw, "conditioning_r_t")
+        raw["conditioning_r_t"] = float(raw["conditioning_r_t"])
+        if raw["conditioning_r_t"] not in raw["r_t_list"]:
+            raise ValidationError(
+                "conditioning_r_t", "conditioning_r_t must appear in r_t_list"
+            )
     if raw["mode"] == "conditioned-outage" and raw["conditioning_r_t"] is None:
         raise ValidationError("conditioning_r_t")
 

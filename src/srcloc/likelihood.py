@@ -5,7 +5,14 @@ mean ``eb*u + tau2``, so marginally each energy follows a two-component
 exponential mixture whose weights are the bit probabilities.  The joint
 likelihood over sensors factorizes, and the source parameters
 (P0, xT, yT) are recovered by maximizing the log-likelihood with a
-multi-start Nelder-Mead search seeded from a coarse polar grid.
+two-stage multi-start search seeded from a coarse polar grid: lockstep
+Nelder-Mead to a coarse tolerance chooses each start's basin, and a
+lockstep Levenberg-Marquardt-damped Newton iteration on the exact
+gradient and Hessian converges inside it.  Nelder-Mead's final
+contraction converges only linearly (Lagarias et al., SIAM J. Optim.
+1998), Newton's quadratically (More, "The Levenberg-Marquardt algorithm:
+implementation and theory", 1978), so the second stage replaces the long
+tail of simplex steps.
 
 The search's settings are fixed: a 7 x 7 polar grid over the disk crossed
 with P0 factors 0.1, 1 and 10 of nominal seeds it, each round refines its
@@ -13,10 +20,12 @@ with P0 factors 0.1, 1 and 10 of nominal seeds it, each round refines its
 within a factor 1e3 of nominal.
 
 One kernel, ``_EnsembleLikelihood._log_terms``, evaluates every
-per-sensor term.  It works in the linear domain, ``log(q0*f0 + q1*f1)``
+per-sensor term T.  It works in the linear domain, ``log(q0*f0 + q1*f1)``
 with one ``ndtr`` and one ``log`` per term, and recomputes the rare
 terms near or below the float underflow threshold in the log domain
-(``log_ndtr`` weights combined with ``logaddexp``).
+(``log_ndtr`` weights combined with ``logaddexp``).  On request it also
+returns dT/ds and d2T/ds2 in the weight argument s, from which
+``_EnsembleLikelihood.score`` chains the search's derivatives.
 """
 
 from __future__ import annotations
@@ -45,9 +54,18 @@ def log_likelihood(
 
 # --- ML estimation ----------------------------------------------------------
 #
-# Fixed search settings (see the module docstring).  A simplex stops when
-# its scaled diameter is below _DIAMETER_TOL_FRAC * R and its relative
-# value spread below _F_SPREAD_REL_TOL, or after _MAX_ITER steps.
+# Fixed search settings (see the module docstring).  Nelder-Mead only
+# picks the basin: a simplex stops when its scaled diameter is below
+# _DIAMETER_TOL_FRAC * R and its relative value spread below
+# _F_SPREAD_REL_TOL, or after _MAX_ITER steps.  The Newton polish starts
+# at its best vertex with damping _DAMPING_INIT, never lets the damping
+# fall below that, and stops when the damped Newton decrement is below
+# _DECREMENT_REL_TOL * max(1, |f|), when the damping exceeds
+# _DAMPING_MAX, or after _POLISH_MAX_ITER steps.  A coarse simplex can
+# stop partway along a flat curved valley, where the polish has needed
+# up to about 140 damped steps to reach the floor, hence the budget.  The
+# derivative pass scores _SCORE_BLOCK probes at a time, which keeps its
+# temporaries below those of the simplices' first evaluation.
 
 _P0_SPAN = 1e3
 _N_GRID_RADIAL = 7
@@ -56,8 +74,14 @@ _P0_SEED_FACTORS = np.array([0.1, 1.0, 10.0])
 _N_STARTS = 4
 _N_RANDOM_STARTS = 1
 _MAX_ITER = 2000
-_DIAMETER_TOL_FRAC = 1e-6
-_F_SPREAD_REL_TOL = 1e-9
+_DIAMETER_TOL_FRAC = 1e-3
+_F_SPREAD_REL_TOL = 1e-6
+_POLISH_MAX_ITER = 200
+_DAMPING_INIT = 1e-6
+_DAMPING_MAX = 1e6
+_DECREMENT_REL_TOL = 1e-13
+_SCORE_BLOCK = 1024
+_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 @dataclass
@@ -160,6 +184,92 @@ def _nelder_mead_batch(f, x0s, steps, scale, max_iter, diam_tol, f_rel_tol):
     return verts[sel, order], fv[sel, order], converged
 
 
+def _cholesky_solve3(A, b):
+    """Solve A p = b for a stack of symmetric 3 x 3 matrices by Cholesky.
+
+    Works element by element across the stack, so each system's
+    arithmetic does not depend on the others.  Returns (p, pd) where pd
+    flags the positive-definite systems; p is 0 elsewhere.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        l11 = np.sqrt(A[:, 0, 0])
+        l21 = A[:, 1, 0] / l11
+        l31 = A[:, 2, 0] / l11
+        t22 = A[:, 1, 1] - l21 * l21
+        l22 = np.sqrt(t22)
+        l32 = (A[:, 2, 1] - l31 * l21) / l22
+        t33 = A[:, 2, 2] - l31 * l31 - l32 * l32
+        l33 = np.sqrt(t33)
+        z1 = b[:, 0] / l11
+        z2 = (b[:, 1] - l21 * z1) / l22
+        z3 = (b[:, 2] - l31 * z1 - l32 * z2) / l33
+        p3 = z3 / l33
+        p2 = (z2 - l32 * p3) / l22
+        p1 = (z1 - l21 * p2 - l31 * p3) / l11
+    pd = (A[:, 0, 0] > 0) & (t22 > 0) & (t33 > 0)
+    return np.where(pd[:, None], np.column_stack([p1, p2, p3]), 0.0), pd
+
+
+def _newton_polish(score, x0s):
+    """Refine independent starts in lockstep with damped Newton steps.
+
+    ``score(points, ids)`` maps an (m, 3) block of points, with their
+    owning start indices, to their values (m,), gradients (m, 3) and
+    Hessians (m, 3, 3).  Each start solves (H + mu*D) p = -g, with D the
+    largest |diag H| seen along its path (More's scaling), and moves to
+    x + p only if that lowers its value.  The damping follows Nielsen's
+    rule: an accepted step scales mu by max(1/3, 1 - (2 rho - 1)^3),
+    where rho is the achieved over the predicted decrease, and a
+    rejected step or an indefinite system multiplies it by a factor
+    that doubles with each consecutive rejection.  A start stops when
+    its damped Newton decrement g'(H + mu*D)^-1 g is negligible or its
+    damping saturates (see the search constants).  Every operation is
+    per start, so a start's path does not depend on the others in the
+    batch.
+
+    Returns the refined points (S, 3).
+    """
+    x = np.array(x0s, dtype=float)
+    S = x.shape[0]
+    f, g, H = score(x, np.arange(S))
+    scale = np.abs(np.diagonal(H, axis1=1, axis2=2)).copy()
+    mu = np.full(S, _DAMPING_INIT)
+    nu = np.full(S, 2.0)
+    active = np.ones(S, dtype=bool)
+    for _ in range(_POLISH_MAX_ITER):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        gi, Hi = g[idx], H[idx]
+        damping = (mu[idx, None] * scale[idx])[:, :, None] * np.eye(3)
+        step, pd = _cholesky_solve3(Hi + damping, -gi)
+        decrement = -(gi * step).sum(axis=1)
+        done = pd & (decrement <= _DECREMENT_REL_TOL * np.maximum(1.0, np.abs(f[idx])))
+        trial = pd & ~done
+        accepted = np.zeros(idx.size, dtype=bool)
+        if trial.any():
+            tidx, p = idx[trial], step[trial]
+            ft, gt, Ht = score(x[tidx] + p, tidx)
+            better = ft < f[tidx]
+            accepted[trial] = better
+            curvature = (p[:, :, None] * Hi[trial] * p[:, None, :]).sum(axis=(1, 2))
+            predicted = -(gi[trial] * p).sum(axis=1) - 0.5 * curvature
+            rho = (f[tidx] - ft)[better] / predicted[better]
+            a = tidx[better]
+            x[a] += p[better]
+            f[a], g[a], H[a] = ft[better], gt[better], Ht[better]
+            scale[a] = np.maximum(scale[a], np.abs(np.diagonal(H[a], axis1=1, axis2=2)))
+            shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            mu[a] = np.maximum(mu[a] * shrink, _DAMPING_INIT)
+            nu[a] = 2.0
+        rejected = idx[~done & ~accepted]
+        mu[rejected] *= nu[rejected]
+        nu[rejected] *= 2.0
+        active[idx[done]] = False
+        active[rejected[mu[rejected] > _DAMPING_MAX]] = False
+    return x
+
+
 def _polar_grid_seeds(R: float, p0_nominal: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seed points (P0, x, y): the polar grid crossed with the P0 factors."""
     radii = (np.arange(_N_GRID_RADIAL) + 0.5) / _N_GRID_RADIAL * R
@@ -211,26 +321,36 @@ class _EnsembleLikelihood:
         self.log_f1 = -ts / (eb + tau2) - np.log(eb + tau2)
         self.f0 = np.exp(self.log_f0)
         self.f1 = np.exp(self.log_f1)
+        # log|f1 - f0| and its sign, for the slopes
+        top = np.maximum(self.log_f0, self.log_f1)
+        with np.errstate(divide="ignore"):
+            self.log_df = top + np.log1p(-np.exp(np.minimum(self.log_f0, self.log_f1) - top))
+        self.sign_df = np.sign(self.log_f1 - self.log_f0)
         # A weight or density that underflows is off by at most tiny, so
         # it moves a linear term by at most tiny * (2 + max density);
         # terms above this floor are therefore exact to rounding.
         fl = np.finfo(float)
         self.floor = fl.tiny / fl.eps * (2.0 + 1.0 / tau2)
 
-    def _log_terms(self, p0, x, y, rows=None):
-        """Per-sensor log mixture densities at the probes (p0, x, y).
-
-        Probe i scores round rows[i], giving (m, K); with rows None every
-        round scores every probe, giving (n_rounds, m, K).
-        """
+    def _offsets(self, p0, x, y):
+        """Probe-to-sensor offsets dx, dy, squared distances d2 and received
+        amplitudes sqrt(P), each (m, K), at the probes (p0, x, y)."""
         dx = x[:, None] - self.xs[None, :]
         dy = y[:, None] - self.ys[None, :]
         d2 = dx * dx + dy * dy
         ratio = self.d0_sq / np.maximum(d2, self.d0_sq)
         if self.half_alpha != 1.0:
             ratio = ratio**self.half_alpha
-        P = np.asarray(p0)[:, None] * ratio
-        s = (np.sqrt(P) - self.beta) * self.inv_sigma
+        return dx, dy, d2, np.sqrt(np.asarray(p0)[:, None] * ratio)
+
+    def _log_terms(self, sqrt_p, rows=None, slopes=False):
+        """Per-sensor log mixture densities T at the probe amplitudes sqrt_p.
+
+        Probe i scores round rows[i], giving (m, K); with rows None every
+        round scores every probe, giving (n_rounds, m, K).  With slopes,
+        also returns dT/ds and d2T/ds2 in the weight argument s.
+        """
+        s = (sqrt_p - self.beta) * self.inv_sigma
         sel = (slice(None), None) if rows is None else rows
         small = ndtr(-np.abs(s))
         big = 1.0 - small
@@ -241,24 +361,142 @@ class _EnsembleLikelihood:
         with np.errstate(divide="ignore"):
             np.log(terms, out=terms)
         if low.any():
-            s = np.broadcast_to(s, terms.shape)[low]
+            s_low = np.broadcast_to(s, terms.shape)[low]
             terms[low] = np.logaddexp(
-                np.broadcast_to(self.log_f0[sel], terms.shape)[low] + log_ndtr(-s),
-                np.broadcast_to(self.log_f1[sel], terms.shape)[low] + log_ndtr(s),
+                np.broadcast_to(self.log_f0[sel], terms.shape)[low] + log_ndtr(-s_low),
+                np.broadcast_to(self.log_f1[sel], terms.shape)[low] + log_ndtr(s_low),
             )
-        return terms
+        if not slopes:
+            return terms
+        # dT/ds = phi(s) (f1 - f0) / e^T, formed in logs so that it stays
+        # finite where e^T is below the floor; d2T/ds2 follows from
+        # phi' = -s phi.
+        dT = self.sign_df[sel] * np.exp(-0.5 * s * s - _LOG_SQRT_2PI + self.log_df[sel] - terms)
+        return terms, dT, -s * dT - dT * dT
 
     def loglik(self, rows: np.ndarray, p0: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per-probe log-likelihood; probe i scores round rows[i]."""
-        return self._log_terms(p0, x, y, rows).sum(axis=1)
+        return self._log_terms(self._offsets(p0, x, y)[3], rows).sum(axis=1)
+
+    def score(self, rows, p0, x, y):
+        """Per-probe log-likelihood with its gradient (m, 3) and Hessian
+        (m, 3, 3) in (x, y, ln P0); probe i scores round rows[i].
+
+        The per-term slopes of ``_log_terms`` are chained through
+        s = (sqrt(P) - beta)/sigma with sqrt(P) = sqrt(P0) (d0/d)^(alpha/2),
+        whose location derivatives vanish inside the d0 clamp.  Probes
+        are scored _SCORE_BLOCK at a time.
+        """
+        m = len(x)
+        ll = np.empty(m)
+        grad = np.empty((m, 3))
+        hess = np.empty((m, 3, 3))
+        c = self.half_alpha
+        for lo in range(0, m, _SCORE_BLOCK):
+            sl = slice(lo, min(lo + _SCORE_BLOCK, m))
+            dx, dy, d2, sqrt_p = self._offsets(p0[sl], x[sl], y[sl])
+            terms, dT, d2T = self._log_terms(sqrt_p, rows[sl], slopes=True)
+            a = sqrt_p * self.inv_sigma
+            d2c = np.maximum(d2, self.d0_sq)
+            w = np.where(d2 > self.d0_sq, c * a / d2c, 0.0)
+            w2 = (c + 2.0) * w / d2c
+            sx, sy = -w * dx, -w * dy
+            first = (sx, sy, 0.5 * a)
+            second = (
+                (w2 * dx * dx - w, w2 * dx * dy, 0.5 * sx),
+                (None, w2 * dy * dy - w, 0.5 * sy),
+                (None, None, 0.25 * a),
+            )
+            ll[sl] = terms.sum(axis=1)
+            for i in range(3):
+                grad[sl, i] = (dT * first[i]).sum(axis=1)
+                for j in range(i, 3):
+                    hij = (d2T * first[i] * first[j] + dT * second[i][j]).sum(axis=1)
+                    hess[sl, i, j] = hess[sl, j, i] = hij
+        return ll, grad, hess
 
     def grid_loglik(self, p0, x, y, chunk: int = 32) -> np.ndarray:
         """(n_rounds, n_seeds) log-likelihoods for theta-only seed points."""
         out = np.empty((self.n_rounds, len(x)))
         for lo in range(0, len(x), chunk):
             hi = min(lo + chunk, len(x))
-            out[:, lo:hi] = self._log_terms(p0[lo:hi], x[lo:hi], y[lo:hi]).sum(axis=2)
+            sqrt_p = self._offsets(p0[lo:hi], x[lo:hi], y[lo:hi])[3]
+            out[:, lo:hi] = self._log_terms(sqrt_p).sum(axis=2)
         return out
+
+
+class _SearchObjective:
+    """The ML search's penalized objective at points (x, y, ln P0).
+
+    Negative log-likelihood of start sidx's round, rows[sidx], plus
+    1e6 (r/R - 1)^2 outside the disk and 1e6 times the squared excess of
+    ln P0 outside [ln_lo, ln_hi]; P0 itself is clipped 30 e-folds beyond
+    that range.  Calling it gives values; ``score`` adds the exact
+    gradient and Hessian.
+    """
+
+    def __init__(self, el: _EnsembleLikelihood, rows, R, ln_lo, ln_hi):
+        self.el, self.rows, self.R = el, rows, R
+        self.ln_lo, self.ln_hi = ln_lo, ln_hi
+
+    def _p0(self, lnp0):
+        return np.exp(np.clip(lnp0, self.ln_lo - 30.0, self.ln_hi + 30.0))
+
+    def _penalty(self, V, val):
+        R, ln_lo, ln_hi = self.R, self.ln_lo, self.ln_hi
+        x, y, lnp0 = V[:, 0], V[:, 1], V[:, 2]
+        rad = np.hypot(x, y)
+        over = rad > R
+        if over.any():
+            val = val + np.where(over, 1e6 * (rad / R - 1.0) ** 2, 0.0)
+        val = val + np.where(lnp0 < ln_lo, 1e6 * (ln_lo - lnp0) ** 2, 0.0)
+        val = val + np.where(lnp0 > ln_hi, 1e6 * (lnp0 - ln_hi) ** 2, 0.0)
+        return val, rad, over
+
+    def __call__(self, V, sidx):
+        ll = self.el.loglik(self.rows[sidx], self._p0(V[:, 2]), V[:, 0], V[:, 1])
+        return self._penalty(V, -ll)[0]
+
+    def score(self, V, sidx):
+        """Values (m,), gradients (m, 3) and Hessians (m, 3, 3)."""
+        x, y, lnp0 = V[:, 0], V[:, 1], V[:, 2]
+        ll, grad, hess = self.el.score(self.rows[sidx], self._p0(lnp0), x, y)
+        val, rad, over = self._penalty(V, -ll)
+        grad, hess = -grad, -hess
+        clipped = (lnp0 < self.ln_lo - 30.0) | (lnp0 > self.ln_hi + 30.0)
+        grad[clipped, 2] = 0.0
+        hess[clipped, 2, :] = hess[clipped, :, 2] = 0.0
+        if over.any():
+            # 1e6 (r/R - 1)^2: gradient k u, Hessian k/r (I - u u') + 2e6/R^2 u u'
+            R, o = self.R, over
+            u = np.column_stack([x[o], y[o]]) / rad[o, None]
+            k = 2e6 * (rad[o] / R - 1.0) / R
+            uu = u[:, :, None] * u[:, None, :]
+            grad[o, :2] += k[:, None] * u
+            hess[o, :2, :2] += (k / rad[o])[:, None, None] * (np.eye(2) - uu) + 2e6 / R**2 * uu
+        for side, excess in (
+            (lnp0 < self.ln_lo, lnp0 - self.ln_lo),
+            (lnp0 > self.ln_hi, lnp0 - self.ln_hi),
+        ):
+            grad[side, 2] += 2e6 * excess[side]
+            hess[side, 2, 2] += 2e6
+        return val, grad, hess
+
+
+def _refine_starts(objective: _SearchObjective, x0s: np.ndarray):
+    """The two-stage search from the starts x0s (S, 3).
+
+    Lockstep Nelder-Mead to the coarse tolerance picks each start's
+    basin, then the Newton polish converges inside it.  Returns (coarse
+    points, polished points, Nelder-Mead's converged flags).
+    """
+    R = objective.R
+    coarse, _, converged = _nelder_mead_batch(
+        objective, x0s, np.array([R / 20.0, R / 20.0, 0.25]), np.array([1.0, 1.0, R]),
+        _MAX_ITER, _DIAMETER_TOL_FRAC * R, _F_SPREAD_REL_TOL,
+    )
+    polished = _newton_polish(objective.score, coarse)
+    return coarse, polished, converged
 
 
 def ml_estimate_batch(
@@ -274,10 +512,11 @@ def ml_estimate_batch(
     outside) and P0 on a log scale within a factor 1e3 of p0_nominal.
     Scores the full seed grid for every round in one pass, then refines
     each round's best spatially distinct seeds, plus one random start
-    from the round's own generator in ``rngs``, with lockstep Nelder-Mead
-    across all rounds at once.  Per round, ties on log-likelihood break
-    toward the lexicographically smallest (x, y), and the returned
-    log-likelihood is never below the round's best grid seed.
+    from the round's own generator in ``rngs``, with the two-stage search
+    (lockstep Nelder-Mead, then the Newton polish) across all rounds at
+    once.  Per round, ties on log-likelihood break toward the
+    lexicographically smallest (x, y), and the returned log-likelihood
+    is never below the round's best grid seed.
     """
     ts = np.atleast_2d(np.asarray(ts, dtype=float))
     M = ts.shape[0]
@@ -315,22 +554,7 @@ def ml_estimate_batch(
             j = m * n_starts + _N_STARTS + r
             x0s[j] = rad * np.cos(ang), rad * np.sin(ang), np.log(p0_nominal)
 
-    def objective(V, sidx):
-        x, y, lnp0 = V[:, 0], V[:, 1], V[:, 2]
-        p0 = np.exp(np.clip(lnp0, ln_lo - 30.0, ln_hi + 30.0))
-        val = -el.loglik(rows[sidx], p0, x, y)
-        rad = np.hypot(x, y)
-        over = rad > R
-        if over.any():
-            val = val + np.where(over, 1e6 * (rad / R - 1.0) ** 2, 0.0)
-        val = val + np.where(lnp0 < ln_lo, 1e6 * (ln_lo - lnp0) ** 2, 0.0)
-        val = val + np.where(lnp0 > ln_hi, 1e6 * (lnp0 - ln_hi) ** 2, 0.0)
-        return val
-
-    results_x, _, results_conv = _nelder_mead_batch(
-        objective, x0s, np.array([R / 20.0, R / 20.0, 0.25]), np.array([1.0, 1.0, R]),
-        _MAX_ITER, _DIAMETER_TOL_FRAC * R, _F_SPREAD_REL_TOL,
-    )
+    _, results_x, results_conv = _refine_starts(_SearchObjective(el, rows, R, ln_lo, ln_hi), x0s)
 
     # Project every refined point into the search domain and rescore the
     # raw likelihood there.

@@ -473,6 +473,32 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error_class"] == "ValidationError" and "obs_snr_db" in record["message"]
 
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("conditioning_r_t", "abc"),
+            ("conditioning_r_t", "14"),
+            ("conditioning_r_t", True),
+            ("conditioning_r_t", float("inf")),
+            ("source", [True, 0.0]),
+            ("source", [0.0, False]),
+        ],
+        ids=[
+            "r_t-word", "r_t-numeric-string", "r_t-bool", "r_t-inf", "source-bool-x", "source-bool-y",
+        ],
+    )
+    def test_mistyped_value_exit_2(self, tmp_path, capsys, key, bad):
+        path = write_config(tmp_path, r_t_list=[1.0, 14.0], **{key: bad})
+        assert main(["conditioned-outage", "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error_class"] == "ValidationError" and record["exit_code"] == 2
+        assert key in record["message"]
+
+    def test_integer_conditioning_radius_is_a_float(self, tmp_path):
+        path = write_config(tmp_path, r_t_list=[1.0, 14.0], conditioning_r_t=14)
+        cfg = load_config(path, mode="conditioned-outage")
+        assert type(cfg.conditioning_r_t) is float and cfg.conditioning_r_t == 14.0
+
     @pytest.mark.parametrize("mode", ["outage", "conditioned-outage"])
     def test_ensemble_modes_read_no_geometry(self, tmp_path, capsys, mode):
         # an ensemble places its own geometries, so a geometry file is refused

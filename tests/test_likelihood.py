@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,11 @@ from srcloc import (
 from srcloc.likelihood import (
     _EnsembleLikelihood,
     _polar_grid_seeds,
+    _refine_starts,
+    _SearchObjective,
     ml_estimate_batch,
 )
+from tests import search_quality
 from tests.conftest import marginal_energy_cdf, marginal_energy_pdf, ref_config
 
 
@@ -153,31 +158,20 @@ class TestLogLikelihood:
             assert np.isfinite(log_likelihood(t, theta, geom, cfg))
 
     def test_gradient_matches_finite_differences(self, ref_source):
-        # analytic score (chain rule through the mixture weights) vs
-        # central differences of the implementation
+        # the module's score vs central differences of the implementation
         geom = sample_geometry(15, 50.0, 0.0, rng=28)
         cfg = ref_config(channel_snr_db=5.0, beta=4.0)
-        sigma2, beta, eb, tau2 = cfg.sigma2, cfg.thresholds(geom.K), cfg.eb, cfg.tau2
         t = simulate_round(geom, ref_source, cfg, np.random.default_rng(29))
+        el = _EnsembleLikelihood(t[None, :], geom, cfg)
         rng = np.random.default_rng(30)
         for _ in range(5):
             theta = SourceParams(10_000.0, rng.uniform(-20, 20), rng.uniform(-20, 20))
             d = np.hypot(geom.sensors[:, 0] - theta.xT, geom.sensors[:, 1] - theta.yT)
             if np.any(d < 2.0):  # keep clear of the clamped region
                 continue
-            P = received_power(theta.P0, 1.0, 2.0, d)
-            sqrt_p = np.sqrt(P)
-            s = (sqrt_p - beta) / np.sqrt(sigma2)
-            a, b = 1.0 / (eb + tau2), 1.0 / tau2
-            f = (
-                norm.cdf(-s) * b * np.exp(-b * t)
-                + norm.cdf(s) * a * np.exp(-a * t)
-            )
-            dsqrtp_dx = -cfg.alpha * sqrt_p * (theta.xT - geom.sensors[:, 0]) / (2 * d**2)
-            dq1_dx = norm.pdf(s) / np.sqrt(sigma2) * dsqrtp_dx
-            analytic = float(
-                np.sum(dq1_dx * (a * np.exp(-a * t) - b * np.exp(-b * t)) / f)
-            )
+            _, grad, _ = el.score(np.zeros(1, dtype=int), np.array([theta.P0]),
+                                  np.array([theta.xT]), np.array([theta.yT]))
+            analytic = float(grad[0, 0])
             h = 1e-5 * geom.R
             fd = (
                 log_likelihood(t, SourceParams(theta.P0, theta.xT + h, theta.yT), geom, cfg)
@@ -234,6 +228,53 @@ class TestEnsembleKernel:
             # sharp sensors and a clean channel: f0 of a bit-1 energy and
             # q1 of a far probe both underflow, so the linear term is 0
             assert np.count_nonzero(ref < np.log(np.finfo(float).tiny)) > 100
+
+    @pytest.mark.parametrize("channel_snr_db", [-10.0, 0.0, 10.0, 20.0, 30.0, 40.0])
+    @pytest.mark.parametrize("obs_snr_db", [40.0, 60.0])
+    def test_score_matches_central_differences(self, obs_snr_db, channel_snr_db):
+        # gradient and Hessian in (x, y, ln P0) against central first and
+        # second differences of loglik, on _kernel_case's probes plus
+        # probes within d0 of a sensor
+        ts, geom, cfg, rows, p0, x, y = _kernel_case(obs_snr_db, channel_snr_db, n_probes=400)
+        rng = np.random.default_rng(44)
+        k = rng.integers(0, geom.K, 40)
+        rad, ang = cfg.d0 * rng.uniform(0.0, 1.0, 40), rng.uniform(0.0, 2.0 * np.pi, 40)
+        x = np.concatenate([x, geom.sensors[k, 0] + rad * np.cos(ang)])
+        y = np.concatenate([y, geom.sensors[k, 1] + rad * np.sin(ang)])
+        p0 = np.concatenate([p0, 10_000.0 * 10.0 ** rng.uniform(-3.0, 3.0, 40)])
+        rows = np.concatenate([rows, rng.integers(0, len(ts), 40)])
+        el = _EnsembleLikelihood(ts, geom, cfg)
+        terms = el._log_terms(el._offsets(p0, x, y)[3], rows)
+        if obs_snr_db == 60.0 and channel_snr_db >= 30.0:
+            assert np.count_nonzero(terms < np.log(el.floor)) > 100
+        ll, grad, hess = el.score(rows, p0, x, y)
+        np.testing.assert_array_equal(ll, terms.sum(axis=1))
+
+        V = np.column_stack([x, y, np.log(p0)])
+        h = np.array([1e-4, 1e-4, 1e-5])
+        d = np.hypot(x[:, None] - geom.sensors[:, 0], y[:, None] - geom.sensors[:, 1])
+        # a difference across the clamp radius d0 sees the kink, not the slope
+        keep = np.all(np.abs(d - cfg.d0) > 3.0 * h[0], axis=1)
+        assert np.count_nonzero(keep & np.any(d < cfg.d0, axis=1)) >= 30
+
+        def f(W):
+            return el.loglik(rows, np.exp(W[:, 2]), W[:, 0], W[:, 1])
+
+        # rounding of a difference of sums of |T| this large
+        noise = 10.0 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+        for i in range(3):
+            ei = np.eye(3)[i] * h[i]
+            fd = (f(V + ei) - f(V - ei)) / (2.0 * h[i])
+            err = np.abs(fd - grad[:, i]) - (1e-4 * np.abs(grad[:, i]) + noise / h[i])
+            assert np.all(err[keep] <= 0.0), i
+            for j in range(3):
+                ej = np.eye(3)[j] * h[j]
+                fd2 = (f(V + ei + ej) - f(V + ei - ej) - f(V - ei + ej) + f(V - ei - ej)) / (
+                    4.0 * h[i] * h[j]
+                )
+                scale = np.sqrt(np.abs(hess[:, i, i] * hess[:, j, j]))
+                err = np.abs(fd2 - hess[:, i, j]) - (1e-4 * scale + noise / (h[i] * h[j]))
+                assert np.all(err[keep] <= 0.0), (i, j)
 
     @pytest.mark.parametrize("obs_snr_db, channel_snr_db", [(40.0, 0.0), (60.0, 40.0)])
     def test_grid_loglik_equals_loglik_row_by_row(self, obs_snr_db, channel_snr_db):
@@ -293,6 +334,86 @@ class TestMlEstimate:
             est = ml_estimate(t, geom, cfg, 10_000.0, rng)
             sq.append((est.theta_hat.xT - 5.0) ** 2 + (est.theta_hat.yT - 10.0) ** 2)
         assert np.sqrt(np.mean(sq)) < 5.0
+
+    def test_polish_never_raises_the_objective(self, ref_source):
+        # every start ends at or below its coarse Nelder-Mead point, and
+        # most starts are still improved by the polish
+        geom = sample_geometry(50, 50.0, 5.0, rng=38)
+        cfg = ref_config(channel_snr_db=0.0, beta=4.0)
+        n = 20
+        ts = simulate_rounds(geom, ref_source, cfg, n, np.random.default_rng(39))
+        rng = np.random.default_rng(40)
+        rows = np.repeat(np.arange(n), 3)
+        ang, rad = rng.uniform(0.0, 2.0 * np.pi, 3 * n), 50.0 * np.sqrt(rng.uniform(size=3 * n))
+        lnp0 = np.log(1e4) + rng.normal(0.0, 1.0, 3 * n)
+        x0s = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), lnp0])
+        el = _EnsembleLikelihood(ts, geom, cfg)
+        objective = _SearchObjective(el, rows, 50.0, np.log(10.0), np.log(1e7))
+        coarse, polished, _ = _refine_starts(objective, x0s)
+        ids = np.arange(3 * n)
+        before, after = objective(coarse, ids), objective(polished, ids)
+        assert np.all(after <= before)
+        assert np.count_nonzero(after < before) >= 2 * n
+
+    def test_objective_score_matches_central_differences(self, ref_source):
+        # the penalized objective's derivatives, inside and outside the disk
+        # and below, inside and above the P0 range
+        geom = sample_geometry(50, 50.0, 5.0, rng=38)
+        cfg = ref_config(channel_snr_db=0.0, beta=4.0)
+        ts = simulate_rounds(geom, ref_source, cfg, 4, np.random.default_rng(39))
+        ln_lo, ln_hi = np.log(10.0), np.log(1e7)
+        el = _EnsembleLikelihood(ts, geom, cfg)
+        objective = _SearchObjective(el, np.arange(4), 50.0, ln_lo, ln_hi)
+        rad = np.array([20.0, 49.0, 50.5, 53.0] * 3)
+        ang = np.linspace(0.3, 5.9, 12)
+        lnp0 = np.repeat([ln_lo - 0.2, np.log(1e4), ln_hi + 0.3], 4)
+        V = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), lnp0])
+        ids = np.arange(12) % 4
+        val, grad, hess = objective.score(V, ids)
+        np.testing.assert_array_equal(val, objective(V, ids))
+        h = np.array([1e-5, 1e-5, 1e-6])
+        for i in range(3):
+            ei = np.eye(3)[i] * h[i]
+            fd = (objective(V + ei, ids) - objective(V - ei, ids)) / (2.0 * h[i])
+            np.testing.assert_allclose(grad[:, i], fd, rtol=1e-5, atol=1e-4)
+            gd = (objective.score(V + ei, ids)[1] - objective.score(V - ei, ids)[1]) / (2.0 * h[i])
+            np.testing.assert_allclose(hess[:, :, i], gd, rtol=1e-5, atol=1e-2)
+
+    def test_block_split_is_bit_identical(self, ref_source):
+        geom = sample_geometry(50, 50.0, 5.0, rng=45)
+        cfg = ref_config(channel_snr_db=0.0, beta=4.0)
+        n, cut = 30, 11
+        ts = simulate_rounds(geom, ref_source, cfg, n, np.random.default_rng(46))
+
+        def run(blocks):
+            out = {}
+            for lo, hi in blocks:
+                rngs = [np.random.default_rng((47, m)) for m in range(lo, hi)]
+                block = ml_estimate_batch(ts[lo:hi], geom, cfg, 1e4, rngs)
+                for m, est in zip(range(lo, hi), block):
+                    th = est.theta_hat
+                    out[m] = (est.log_likelihood, th.P0, th.xT, th.yT, est.converged)
+            return [out[m] for m in range(n)]
+
+        whole = run([(0, n)])
+        assert run([(0, cut), (cut, n)]) == whole
+        assert run([(cut, n), (0, cut)]) == whole
+
+    def test_search_quality_against_frozen_fixture(self):
+        # each round's log-likelihood against the fixture generated by
+        # tests/search_quality.py: never more than 1e-3 nats below it, and
+        # equal to rel 1e-9 in at least 97% of rounds
+        cases = json.loads(search_quality.FIXTURE.read_text())["cases"]
+        assert [c["channel_snr_db"] for c in cases] == list(search_quality.CHANNEL_SNRS_DB)
+        equal = total = 0
+        for index, case in enumerate(cases):
+            ref = np.array(case["loglik"])
+            results = search_quality.estimate(index, case["channel_snr_db"], case["beta"])
+            ll = np.array([r.log_likelihood for r in results])
+            assert np.all(ll >= ref - 1e-3), case["channel_snr_db"]
+            equal += np.count_nonzero(np.abs(ll - ref) <= 1e-9 * np.abs(ref))
+            total += ref.size
+        assert equal >= 0.97 * total
 
     @pytest.mark.xfail(
         strict=True,
