@@ -1,6 +1,9 @@
 """Monte-Carlo study of how random sensor placement affects energy-based
 point-source localization: forward sensing chain, ML estimation,
 error bounds, and localization-outage statistics over geometry ensembles.
+
+The likelihood layer is the one module that imports scipy; its public
+names here load it on first access, so ``import srcloc`` does not.
 """
 
 __version__ = "0.1.0"
@@ -29,10 +32,6 @@ from .signal_model import (
     simulate_round,
     simulate_rounds,
     transmit_and_detect,
-)
-from .likelihood import (
-    EstimateResult,
-    log_likelihood,
 )
 from .crlb import (
     CrlbResult,
@@ -88,3 +87,13 @@ __all__ = [
     "outage_ccdf",
     "run_ensemble",
 ]
+
+_LAZY = ("EstimateResult", "log_likelihood")
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from . import likelihood
+
+        return getattr(likelihood, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -218,6 +218,17 @@ def load_config(
     _count(raw, "gamma_num")
     _positive(raw, "gamma_min")
     _positive(raw, "gamma_max")
+    # the outage grid runs from gamma_min up to gamma_max, else the disk
+    # diameter; with a geometry file and no gamma_max, R is not known here
+    gamma_hi = raw["gamma_max"]
+    if gamma_hi is None and raw["R"] is not None:
+        gamma_hi = 2.0 * raw["R"]
+    if gamma_hi is not None and gamma_hi <= raw["gamma_min"]:
+        raise ValidationError(
+            "gamma_min",
+            f"gamma_min {raw['gamma_min']!r} must lie below the grid's upper end {gamma_hi!r} "
+            "(gamma_max, else the disk diameter 2R)",
+        )
     if raw["workers"] is not None:
         _count(raw, "workers")
     if raw["beta"] is not None:
@@ -256,7 +267,9 @@ def load_config(
     if raw["beta"] is None and raw["threshold_mode"] == "fixed":
         raise ValidationError("beta", "threshold_mode 'fixed' requires a beta value")
 
-    if raw["profile"] is not None and raw["profile"] not in PROFILES:
+    if raw["profile"] is not None and (
+        not isinstance(raw["profile"], str) or raw["profile"] not in PROFILES
+    ):
         raise ValidationError("profile", f"profile must be one of {sorted(PROFILES)}")
     prof_geom, prof_mc = PROFILES[raw["profile"] or "desk"]
     if raw["n_geom"] is None:

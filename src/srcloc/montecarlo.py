@@ -17,6 +17,12 @@ geometries over the workers, and a single geometry's rounds run serially
 inside them; a lone geometry (``run_trials`` with ``workers > 1``)
 spreads its rounds instead, in contiguous blocks of at least
 ``_MIN_BLOCK`` rounds.
+
+The ML estimator, and with it scipy, is imported only where rounds are
+estimated: ``run_trials`` imports it before its default estimator runs,
+and ``run_ensemble`` before its pool forks, so the workers inherit it
+and a command imports it once.  Placement, threshold tuning and the
+bound run without scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,12 +38,14 @@ from .config import ExperimentConfig
 from .crlb import crlb_sgle, optimize_thresholds
 from .errors import EmptySubset, ParseError, SingularFim
 from .geometry import NetworkGeometry, SourceParams, count_within, distances, sample_geometry
-from .likelihood import EstimateResult, ml_estimate_batch
 from .signal_model import SensorEnsembleConfig, simulate_round
 from .streams import ROUND_NS, PLACEMENT_NS, generator, root_stream, substream
 
+if TYPE_CHECKING:
+    from .likelihood import EstimateResult
+
 Estimator = Callable[
-    [np.ndarray, NetworkGeometry, SensorEnsembleConfig, np.random.Generator], EstimateResult
+    [np.ndarray, NetworkGeometry, SensorEnsembleConfig, np.random.Generator], "EstimateResult"
 ]
 
 
@@ -131,6 +139,8 @@ def run_trials(
     ts = np.stack([simulate_round(geom, source, cfg, rng) for rng in rngs])
     if estimator is not None:
         return ts, [estimator(ts[m], geom, cfg, rngs[m]) for m in range(n_mc)]
+    from .likelihood import ml_estimate_batch
+
     n_blocks = max(1, min(workers, n_mc // _MIN_BLOCK))
     edges = [n_mc * b // n_blocks for b in range(n_blocks + 1)]
     blocks = [(ts[a:b], geom, cfg, source.P0, rngs[a:b]) for a, b in zip(edges, edges[1:])]
@@ -253,6 +263,8 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> list[GeometryTri
     """
     if config.n_geom < 1:
         raise ValueError("n_geom must be >= 1")
+    from . import likelihood  # noqa: F401  (loaded once here, not in every worker)
+
     calls = [(config, gi) for gi in range(config.n_geom)]
     return _ordered_map(run_geometry_trial, calls, workers)
 

@@ -388,6 +388,53 @@ def test_cli_import_leaves_out_scipy_spatial():
     assert out.stdout.strip() == "[]"
 
 
+_SCIPY_FREE_MODES = """
+import sys
+scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import srcloc.cli
+assert scipy_modules() == [], ("import srcloc.cli", scipy_modules())
+config, per_sensor, trials, out = sys.argv[1:]
+runs = {
+    "geometry": ["geometry", "--config", config],
+    "crlb-common": ["crlb", "--config", config],
+    "crlb-per-sensor": ["crlb", "--config", per_sensor],
+    "conditioned-outage-trials": ["conditioned-outage", "--config", config, "--trials", trials],
+}
+for name, argv in runs.items():
+    assert srcloc.cli.main(argv + ["--out", f"{out}/{name}"]) == 0, name
+    assert scipy_modules() == [], (name, scipy_modules())
+"""
+
+
+def test_only_ml_modes_load_scipy(tmp_path):
+    # scipy is the likelihood layer's import: a bound-only command never
+    # loads it, and an ensemble loads it in the parent before its pool forks
+    env = dict(os.environ)
+    src_dir = str(Path(srcloc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
+    config = write_config(tmp_path, n_geom=2, n_mc=2, gamma_num=8, channel_snr_db=10.0)
+    per_sensor = write_config(tmp_path, name="per-sensor.json", threshold_mode="per-sensor")
+    outage = (
+        "import sys, srcloc.cli; "
+        "code = srcloc.cli.main(['outage', '--workers', '2', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+        "print(code, 'scipy.special' in sys.modules)"
+    )
+    trials = tmp_path / "outage" / "geometry_trials.csv"
+    runs = [
+        [outage, config, trials.parent],
+        [_SCIPY_FREE_MODES, config, per_sensor, trials, tmp_path],
+    ]
+    results = [
+        subprocess.run(
+            [sys.executable, "-c", *map(str, argv)], env=env, capture_output=True, text=True, timeout=120
+        )
+        for argv in runs
+    ]
+    for res in results:
+        assert res.returncode == 0, res.stderr
+    assert results[0].stdout.split() == ["0", "True"]
+
+
 ERROR_SAMPLES = [
     SrclocError("base"),
     PackingFailure(3, 200),
@@ -482,9 +529,11 @@ class TestExitCodes:
             ("conditioning_r_t", float("inf")),
             ("source", [True, 0.0]),
             ("source", [0.0, False]),
+            ("profile", []),
         ],
         ids=[
             "r_t-word", "r_t-numeric-string", "r_t-bool", "r_t-inf", "source-bool-x", "source-bool-y",
+            "profile-list",
         ],
     )
     def test_mistyped_value_exit_2(self, tmp_path, capsys, key, bad):
@@ -493,6 +542,18 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error_class"] == "ValidationError" and record["exit_code"] == 2
         assert key in record["message"]
+
+    @pytest.mark.parametrize(
+        "gamma", [{"gamma_min": 20.0, "gamma_max": 10.0}, {"gamma_min": 200.0}], ids=["max", "diameter"]
+    )
+    def test_empty_gamma_grid_exit_2_before_any_work(self, tmp_path, capsys, gamma):
+        # the grid's upper end is gamma_max, else 2R = 100
+        path = write_config(tmp_path, K=5, R=50.0, seed=1, n_geom=2, n_mc=2, **gamma)
+        out = tmp_path / "out"
+        assert main(["outage", "--config", str(path), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error_class"] == "ValidationError" and "gamma_min" in record["message"]
+        assert not out.exists()
 
     def test_integer_conditioning_radius_is_a_float(self, tmp_path):
         path = write_config(tmp_path, r_t_list=[1.0, 14.0], conditioning_r_t=14)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtr
 
 from srcloc import (
     DegenerateGeometry,
@@ -21,7 +21,7 @@ from srcloc import (
     sample_geometry,
     simulate_rounds,
 )
-from srcloc.crlb import _gradients, condition_indicator, per_sensor_term_norms
+from srcloc.crlb import _gradients, _normal_cdf, condition_indicator, per_sensor_term_norms
 from tests.conftest import ref_config
 
 
@@ -176,6 +176,19 @@ class TestMixtureIntegral:
         val = mixture_integral((1.0 - 1e3) / 1.0, 0.5, 2.0)
         oracle = _trapezoid_mixture_integral(1.0, 1e3, 1.0, 0.5, 2.0, t_hi=800.0)
         assert val == pytest.approx(oracle, rel=1e-5)
+
+
+class TestNormalCdf:
+    def test_matches_scipy_ndtr(self):
+        # over |s| <= 27, the range mixture_integral promises, with 0, +-1
+        # (where ndtr switches from erf to erfc) and the points where the
+        # erfc argument s/sqrt(2) crosses libm's and CPython's erfc branches
+        edges = np.sqrt(2.0) * np.array([1.0 / np.sqrt(2.0), 0.84375, 1.25, 1.5, 1.0 / 0.35, 6.0])
+        edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 30.0)])
+        s = np.concatenate([np.linspace(-27.0, 27.0, 108_001), [0.0, 1.0, -1.0], edges, -edges])
+        got = _normal_cdf(s)
+        np.testing.assert_allclose(got, ndtr(s), rtol=1e-13, atol=0.0)
+        assert np.max(np.abs(got + _normal_cdf(-s) - 1.0)) <= 2.0 * np.finfo(float).eps
 
 
 class TestFisherInformation:
