@@ -1,10 +1,9 @@
 """Command-line front end.
 
-Subcommands: geometry, estimate, crlb, sweep-snr, outage,
-conditioned-outage.  Every run writes its result artifacts plus a
-run_manifest.json into the output directory.  Result artifacts are
-deterministic given (config, seed); only the manifest carries wall-clock
-timestamps.
+Subcommands: geometry, estimate, crlb, outage.  Every run writes its
+result artifacts plus a run_manifest.json into the output directory.
+Result artifacts are deterministic given (config, seed); only the
+manifest carries wall-clock timestamps.
 
 Exit codes: 0 success, 2 configuration, 3 packing, 4 numerical, 5 I/O,
 6 a pool worker died, 130 interrupted.
@@ -31,6 +30,7 @@ from .errors import (
     DegenerateGeometry,
     EmptySubset,
     PackingFailure,
+    ParseError,
     QuadratureFailure,
     SingularFim,
     SrclocError,
@@ -44,7 +44,6 @@ from .montecarlo import (
     curve_to_dict,
     curves_to_csv,
     default_workers,
-    outage_ccdf,
     place_geometry,
     run_ensemble,
     run_trials,
@@ -96,7 +95,7 @@ def _run_geometry(config: ExperimentConfig, out: Path) -> list:
 def _run_estimate(config: ExperimentConfig, out: Path) -> list:
     geom = _fixed_geometry(config)
     source = config.source_params
-    cfg = with_thresholds(config, geom, config.channel_snr_values()[0])
+    cfg = with_thresholds(config, geom)
     stream = substream(root_stream(config.seed), 0)
     ts, estimates = run_trials(geom, source, cfg, config.n_mc, stream, workers=_workers(config))
 
@@ -136,7 +135,7 @@ def _run_estimate(config: ExperimentConfig, out: Path) -> list:
 def _run_crlb(config: ExperimentConfig, out: Path) -> list:
     geom = _fixed_geometry(config)
     source = config.source_params
-    cfg = with_thresholds(config, geom, config.channel_snr_values()[0])
+    cfg = with_thresholds(config, geom)
     doc = crlb_result_to_dict(crlb_sgle(source, geom, cfg))
     doc.update(
         {
@@ -151,68 +150,35 @@ def _run_crlb(config: ExperimentConfig, out: Path) -> list:
     return ["crlb.json"]
 
 
-def _run_sweep_snr(config: ExperimentConfig, out: Path) -> list:
-    geom = _fixed_geometry(config)
-    source = config.source_params
-    stream = substream(root_stream(config.seed), 0)
-    workers = _workers(config)
-
-    lines = ["channel_snr_db,beta_common,rmse,empirical_sgle,sgle_stderr,crlb_sgle,crlb_rmse,n_mc"]
-    rows = []
-    for eta_db in config.channel_snr_values():
-        cfg = with_thresholds(config, geom, eta_db)
-        _, estimates = run_trials(geom, source, cfg, config.n_mc, stream, workers=workers)
-        trial = trial_result(geom, source, cfg, estimates)
-        crlb_rmse = float(np.sqrt(trial.crlb_sgle))
-        row = {
-            "channel_snr_db": eta_db,
-            "beta_common": trial.beta_common,
-            "rmse": float(np.sqrt(trial.empirical_sgle)),
-            "empirical_sgle": trial.empirical_sgle,
-            "sgle_stderr": trial.sgle_stderr if config.n_mc > 1 else 0.0,
-            "crlb_sgle": None if trial.crlb_singular else trial.crlb_sgle,
-            "crlb_rmse": None if trial.crlb_singular else crlb_rmse,
-            "n_mc": config.n_mc,
-        }
-        rows.append(row)
-        # the CSV row holds the JSON row's fields, with nan for a singular bound
-        cells = dict(row, crlb_sgle=trial.crlb_sgle, crlb_rmse=crlb_rmse).values()
-        lines.append(
-            ",".join("" if v is None else str(v) if isinstance(v, int) else _fmt(v) for v in cells)
-        )
-    (out / "snr_sweep.csv").write_text("\n".join(lines) + "\n")
-    (out / "snr_sweep.json").write_text(
-        json.dumps({"rows": rows, "config": config.to_dict()}, indent=2) + "\n"
-    )
-    return ["snr_sweep.csv", "snr_sweep.json"]
-
-
 def _workers(config: ExperimentConfig) -> int:
     """Configured worker count, else the CPUs this process may run on."""
     return config.workers or default_workers()
 
 
 def _run_outage(config: ExperimentConfig, out: Path) -> list:
-    curve, trials = outage_ccdf(config, workers=_workers(config))
-    (out / "outage_curve.csv").write_text(curve_to_csv(curve))
-    (out / "geometry_trials.csv").write_text(trials_to_csv(trials, config.r_t_list))
-    doc = {"curve": curve_to_dict(curve), "config": config.to_dict()}
-    (out / "outage_curve.json").write_text(json.dumps(doc, indent=2) + "\n")
-    return ["outage_curve.csv", "geometry_trials.csv", "outage_curve.json"]
-
-
-def _run_conditioned_outage(config: ExperimentConfig, out: Path) -> list:
+    """The ensemble's outage CCDF, whole and split into K_T bins at the
+    conditioning radius.  The trials come from a fresh ensemble, or from a
+    previous run's table (trials_file) without rerunning anything."""
+    r_t = config.conditioning_r_t
     if config.trials_file:
-        trials, _ = trials_from_csv(Path(config.trials_file).read_text(), config.trials_file)
-        artifacts = []
+        trials, r_t_list = trials_from_csv(Path(config.trials_file).read_text(), config.trials_file)
+        if r_t not in r_t_list:
+            raise ParseError(
+                f"{config.trials_file}: no k_t@{_fmt(r_t)} column for conditioning_r_t {_fmt(r_t)}"
+            )
+        fresh = []
     else:
         trials = run_ensemble(config, workers=_workers(config))
         (out / "geometry_trials.csv").write_text(trials_to_csv(trials, config.r_t_list))
-        artifacts = ["geometry_trials.csv"]
+        fresh = ["geometry_trials.csv"]
 
     gamma = config.gamma_grid()
-    r_t = float(config.conditioning_r_t)
-    curves = [build_ccdf(trials, gamma)]
+    curve = build_ccdf(trials, gamma)
+    (out / "outage_curve.csv").write_text(curve_to_csv(curve))
+    doc = {"curve": curve_to_dict(curve), "config": config.to_dict()}
+    (out / "outage_curve.json").write_text(json.dumps(doc, indent=2) + "\n")
+
+    curves = [curve]
     empty_bins = []
     for spec_str in config.k_t_bins:
         predicate, label = parse_k_t_bin(spec_str)
@@ -228,16 +194,16 @@ def _run_conditioned_outage(config: ExperimentConfig, out: Path) -> list:
         "config": config.to_dict(),
     }
     (out / "conditioned_curves.json").write_text(json.dumps(doc, indent=2) + "\n")
-    return artifacts + ["conditioned_curves.csv", "conditioned_curves.json"]
+    return [
+        "outage_curve.csv", *fresh, "outage_curve.json", "conditioned_curves.csv", "conditioned_curves.json"
+    ]
 
 
 _RUNNERS = {
     "geometry": _run_geometry,
     "estimate": _run_estimate,
     "crlb": _run_crlb,
-    "sweep-snr": _run_sweep_snr,
     "outage": _run_outage,
-    "conditioned-outage": _run_conditioned_outage,
 }
 
 
@@ -293,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None)
         if mode in GEOMETRY_MODES:
             p.add_argument("--geometry", dest="geometry_file", default=None, help="geometry file override")
-        if mode == "conditioned-outage":
+        if mode == "outage":
             p.add_argument("--trials", dest="trials_file", default=None, help="reuse a geometry_trials.csv")
         if mode == "estimate":
             p.add_argument("--dump-energies", action="store_true", default=None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -20,11 +20,11 @@ from .errors import ParseError, ValidationError
 from .geometry import SourceParams
 from .signal_model import SensorEnsembleConfig
 
-MODES = ("geometry", "estimate", "crlb", "sweep-snr", "outage", "conditioned-outage")
+MODES = ("geometry", "estimate", "crlb", "outage")
 
 # Modes that read a geometry (from geometry_file, else geometry 0 of the
-# seed's ensemble); the outage modes place their own.
-GEOMETRY_MODES = ("geometry", "estimate", "crlb", "sweep-snr")
+# seed's ensemble); outage places its own, or reads a trials table.
+GEOMETRY_MODES = ("geometry", "estimate", "crlb")
 
 # (n_geom, n_mc): desk scale keeps CI fast, paper scale matches the
 # reference experiment sizes.
@@ -44,7 +44,7 @@ class ExperimentConfig:
     d0: float = 1.0
     alpha: float = 2.0
     obs_snr_db: float = 40.0
-    channel_snr_db: Union[float, Sequence[float]] = 0.0
+    channel_snr_db: float = 0.0
     tx_energy_db: float = 1.0
     beta: Optional[float] = None
     threshold_mode: str = "common"
@@ -66,21 +66,17 @@ class ExperimentConfig:
     trials_file: Optional[str] = None
     dump_energies: bool = False
 
-    def channel_snr_values(self) -> list:
-        v = self.channel_snr_db
-        return [float(x) for x in v] if isinstance(v, (list, tuple)) else [float(v)]
-
     @property
     def source_params(self) -> SourceParams:
         """The true source parameters (P0, xT, yT)."""
         return SourceParams(P0=self.P0, xT=self.source[0], yT=self.source[1])
 
-    def sensor_config(self, channel_snr_db: float) -> SensorEnsembleConfig:
-        """The sensor model at one channel SNR; beta is 0 until thresholds are tuned."""
+    def sensor_config(self) -> SensorEnsembleConfig:
+        """The sensor model; beta is 0 until thresholds are tuned."""
         return SensorEnsembleConfig.from_snr_db(
             p0=self.P0,
             obs_snr_db=self.obs_snr_db,
-            channel_snr_db=channel_snr_db,
+            channel_snr_db=self.channel_snr_db,
             tx_energy_db=self.tx_energy_db,
             d0=self.d0,
             alpha=self.alpha,
@@ -196,6 +192,10 @@ def load_config(
             "geometry_file",
             f"{raw['mode']} places its own geometries; geometry_file is only read by {GEOMETRY_MODES}",
         )
+    if raw["trials_file"] is not None and raw["mode"] != "outage":
+        raise ValidationError(
+            "trials_file", f"{raw['mode']} reads no trials table; trials_file is only read by outage"
+        )
     # Geometry files carry K/R/R_ex themselves.
     if raw["geometry_file"] is None:
         _require(raw, "K")
@@ -213,6 +213,7 @@ def load_config(
     _positive(raw, "alpha")
     _finite(raw, "obs_snr_db")
     _finite(raw, "tx_energy_db")
+    _finite(raw, "channel_snr_db")
     _positive(raw, "source_exclusion", strict=False)
     _count(raw, "max_attempts")
     _count(raw, "gamma_num")
@@ -233,21 +234,6 @@ def load_config(
         _count(raw, "workers")
     if raw["beta"] is not None:
         _finite(raw, "beta")
-
-    eta = raw["channel_snr_db"]
-    if isinstance(eta, (list, tuple)):
-        if raw["mode"] != "sweep-snr":
-            raise ValidationError(
-                "channel_snr_db", "a channel-SNR list is only valid in sweep-snr mode"
-            )
-        if len(eta) < 1 or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-            for v in eta
-        ):
-            raise ValidationError("channel_snr_db", "channel_snr_db list must hold finite numbers")
-        raw["channel_snr_db"] = [float(v) for v in eta]
-    else:
-        _finite(raw, "channel_snr_db")
 
     src = raw["source"]
     if (
@@ -295,8 +281,10 @@ def load_config(
             raise ValidationError(
                 "conditioning_r_t", "conditioning_r_t must appear in r_t_list"
             )
-    if raw["mode"] == "conditioned-outage" and raw["conditioning_r_t"] is None:
-        raise ValidationError("conditioning_r_t")
+    if raw["mode"] == "outage" and raw["conditioning_r_t"] is None:
+        raise ValidationError(
+            "conditioning_r_t", "outage needs conditioning_r_t, or a nonempty r_t_list"
+        )
 
     bins = raw["k_t_bins"]
     if not isinstance(bins, (list, tuple)) or not bins:
@@ -309,8 +297,7 @@ def load_config(
         raise ValidationError("dump_energies", "dump_energies must be a boolean")
 
     config = ExperimentConfig(**raw)
-    for eta in config.channel_snr_values():
-        config.sensor_config(eta)  # raises ValidationError on a degenerate noise level
+    config.sensor_config()  # raises ValidationError on a degenerate noise level
     return config
 
 

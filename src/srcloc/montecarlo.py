@@ -227,12 +227,10 @@ def place_geometry(config: ExperimentConfig, geometry_id: int) -> NetworkGeometr
     )
 
 
-def with_thresholds(
-    config: ExperimentConfig, geom: NetworkGeometry, channel_snr_db: float
-) -> SensorEnsembleConfig:
-    """The sensor model at one channel SNR, its thresholds tuned against the
-    bound at the true source, or as configured under the fixed policy."""
-    cfg = config.sensor_config(channel_snr_db)
+def with_thresholds(config: ExperimentConfig, geom: NetworkGeometry) -> SensorEnsembleConfig:
+    """The sensor model, its thresholds tuned against the bound at the true
+    source, or as configured under the fixed policy."""
+    cfg = config.sensor_config()
     if config.threshold_policy == "fixed":
         return cfg
     return cfg.with_beta(
@@ -246,7 +244,7 @@ def run_geometry_trial(config: ExperimentConfig, geometry_id: int) -> GeometryTr
     return empirical_sgle(
         geom,
         config.source_params,
-        with_thresholds(config, geom, config.channel_snr_values()[0]),
+        with_thresholds(config, geom),
         config.n_mc,
         substream(root_stream(config.seed), geometry_id),
         r_t_list=config.r_t_list,
@@ -374,7 +372,8 @@ def trials_to_csv(trials: Sequence[GeometryTrialResult], r_t_list: Sequence[floa
 def trials_from_csv(
     text: str, origin: str = "trials table"
 ) -> tuple[list[GeometryTrialResult], list[float]]:
-    """Inverse of trials_to_csv; raises ParseError, naming ``origin``, on a malformed table."""
+    """Inverse of trials_to_csv; raises ParseError, naming ``origin``, on a
+    malformed table or one with no rows."""
     try:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         header = lines[0].split(",")
@@ -401,6 +400,8 @@ def trials_from_csv(
             )
     except (ValueError, KeyError, IndexError) as exc:
         raise ParseError(f"{origin}: malformed trials table ({type(exc).__name__}: {exc})") from exc
+    if not trials:
+        raise ParseError(f"{origin}: trials table has no rows")
     return trials, r_t_list
 
 

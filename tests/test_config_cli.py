@@ -13,7 +13,7 @@ import pytest
 import srcloc
 from srcloc import SensorEnsembleConfig, SourceParams, crlb_sgle, cli, montecarlo
 from srcloc.cli import _workers, main
-from srcloc.config import ExperimentConfig, load_config, parse_k_t_bin
+from srcloc.config import GEOMETRY_MODES, MODES, ExperimentConfig, load_config, parse_k_t_bin
 from srcloc import errors
 from srcloc.errors import (
     ConfigError,
@@ -82,13 +82,13 @@ class TestLoadConfig:
             load_config(path, mode="outage")
         assert "line 2" in str(err.value)
 
-    def test_snr_sweep_list_only_in_sweep_mode(self, tmp_path):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_channel_snr_list_exits_2_in_every_mode(self, tmp_path, capsys, mode):
+        # an SNR sweep is a loop over estimate runs, one scalar SNR each
         path = write_config(tmp_path, channel_snr_db=[0.0, 10.0, 20.0])
-        cfg = load_config(path, mode="sweep-snr")
-        assert cfg.channel_snr_values() == [0.0, 10.0, 20.0]
-        with pytest.raises(ValidationError) as err:
-            load_config(path, mode="outage")
-        assert err.value.field == "channel_snr_db"
+        assert main([mode, "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error_class"] == "ValidationError" and "channel_snr_db" in record["message"]
 
     def test_invariant_validation(self, tmp_path):
         for field, bad in [
@@ -122,9 +122,8 @@ class TestLoadConfig:
             ("estimate", {"obs_snr_db": 4000}),  # sigma2 underflows to 0
             ("estimate", {"tx_energy_db": 4000}),  # eb overflows to inf
             ("estimate", {"channel_snr_db": 4000}),  # tau2 underflows to 0
-            ("sweep-snr", {"channel_snr_db": [0.0, 4000]}),
         ],
-        ids=["sigma2", "eb", "tau2", "tau2-sweep-entry"],
+        ids=["sigma2", "eb", "tau2"],
     )
     def test_degenerate_noise_level_rejected(self, tmp_path, mode, kw):
         path = write_config(tmp_path, beta=4.0, **kw)
@@ -234,30 +233,6 @@ class TestCliModes:
         geom = load_geometry(gout / "geometry.json")
         assert crlb_sgle(source, geom, sensor_cfg).sgle_bound == doc["sgle_bound"]
 
-    def test_sweep_snr_mode(self, tmp_path):
-        cfg = write_config(
-            tmp_path, K=12, n_mc=2, beta=4.0, channel_snr_db=[0.0, 10.0]
-        )
-        out = tmp_path / "sweep"
-        assert main(["sweep-snr", "--config", str(cfg), "--out", str(out)]) == 0
-        lines = (out / "snr_sweep.csv").read_text().splitlines()
-        assert lines[0].startswith("channel_snr_db,beta_common,rmse")
-        assert len(lines) == 3
-        doc = json.loads((out / "snr_sweep.json").read_text())
-        # the bound tightens with channel quality
-        assert doc["rows"][1]["crlb_sgle"] < doc["rows"][0]["crlb_sgle"]
-
-    def test_sweep_snr_worker_invariance(self, tmp_path, monkeypatch):
-        # blocks of 2 rounds, so 5 rounds split over a real 2-worker pool
-        monkeypatch.setattr(montecarlo, "_MIN_BLOCK", 2)
-        cfg = write_config(tmp_path, K=10, n_mc=5, beta=4.0, channel_snr_db=[0.0, 10.0])
-        out1, out2 = tmp_path / "w1", tmp_path / "w2"
-        for out, workers in ((out1, "1"), (out2, "2")):
-            args = ["sweep-snr", "--config", str(cfg), "--out", str(out), "--workers", workers]
-            assert main(args) == 0
-        for name in ("snr_sweep.csv", "snr_sweep.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
     def test_outage_mode_and_worker_invariance(self, tmp_path):
         cfg = write_config(
             tmp_path, K=8, n_geom=3, n_mc=2, beta=4.0, gamma_num=16, channel_snr_db=10.0
@@ -277,13 +252,12 @@ class TestCliModes:
         "kw", [{}, {"threshold_mode": "per-sensor"}, {"beta": 4.0}], ids=["common", "per-sensor", "fixed"]
     )
     def test_estimate_outage_and_sweep_agree_on_one_geometry(self, tmp_path, kw):
-        # estimate, row 0 of an outage ensemble and a one-SNR sweep all
-        # evaluate geometry 0 of the same seed
+        # estimate and row 0 of an outage ensemble both evaluate geometry 0
+        # of the same seed
         base = dict(K=20, R_ex=5.0, seed=61, n_mc=4, r_t_list=[10.0, 14.0], **kw)
         runs = {
             "estimate": write_config(tmp_path, "estimate.json", **base),
             "outage": write_config(tmp_path, "outage.json", n_geom=1, **base),
-            "sweep-snr": write_config(tmp_path, "sweep.json", channel_snr_db=[0.0], **base),
         }
         for mode, cfg in runs.items():
             assert main([mode, "--config", str(cfg), "--out", str(tmp_path / mode)]) == 0
@@ -296,33 +270,26 @@ class TestCliModes:
         assert est["beta_common"] == row.beta_common
         assert est["k_t"] == {f"{rt:.17g}": n for rt, n in row.k_t.items()}
         assert est["has_sub_d0_sensor"] == row.has_sub_d0_sensor
-        sweep = json.loads((tmp_path / "sweep-snr" / "snr_sweep.json").read_text())["rows"][0]
-        for key in ("empirical_sgle", "rmse", "crlb_sgle", "beta_common", "n_mc"):
-            assert sweep[key] == est[key], key
 
     def test_conditioned_outage_from_trials_file(self, tmp_path):
+        # re-aggregating a run's own trials table reruns nothing and moves no byte
         cfg = write_config(
             tmp_path, K=20, n_geom=4, n_mc=2, beta=4.0, gamma_num=8, channel_snr_db=10.0
         )
-        out = tmp_path / "oc"
-        main(["outage", "--config", str(cfg), "--out", str(out)])
-        out2 = tmp_path / "cond"
-        code = main(
-            [
-                "conditioned-outage",
-                "--config",
-                str(cfg),
-                "--out",
-                str(out2),
-                "--trials",
-                str(out / "geometry_trials.csv"),
-            ]
-        )
-        assert code == 0
-        doc = json.loads((out2 / "conditioned_curves.json").read_text())
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        assert main(["outage", "--config", str(cfg), "--out", str(fresh)]) == 0
+        trials = str(fresh / "geometry_trials.csv")
+        assert main(["outage", "--config", str(cfg), "--out", str(reused), "--trials", trials]) == 0
+        for name in ("outage_curve.csv", "conditioned_curves.csv"):
+            assert (fresh / name).read_bytes() == (reused / name).read_bytes(), name
+        manifest = json.loads((reused / "run_manifest.json").read_text())
+        assert manifest["artifacts"] == [
+            "outage_curve.csv", "outage_curve.json", "conditioned_curves.csv", "conditioned_curves.json"
+        ]
+        doc = json.loads((reused / "conditioned_curves.json").read_text())
         assert doc["conditioning_r_t"] == 14.0
-        assert doc["curves"][0]["conditioning"] is None
-        lines = (out2 / "conditioned_curves.csv").read_text().splitlines()
+        assert doc["curves"][0]["conditioning"] is None and len(doc["curves"]) > 1
+        lines = (reused / "conditioned_curves.csv").read_text().splitlines()
         assert lines[0] == "condition,n_geometries,gamma,ccdf_empirical,ccdf_crlb"
 
     def test_conditioned_outage_runs_own_ensemble(self, tmp_path):
@@ -330,7 +297,7 @@ class TestCliModes:
             tmp_path, K=20, n_geom=3, n_mc=2, beta=4.0, gamma_num=8, k_t_bins=["0", "1+"]
         )
         out = tmp_path / "cond2"
-        assert main(["conditioned-outage", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["outage", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "geometry_trials.csv").exists()
         doc = json.loads((out / "conditioned_curves.json").read_text())
         labels = [c["conditioning"] for c in doc["curves"][1:]]
@@ -398,7 +365,7 @@ runs = {
     "geometry": ["geometry", "--config", config],
     "crlb-common": ["crlb", "--config", config],
     "crlb-per-sensor": ["crlb", "--config", per_sensor],
-    "conditioned-outage-trials": ["conditioned-outage", "--config", config, "--trials", trials],
+    "outage-trials": ["outage", "--config", config, "--trials", trials],
 }
 for name, argv in runs.items():
     assert srcloc.cli.main(argv + ["--out", f"{out}/{name}"]) == 0, name
@@ -530,15 +497,16 @@ class TestExitCodes:
             ("source", [True, 0.0]),
             ("source", [0.0, False]),
             ("profile", []),
+            ("r_t_list", []),  # outage needs a conditioning radius
         ],
         ids=[
             "r_t-word", "r_t-numeric-string", "r_t-bool", "r_t-inf", "source-bool-x", "source-bool-y",
-            "profile-list",
+            "profile-list", "r_t_list-empty",
         ],
     )
     def test_mistyped_value_exit_2(self, tmp_path, capsys, key, bad):
-        path = write_config(tmp_path, r_t_list=[1.0, 14.0], **{key: bad})
-        assert main(["conditioned-outage", "--config", str(path)]) == 2
+        path = write_config(tmp_path, **{"r_t_list": [1.0, 14.0], key: bad})
+        assert main(["outage", "--config", str(path)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error_class"] == "ValidationError" and record["exit_code"] == 2
         assert key in record["message"]
@@ -557,10 +525,10 @@ class TestExitCodes:
 
     def test_integer_conditioning_radius_is_a_float(self, tmp_path):
         path = write_config(tmp_path, r_t_list=[1.0, 14.0], conditioning_r_t=14)
-        cfg = load_config(path, mode="conditioned-outage")
+        cfg = load_config(path, mode="outage")
         assert type(cfg.conditioning_r_t) is float and cfg.conditioning_r_t == 14.0
 
-    @pytest.mark.parametrize("mode", ["outage", "conditioned-outage"])
+    @pytest.mark.parametrize("mode", sorted(set(MODES) - set(GEOMETRY_MODES)))
     def test_ensemble_modes_read_no_geometry(self, tmp_path, capsys, mode):
         # an ensemble places its own geometries, so a geometry file is refused
         # as a flag and as a config key, before it is read
@@ -574,6 +542,22 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error_class"] == "ValidationError" and "geometry_file" in record["message"]
 
+    @pytest.mark.parametrize("mode", [m for m in MODES if m != "outage"])
+    def test_trials_file_only_in_outage(self, tmp_path, capsys, mode):
+        # only outage re-aggregates a trials table; elsewhere the flag does not
+        # exist and the key is refused, before any work
+        cfg = write_config(tmp_path, beta=4.0)
+        with pytest.raises(SystemExit) as exit_:
+            main([mode, "--config", str(cfg), "--trials", "t.csv"])
+        assert exit_.value.code == 2
+        capsys.readouterr()
+        keyed = write_config(tmp_path, name="keyed.json", beta=4.0, trials_file="nonexistent.csv")
+        out = tmp_path / "out"
+        assert main([mode, "--config", str(keyed), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error_class"] == "ValidationError" and "trials_file" in record["message"]
+        assert not out.exists()
+
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["outage", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -582,10 +566,19 @@ class TestExitCodes:
         [
             ("crlb", "--geometry", "geometry.txt", "# R: 50\nindex x y\n0 1.0\n"),
             ("crlb", "--geometry", "geometry.json", '{"format": "network-geometry", "R": 50.0}'),
-            ("conditioned-outage", "--trials", "trials.csv", "geometry_id,seed\n0,7\n"),
-            ("conditioned-outage", "--trials", "trials.csv", ""),
+            ("outage", "--trials", "trials.csv", "geometry_id,seed\n0,7\n"),
+            ("outage", "--trials", "trials.csv", ""),
+            ("outage", "--trials", "trials.csv", montecarlo.trials_to_csv([], [14.0])),
+            (
+                "outage", "--trials", "trials.csv",  # no count at the default conditioning radius 14
+                "geometry_id,seed,empirical_sgle,sgle_var,crlb_sgle,crlb_singular,k_t@10,"
+                "has_sub_d0_sensor,n_mc,beta_common\n0,7,1.5,0.5,1.25,0,2,0,2,4\n",
+            ),
         ],
-        ids=["text-row", "json-no-sensors", "csv-no-beta-column", "empty-trials"],
+        ids=[
+            "text-row", "json-no-sensors", "csv-no-beta-column", "empty-trials", "header-only",
+            "no-conditioning-radius",
+        ],
     )
     def test_malformed_input_file_exit_2(self, tmp_path, mode, flag, name, content):
         bad = tmp_path / name
