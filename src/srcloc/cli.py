@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import GEOMETRY_MODES, ExperimentConfig, load_config, parse_k_t_bin
+from .config import GEOMETRY_MODES, ExperimentConfig, load_config, parse_k_t_bin, require_source_in_disk
 from .crlb import crlb_result_to_dict, crlb_sgle, per_sensor_term_norms
 from .errors import (
     ConfigError,
@@ -77,9 +77,11 @@ def _resolve_out_dir(config: ExperimentConfig) -> Path:
 
 def _fixed_geometry(config: ExperimentConfig) -> NetworkGeometry:
     """The working geometry: loaded from file, or geometry 0 of the ensemble."""
-    if config.geometry_file:
-        return load_geometry(config.geometry_file)
-    return place_geometry(config, 0)
+    if not config.geometry_file:
+        return place_geometry(config, 0)
+    geom = load_geometry(config.geometry_file)
+    require_source_in_disk(config.source, geom.R)
+    return geom
 
 
 # --- mode runners -----------------------------------------------------------

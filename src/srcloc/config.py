@@ -116,11 +116,19 @@ def _require(raw: dict, key: str):
         raise ValidationError(key)
 
 
+def _is_finite(val) -> bool:
+    """Whether val is a number (not a bool) that converts to a finite float."""
+    try:
+        return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _positive(raw: dict, key: str, *, strict=True):
     val = raw.get(key)
     if val is None:
         return
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+    if not _is_finite(val):
         raise ValidationError(key, f"{key} must be a finite number")
     if strict and val <= 0:
         raise ValidationError(key, f"{key} must be positive")
@@ -132,7 +140,7 @@ def _finite(raw: dict, key: str):
     val = raw.get(key)
     if val is None:
         return
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+    if not _is_finite(val):
         raise ValidationError(key, f"{key} must be a finite number")
 
 
@@ -236,17 +244,11 @@ def load_config(
         _finite(raw, "beta")
 
     src = raw["source"]
-    if (
-        not isinstance(src, (list, tuple))
-        or len(src) != 2
-        or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in src
-        )
-    ):
+    if not isinstance(src, (list, tuple)) or len(src) != 2 or not all(map(_is_finite, src)):
         raise ValidationError("source", "source must be a pair of finite coordinates")
     raw["source"] = (float(src[0]), float(src[1]))
-    if raw["R"] is not None and src[0] ** 2 + src[1] ** 2 > raw["R"] ** 2:
-        raise ValidationError("source", "source must lie inside the surveillance disk")
+    if raw["R"] is not None:  # else the geometry file's disk is checked once it is read
+        require_source_in_disk(raw["source"], raw["R"])
 
     if raw["threshold_mode"] not in ("common", "per-sensor", "fixed"):
         raise ValidationError("threshold_mode")
@@ -266,10 +268,8 @@ def load_config(
     _count(raw, "n_mc")
 
     rts = raw["r_t_list"]
-    if not isinstance(rts, (list, tuple)) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0 for v in rts
-    ):
-        raise ValidationError("r_t_list", "r_t_list must be a list of nonnegative radii")
+    if not isinstance(rts, (list, tuple)) or not all(_is_finite(v) and v >= 0 for v in rts):
+        raise ValidationError("r_t_list", "r_t_list must be a list of finite nonnegative radii")
     raw["r_t_list"] = tuple(float(v) for v in rts)
 
     if raw["conditioning_r_t"] is None:
@@ -299,6 +299,12 @@ def load_config(
     config = ExperimentConfig(**raw)
     config.sensor_config()  # raises ValidationError on a degenerate noise level
     return config
+
+
+def require_source_in_disk(source: tuple, R: float) -> None:
+    """Raise a ValidationError naming ``source`` when it lies outside the disk of radius R."""
+    if source[0] ** 2 + source[1] ** 2 > R**2:
+        raise ValidationError("source", f"source must lie inside the surveillance disk (R = {R!r})")
 
 
 def parse_k_t_bin(spec: str):

@@ -32,10 +32,6 @@ class SourceParams:
         if not self.P0 > 0:
             raise ValueError(f"P0 must be positive, got {self.P0}")
 
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([self.xT, self.yT])
-
 
 @dataclass
 class NetworkGeometry:

@@ -65,7 +65,8 @@ def log_likelihood(
 # stop partway along a flat curved valley, where the polish has needed
 # up to about 140 damped steps to reach the floor, hence the budget.  The
 # derivative pass scores _SCORE_BLOCK probes at a time, which keeps its
-# temporaries below those of the simplices' first evaluation.
+# temporaries below those of the simplices' first evaluation; the seed
+# grid is scored _GRID_CHUNK seeds at a time against every round.
 
 _P0_SPAN = 1e3
 _N_GRID_RADIAL = 7
@@ -81,6 +82,7 @@ _DAMPING_INIT = 1e-6
 _DAMPING_MAX = 1e6
 _DECREMENT_REL_TOL = 1e-13
 _SCORE_BLOCK = 1024
+_GRID_CHUNK = 32
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
@@ -93,21 +95,24 @@ class EstimateResult:
     converged: bool
 
 
-def _nelder_mead_batch(f, x0s, steps, scale, max_iter, diam_tol, f_rel_tol):
-    """Run independent Nelder-Mead searches in lockstep.
+def _nelder_mead_batch(f, x0s, R):
+    """Run independent Nelder-Mead searches in lockstep over (x, y, ln P0).
 
-    ``f(points, ids)`` maps an (m, n) block of probe points, with their
-    owning simplex indices, to (m,) values; x0s is (S, n).  Each simplex
-    follows the standard reflect/expand/contract/shrink rules on its own
-    comparisons; batching only vectorizes the function evaluations
-    across simplices.  A simplex converges when its scaled diameter
-    drops below diam_tol and its relative value spread below f_rel_tol;
+    ``f(points, ids)`` maps an (m, 3) block of probe points, with their
+    owning simplex indices, to (m,) values; x0s is (S, 3).  Each simplex
+    steps R/20, R/20 and 0.25 from its start, then follows the standard
+    reflect/expand/contract/shrink rules on its own comparisons;
+    batching only vectorizes the function evaluations across simplices.
+    Convergence and the step budget are the search constants above;
     converged simplices freeze and leave the batch.
 
-    Returns (best points (S, n), best values (S,), converged flags (S,)).
+    Returns (best points (S, 3), best values (S,), converged flags (S,)).
     """
     x0s = np.asarray(x0s, dtype=float)
     S, n = x0s.shape
+    steps = np.array([R / 20.0, R / 20.0, 0.25])
+    scale = np.array([1.0, 1.0, R])
+    diam_tol = _DIAMETER_TOL_FRAC * R
     verts = np.repeat(x0s[:, None, :], n + 1, axis=1)
     for j in range(n):
         verts[:, j + 1, j] += steps[j]
@@ -115,7 +120,7 @@ def _nelder_mead_batch(f, x0s, steps, scale, max_iter, diam_tol, f_rel_tol):
     fv = f(verts.reshape(-1, n), np.repeat(all_ids, n + 1)).reshape(S, n + 1)
     converged = np.zeros(S, dtype=bool)
     active = np.ones(S, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -127,7 +132,7 @@ def _nelder_mead_batch(f, x0s, steps, scale, max_iter, diam_tol, f_rel_tol):
         fb, fsw, fw = fvals[ar, ib], fvals[ar, isw], fvals[ar, iw]
         vb = v[ar, ib]
         diam = np.max(np.abs(v - vb[:, None, :]) * scale, axis=(1, 2))
-        done = (diam < diam_tol) & ((fw - fb) <= f_rel_tol * np.maximum(1.0, np.abs(fb)))
+        done = (diam < diam_tol) & ((fw - fb) <= _F_SPREAD_REL_TOL * np.maximum(1.0, np.abs(fb)))
         if done.any():
             converged[idx[done]] = True
             active[idx[done]] = False
@@ -415,11 +420,11 @@ class _EnsembleLikelihood:
                     hess[sl, i, j] = hess[sl, j, i] = hij
         return ll, grad, hess
 
-    def grid_loglik(self, p0, x, y, chunk: int = 32) -> np.ndarray:
+    def grid_loglik(self, p0, x, y) -> np.ndarray:
         """(n_rounds, n_seeds) log-likelihoods for theta-only seed points."""
         out = np.empty((self.n_rounds, len(x)))
-        for lo in range(0, len(x), chunk):
-            hi = min(lo + chunk, len(x))
+        for lo in range(0, len(x), _GRID_CHUNK):
+            hi = min(lo + _GRID_CHUNK, len(x))
             sqrt_p = self._offsets(p0[lo:hi], x[lo:hi], y[lo:hi])[3]
             out[:, lo:hi] = self._log_terms(sqrt_p).sum(axis=2)
         return out
@@ -490,11 +495,7 @@ def _refine_starts(objective: _SearchObjective, x0s: np.ndarray):
     basin, then the Newton polish converges inside it.  Returns (coarse
     points, polished points, Nelder-Mead's converged flags).
     """
-    R = objective.R
-    coarse, _, converged = _nelder_mead_batch(
-        objective, x0s, np.array([R / 20.0, R / 20.0, 0.25]), np.array([1.0, 1.0, R]),
-        _MAX_ITER, _DIAMETER_TOL_FRAC * R, _F_SPREAD_REL_TOL,
-    )
+    coarse, _, converged = _nelder_mead_batch(objective, x0s, objective.R)
     polished = _newton_polish(objective.score, coarse)
     return coarse, polished, converged
 

@@ -19,10 +19,10 @@ spreads its rounds instead, in contiguous blocks of at least
 ``_MIN_BLOCK`` rounds.
 
 The ML estimator, and with it scipy, is imported only where rounds are
-estimated: ``run_trials`` imports it before its default estimator runs,
-and ``run_ensemble`` before its pool forks, so the workers inherit it
-and a command imports it once.  Placement, threshold tuning and the
-bound run without scipy.
+estimated: ``run_trials`` imports it before it estimates, and
+``run_ensemble`` before its pool forks, so the workers inherit it and a
+command imports it once.  Placement, threshold tuning and the bound run
+without scipy.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ from .streams import ROUND_NS, PLACEMENT_NS, generator, root_stream, substream
 
 if TYPE_CHECKING:
     from .likelihood import EstimateResult
-
-Estimator = Callable[
-    [np.ndarray, NetworkGeometry, SensorEnsembleConfig, np.random.Generator], "EstimateResult"
-]
 
 
 @dataclass
@@ -119,27 +115,24 @@ def run_trials(
     cfg: SensorEnsembleConfig,
     n_mc: int,
     stream: np.random.SeedSequence,
-    estimator: Optional[Estimator] = None,
     workers: int = 1,
 ) -> tuple[np.ndarray, list[EstimateResult]]:
-    """Energies and estimates for n_mc rounds of one geometry.
+    """Energies and ML estimates for n_mc rounds of one geometry.
 
     Round m draws from the (ROUND_NS, m) substream of ``stream``, and
-    the estimator's random restarts consume the remainder of that
-    round's stream, so every trial is individually replayable.  The
-    default estimator, ``ml_estimate_batch`` with the source's P0 as its
-    nominal P0, refines rounds in lockstep batches: one batch, or
-    with workers > 1 up to ``n_mc // _MIN_BLOCK`` contiguous blocks run
-    in a process pool.  Each round's estimate does not depend on the
-    other rounds of its batch, so the result is the same at any worker
-    count.  An injected estimator is called per round, serially.
+    the estimator's random restart consumes the remainder of that
+    round's stream, so every trial is individually replayable.
+    ``ml_estimate_batch``, with the source's P0 as its nominal P0,
+    refines the rounds in lockstep batches: one batch, or with
+    workers > 1 up to ``n_mc // _MIN_BLOCK`` contiguous blocks run in a
+    process pool.  Each round's estimate does not depend on the other
+    rounds of its batch, so the result is the same at any worker count.
     Energies are always simulated here, in the calling process.
     """
+    from .likelihood import ml_estimate_batch
+
     rngs = [generator(substream(stream, ROUND_NS, m)) for m in range(n_mc)]
     ts = np.stack([simulate_round(geom, source, cfg, rng) for rng in rngs])
-    if estimator is not None:
-        return ts, [estimator(ts[m], geom, cfg, rngs[m]) for m in range(n_mc)]
-    from .likelihood import ml_estimate_batch
 
     n_blocks = max(1, min(workers, n_mc // _MIN_BLOCK))
     edges = [n_mc * b // n_blocks for b in range(n_blocks + 1)]
@@ -190,30 +183,6 @@ def trial_result(
     )
 
 
-def empirical_sgle(
-    geom: NetworkGeometry,
-    source: SourceParams,
-    cfg: SensorEnsembleConfig,
-    n_mc: int,
-    stream: np.random.SeedSequence,
-    *,
-    estimator: Optional[Estimator] = None,
-    r_t_list: Sequence[float] = (),
-    geometry_id: int = 0,
-) -> GeometryTrialResult:
-    """Average squared location error over n_mc rounds of one geometry.
-
-    Thresholds must already be set on ``cfg`` before calling.  The
-    result's seed is the entropy of ``stream``, the master seed of the
-    streams ``run_geometry_trial`` derives.
-    """
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
-    _, estimates = run_trials(geom, source, cfg, n_mc, stream, estimator)
-    seed = stream.entropy if isinstance(stream.entropy, int) else -1
-    return trial_result(geom, source, cfg, estimates, r_t_list, geometry_id, seed)
-
-
 def place_geometry(config: ExperimentConfig, geometry_id: int) -> NetworkGeometry:
     """Geometry ``geometry_id`` of the config's ensemble, placed from stream (geometry_id, PLACEMENT_NS)."""
     return sample_geometry(
@@ -241,15 +210,11 @@ def with_thresholds(config: ExperimentConfig, geom: NetworkGeometry) -> SensorEn
 def run_geometry_trial(config: ExperimentConfig, geometry_id: int) -> GeometryTrialResult:
     """Place, tune, and evaluate geometry ``geometry_id`` of the config's ensemble."""
     geom = place_geometry(config, geometry_id)
-    return empirical_sgle(
-        geom,
-        config.source_params,
-        with_thresholds(config, geom),
-        config.n_mc,
-        substream(root_stream(config.seed), geometry_id),
-        r_t_list=config.r_t_list,
-        geometry_id=geometry_id,
-    )
+    source = config.source_params
+    cfg = with_thresholds(config, geom)
+    stream = substream(root_stream(config.seed), geometry_id)
+    _, estimates = run_trials(geom, source, cfg, config.n_mc, stream)
+    return trial_result(geom, source, cfg, estimates, config.r_t_list, geometry_id, config.seed)
 
 
 def run_ensemble(config: ExperimentConfig, workers: int = 1) -> list[GeometryTrialResult]:
@@ -297,18 +262,6 @@ def build_ccdf(
         n_crlb_singular=int(sum(tr.crlb_singular for tr in trials)),
         conditioning=conditioning,
     )
-
-
-def outage_ccdf(
-    config: ExperimentConfig, workers: int = 1
-) -> tuple[OutageCurve, list[GeometryTrialResult]]:
-    """Run the config's ensemble and estimate its outage CCDFs on its gamma grid.
-
-    Returns the curve plus the per-geometry trials for post-hoc
-    conditioning.  A PackingFailure in any geometry aborts the ensemble.
-    """
-    trials = run_ensemble(config, workers=workers)
-    return build_ccdf(trials, config.gamma_grid()), trials
 
 
 def conditioned_ccdf(

@@ -122,7 +122,7 @@ def received_power(P0: float, d0: float, alpha: float, d: ArrayLike) -> ArrayLik
 
 def transmit_and_detect(
     u: ArrayLike, eb: ArrayLike, tau2: ArrayLike, rng: np.random.Generator
-) -> ArrayLike:
+) -> np.ndarray:
     """Received energy |h*sqrt(eb)*u + n|^2 for one OOK transmission.
 
     h is unit-power circular complex Gaussian (Rayleigh fading) and n is
@@ -133,8 +133,7 @@ def transmit_and_detect(
     h = _circular_gaussian(shape, 1.0, rng)
     n = _circular_gaussian(shape, np.asarray(tau2, dtype=float), rng)
     z = h * np.sqrt(eb) * u + n
-    t = np.abs(z) ** 2
-    return float(t) if t.ndim == 0 else t
+    return np.abs(z) ** 2
 
 
 def _circular_gaussian(shape, total_variance, rng):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from srcloc import NetworkGeometry, SensorEnsembleConfig, SourceParams
+from srcloc.geometry import NetworkGeometry, SourceParams
+from srcloc.signal_model import SensorEnsembleConfig
 
 # Reference experiment parameterization used across suites: K=50 sensors
 # in a radius-50 disk, source at (5, 10) with P0=1e4, unit reference

@@ -21,13 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from srcloc import (
-    SensorEnsembleConfig,
-    SourceParams,
-    optimize_thresholds,
-    sample_geometry,
-    simulate_rounds,
-)
+from srcloc.crlb import optimize_thresholds
+from srcloc.geometry import SourceParams, sample_geometry
+from srcloc.signal_model import SensorEnsembleConfig, simulate_rounds
 from srcloc.likelihood import ml_estimate_batch
 
 FIXTURE = Path(__file__).with_name("search_quality.json")

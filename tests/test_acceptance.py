@@ -16,26 +16,25 @@ from scipy.integrate import quad
 from scipy.special import log_ndtr
 from scipy.stats import expon, kstest
 
-from srcloc import (
-    NetworkGeometry,
-    SensorEnsembleConfig,
-    SingularFim,
-    SourceParams,
+from srcloc.cli import main
+from srcloc.config import load_config
+from srcloc.crlb import _gradients, crlb_sgle, fisher_information, optimize_thresholds
+from srcloc.errors import SingularFim
+from srcloc.geometry import NetworkGeometry, SourceParams, count_within, sample_geometry
+from srcloc.montecarlo import (
+    _MIN_BLOCK,
+    build_ccdf,
     conditioned_ccdf,
-    count_within,
-    crlb_sgle,
-    fisher_information,
-    optimize_thresholds,
-    outage_ccdf,
+    default_workers,
+    run_ensemble,
+    run_trials,
+)
+from srcloc.signal_model import (
+    SensorEnsembleConfig,
     received_power,
-    sample_geometry,
     simulate_rounds,
     transmit_and_detect,
 )
-from srcloc.cli import main
-from srcloc.config import load_config
-from srcloc.crlb import _gradients
-from srcloc.montecarlo import _MIN_BLOCK, default_workers, run_trials
 from srcloc.streams import root_stream
 from tests.conftest import marginal_energy_cdf, marginal_energy_pdf
 
@@ -298,7 +297,8 @@ def _outage_ensembles():
                 K=50, R=50.0, R_ex=r_ex, seed=700, n_geom=100, n_mc=200,
                 channel_snr_db=0.0, r_t_list=(14.0,), threshold_mode="common",
             ))
-            _ENSEMBLES[r_ex] = outage_ccdf(config, workers=workers)
+            trials = run_ensemble(config, workers=workers)
+            _ENSEMBLES[r_ex] = build_ccdf(trials, config.gamma_grid()), trials
     return _ENSEMBLES
 
 

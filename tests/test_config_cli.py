@@ -3,7 +3,6 @@ import os
 import pickle
 import subprocess
 import sys
-import types
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -11,10 +10,10 @@ import numpy as np
 import pytest
 
 import srcloc
-from srcloc import SensorEnsembleConfig, SourceParams, crlb_sgle, cli, montecarlo
+from srcloc import cli, errors, montecarlo
 from srcloc.cli import _workers, main
 from srcloc.config import GEOMETRY_MODES, MODES, ExperimentConfig, load_config, parse_k_t_bin
-from srcloc import errors
+from srcloc.crlb import crlb_sgle
 from srcloc.errors import (
     ConfigError,
     DegenerateGeometry,
@@ -26,8 +25,9 @@ from srcloc.errors import (
     SrclocError,
     ValidationError,
 )
-from srcloc.geometry import load_geometry
+from srcloc.geometry import SourceParams, load_geometry
 from srcloc.montecarlo import trials_from_csv
+from srcloc.signal_model import SensorEnsembleConfig
 
 
 def write_config(tmp_path: Path, name="config.json", **kw) -> Path:
@@ -199,6 +199,19 @@ class TestCliModes:
         summary = json.loads((out / "estimate_summary.json").read_text())
         assert summary["config"]["geometry_file"].endswith("geometry.json")
 
+    def test_source_outside_geometry_file_disk_exit_2(self, tmp_path, capsys):
+        # the config holds no R, so only the file's disk can reject the source
+        gout = tmp_path / "g"
+        assert main(["geometry", "--config", str(write_config(tmp_path, R=10.0, source=[0.0, 0.0])), "--out", str(gout)]) == 0
+        path = tmp_path / "no-r.json"
+        path.write_text(json.dumps({"seed": 7, "beta": 4.0, "source": [40.0, 0.0]}))
+        geometry = ["--geometry", str(gout / "geometry.json")]
+        assert main(["crlb", "--config", str(path), "--out", str(tmp_path / "crlb"), *geometry]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error_class"] == "ValidationError" and record["exit_code"] == 2
+        assert "source" in record["message"]
+        assert not (tmp_path / "crlb" / "crlb.json").exists()
+
     def test_crlb_mode(self, tmp_path):
         cfg = write_config(tmp_path, K=10, beta=4.0)
         out = tmp_path / "crlb"
@@ -335,12 +348,6 @@ class TestWorkers:
         config = load_config(write_config(tmp_path), mode="outage")
         assert config.workers is None
         assert _workers(config) == 1
-
-
-def test_package_exports_resolve_and_are_not_modules():
-    assert len(set(srcloc.__all__)) == len(srcloc.__all__)
-    for name in srcloc.__all__:
-        assert not isinstance(getattr(srcloc, name), types.ModuleType), name
 
 
 def test_cli_import_leaves_out_scipy_spatial():
@@ -498,10 +505,14 @@ class TestExitCodes:
             ("source", [0.0, False]),
             ("profile", []),
             ("r_t_list", []),  # outage needs a conditioning radius
+            # integers beyond the float range
+            ("channel_snr_db", 10**400),
+            ("source", [10**400, 0]),
+            ("r_t_list", [10**400]),
         ],
         ids=[
             "r_t-word", "r_t-numeric-string", "r_t-bool", "r_t-inf", "source-bool-x", "source-bool-y",
-            "profile-list", "r_t_list-empty",
+            "profile-list", "r_t_list-empty", "snr-huge-int", "source-huge-int", "r_t_list-huge-int",
         ],
     )
     def test_mistyped_value_exit_2(self, tmp_path, capsys, key, bad):

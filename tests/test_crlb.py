@@ -6,22 +6,19 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import log_ndtr, ndtr
 
-from srcloc import (
-    DegenerateGeometry,
-    NetworkGeometry,
-    QuadratureFailure,
-    SensorEnsembleConfig,
-    SingularFim,
-    SourceParams,
+from srcloc.crlb import (
+    _gradients,
+    _normal_cdf,
+    condition_indicator,
     crlb_sgle,
     fisher_information,
     mixture_integral,
     optimize_thresholds,
-    received_power,
-    sample_geometry,
-    simulate_rounds,
+    per_sensor_term_norms,
 )
-from srcloc.crlb import _gradients, _normal_cdf, condition_indicator, per_sensor_term_norms
+from srcloc.errors import DegenerateGeometry, QuadratureFailure, SingularFim
+from srcloc.geometry import NetworkGeometry, SourceParams, sample_geometry
+from srcloc.signal_model import SensorEnsembleConfig, received_power, simulate_rounds
 from tests.conftest import ref_config
 
 

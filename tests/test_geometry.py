@@ -6,20 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from srcloc import (
+from srcloc.errors import PackingFailure
+from srcloc.geometry import (
     NetworkGeometry,
-    PackingFailure,
     SourceParams,
     count_within,
     distances,
-    sample_geometry,
-)
-from srcloc.geometry import (
     geometry_from_json,
     geometry_from_text,
     geometry_to_json,
     geometry_to_text,
     min_pairwise_distance,
+    sample_geometry,
 )
 
 

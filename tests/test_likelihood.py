@@ -9,23 +9,21 @@ from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr
 from scipy.stats import chisquare, norm, wilcoxon
 
-from srcloc import (
-    NetworkGeometry,
-    SensorEnsembleConfig,
-    SourceParams,
-    log_likelihood,
-    optimize_thresholds,
-    received_power,
-    sample_geometry,
-    simulate_round,
-    simulate_rounds,
-)
+from srcloc.crlb import optimize_thresholds
+from srcloc.geometry import NetworkGeometry, SourceParams, sample_geometry
 from srcloc.likelihood import (
     _EnsembleLikelihood,
+    _SearchObjective,
     _polar_grid_seeds,
     _refine_starts,
-    _SearchObjective,
+    log_likelihood,
     ml_estimate_batch,
+)
+from srcloc.signal_model import (
+    SensorEnsembleConfig,
+    received_power,
+    simulate_round,
+    simulate_rounds,
 )
 from tests import search_quality
 from tests.conftest import marginal_energy_cdf, marginal_energy_pdf, ref_config

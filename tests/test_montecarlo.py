@@ -3,50 +3,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srcloc import (
-    EmptySubset,
-    EstimateResult,
-    NetworkGeometry,
-    PackingFailure,
-    SourceParams,
-    build_ccdf,
-    conditioned_ccdf,
-    empirical_sgle,
-    outage_ccdf,
-    run_ensemble,
-)
 from srcloc import montecarlo
 from srcloc.config import load_config
+from srcloc.errors import EmptySubset, PackingFailure
+from srcloc.geometry import NetworkGeometry, SourceParams, sample_geometry
+from srcloc.likelihood import EstimateResult
 from srcloc.montecarlo import (
     GeometryTrialResult,
+    build_ccdf,
+    conditioned_ccdf,
     curve_to_csv,
     curves_to_csv,
+    run_ensemble,
     run_trials,
+    squared_errors,
+    trial_result,
     trials_from_csv,
     trials_to_csv,
 )
 from srcloc.streams import root_stream, substream
-from srcloc import sample_geometry
 from tests.conftest import ref_config
 
 SRC = SourceParams(10_000.0, 5.0, 10.0)
 
 
-def _perfect_estimator(t, geom, cfg, rng):
-    return EstimateResult(
-        theta_hat=SourceParams(SRC.P0, SRC.xT, SRC.yT),
-        log_likelihood=0.0,
-        converged=True,
-    )
-
-
-def _noisy_stub(t, geom, cfg, rng):
-    dx, dy = 0.8 * rng.standard_normal(2)
-    return EstimateResult(
-        theta_hat=SourceParams(SRC.P0, SRC.xT + dx, SRC.yT + dy),
-        log_likelihood=0.0,
-        converged=True,
-    )
+def _estimates(offsets):
+    """Fabricated estimates at SRC displaced by each (dx, dy) offset."""
+    return [
+        EstimateResult(
+            theta_hat=SourceParams(SRC.P0, SRC.xT + dx, SRC.yT + dy),
+            log_likelihood=0.0,
+            converged=True,
+        )
+        for dx, dy in offsets
+    ]
 
 
 def _mini_config(seed, **kw):
@@ -57,51 +47,45 @@ def _mini_config(seed, **kw):
 
 
 class TestEmpiricalSgle:
+    """A geometry's outcome, from ``trial_result`` on fabricated estimates."""
+
     def test_single_trial_equals_its_sgle(self):
+        # round m replays identically whatever n_mc, and one round's
+        # outcome is its own squared error with no spread
         geom = sample_geometry(10, 50.0, 0.0, rng=60)
         cfg = ref_config(channel_snr_db=10.0, beta=4.0)
         stream = substream(root_stream(123), 0)
-        r1 = empirical_sgle(geom, SRC, cfg, 1, stream, r_t_list=(14.0,))
-        r2 = empirical_sgle(geom, SRC, cfg, 2, stream)
-        assert r1.n_mc == 1 and r1.sgle_var == 0.0
-        assert r1.empirical_sgle >= 0.0
-        # the first round is replayed identically when n_mc grows
-        assert r2.empirical_sgle != r1.empirical_sgle or r2.sgle_var == 0.0
+        ts1, one = run_trials(geom, SRC, cfg, 1, stream)
+        ts2, two = run_trials(geom, SRC, cfg, 2, stream)
+        np.testing.assert_array_equal(ts1, ts2[:1])
+        assert one == two[:1]
+        res = trial_result(geom, SRC, cfg, one, r_t_list=(14.0,))
+        assert res.n_mc == 1 and res.sgle_var == 0.0
+        assert res.empirical_sgle == squared_errors(two, SRC)[0]
 
     def test_perfect_estimator_gives_zero(self):
         geom = sample_geometry(6, 50.0, 0.0, rng=61)
         cfg = ref_config(channel_snr_db=10.0, beta=4.0)
-        res = empirical_sgle(
-            geom, SRC, cfg, 5, substream(root_stream(5), 0), estimator=_perfect_estimator
-        )
+        res = trial_result(geom, SRC, cfg, _estimates(np.zeros((5, 2))))
         assert res.empirical_sgle == 0.0
         assert res.sgle_var == 0.0
+        assert res.n_mc == 5
 
     def test_singular_bound_recorded_not_raised(self):
         geom = NetworkGeometry(sensors=np.array([[20.0, 0.0]]), R=50.0)
         cfg = ref_config(channel_snr_db=10.0, beta=4.0)
-        res = empirical_sgle(
-            geom, SRC, cfg, 2, substream(root_stream(6), 0), estimator=_perfect_estimator
-        )
+        res = trial_result(geom, SRC, cfg, _estimates(np.zeros((2, 2))))
         assert res.crlb_singular and np.isnan(res.crlb_sgle)
 
     def test_k_t_and_flags_recorded(self):
         geom = sample_geometry(30, 50.0, 0.0, rng=62)
         cfg = ref_config(channel_snr_db=10.0, beta=4.0)
-        res = empirical_sgle(
-            geom,
-            SRC,
-            cfg,
-            2,
-            substream(root_stream(7), 0),
-            estimator=_perfect_estimator,
-            r_t_list=(5.0, 14.0),
-        )
+        res = trial_result(geom, SRC, cfg, _estimates(np.zeros((2, 2))), r_t_list=(5.0, 14.0))
         assert set(res.k_t) == {5.0, 14.0}
         assert 0 <= res.k_t[5.0] <= res.k_t[14.0] <= 30
 
     def test_standard_error_scales_inverse_sqrt_n(self):
-        # harness self-test with an injected noisy estimator: the tracked
+        # harness self-test on seeded noisy estimates: the tracked
         # per-trial variance must shrink the standard error like 1/sqrt(N)
         geom = sample_geometry(5, 50.0, 0.0, rng=63)
         cfg = ref_config(channel_snr_db=10.0, beta=4.0)
@@ -111,14 +95,8 @@ class TestEmpiricalSgle:
         for n in n_values:
             ses = []
             for rep in range(reps):
-                res = empirical_sgle(
-                    geom,
-                    SRC,
-                    cfg,
-                    n,
-                    substream(root_stream(1000 + rep), 0),
-                    estimator=_noisy_stub,
-                )
+                offsets = 0.8 * np.random.default_rng(1000 + rep).standard_normal((n, 2))
+                res = trial_result(geom, SRC, cfg, _estimates(offsets))
                 ses.append(np.log(res.sgle_stderr))
             mean_log_se.append(np.mean(ses))
         slope = np.polyfit(np.log(n_values), mean_log_se, 1)[0]
@@ -307,6 +285,7 @@ class TestSerialization:
 
 def test_outage_ccdf_end_to_end():
     config = _mini_config(21, n_geom=3, n_mc=2)
-    curve, trials = outage_ccdf(config, workers=1)
+    trials = run_ensemble(config, workers=1)
+    curve = build_ccdf(trials, config.gamma_grid())
     assert curve.n_geometries == 3 and len(trials) == 3
     assert np.all(np.diff(curve.ccdf_empirical) <= 0)

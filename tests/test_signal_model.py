@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import expon, kstest
 
-from srcloc import (
-    NetworkGeometry,
+from srcloc.geometry import NetworkGeometry, SourceParams, sample_geometry
+from srcloc.signal_model import (
     SensorEnsembleConfig,
-    SourceParams,
     received_power,
-    sample_geometry,
     simulate_round,
     simulate_rounds,
     transmit_and_detect,
