@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -298,7 +298,7 @@ def main(argv=None) -> int:
     except SrclocError as exc:
         _error_record(out, exc, EXIT_NUMERICAL)
         return EXIT_NUMERICAL
-    except BrokenProcessPool as exc:
+    except BrokenExecutor as exc:  # BrokenProcessPool: srcloc runs no thread pool
         _error_record(out, exc, EXIT_WORKER)
         return EXIT_WORKER
     except KeyboardInterrupt as exc:

@@ -30,6 +30,18 @@ GEOMETRY_MODES = ("geometry", "estimate", "crlb")
 # reference experiment sizes.
 PROFILES = {"desk": (100, 200), "paper": (500, 1000)}
 
+# Largest value each integer count accepts.  Far above any experiment
+# these models serve; a larger value would get past validation only to
+# crash or stall the run, instead of exiting as a configuration error.
+COUNT_CEILINGS = {
+    "K": 10**5,
+    "n_geom": 10**7,
+    "n_mc": 10**7,
+    "gamma_num": 10**6,
+    "max_attempts": 10**9,
+    "workers": 256,
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -148,8 +160,9 @@ def _count(raw: dict, key: str):
     val = raw.get(key)
     if val is None:
         return
-    if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-        raise ValidationError(key, f"{key} must be an integer >= 1")
+    ceiling = COUNT_CEILINGS[key]
+    if not isinstance(val, int) or isinstance(val, bool) or not 1 <= val <= ceiling:
+        raise ValidationError(key, f"{key} must be an integer from 1 to {ceiling}")
 
 
 def load_config(

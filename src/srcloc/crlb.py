@@ -15,6 +15,14 @@ i's rank-one term, with s_i = (sqrt(P_i) - beta_i) / sigma, and
 a larger factor raises the information matrix in the Loewner order and
 so cannot raise the bound: each sensor sits at s* = argmax g.
 
+The common threshold is searched on an information curve: a
+piecewise-Chebyshev interpolant of log mixture_integral over the s
+range where a sensor's weight is nonzero, built once per (eb, tau2)
+from the exact kernel and memoized, so every geometry of a command
+shares it.  The curve only ranks candidate thresholds; every bound that
+is reported, including the one at the chosen threshold, comes from the
+exact kernel.
+
 The normal CDF Phi that weights the two energy branches comes from the
 standard library (``math.erfc``), applied elementwise: the bound needs it
 on at most a few dozen points at a time, so this module does not import
@@ -23,6 +31,7 @@ scipy, and a process that only computes bounds never loads it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -34,6 +43,7 @@ from .geometry import NetworkGeometry, SourceParams, distances
 from .signal_model import SensorEnsembleConfig, received_power
 
 CONDITION_LIMIT = 1e12
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 # Fixed rule of mixture_integral: 20-point Gauss-Legendre on every panel,
 # 24 geometric panels from 0.01*tau2 to the end of the window, and 8
@@ -51,6 +61,21 @@ _N_COARSE = 64
 _S_GRID = np.linspace(-3.0, 3.0, 61)
 _S_TOL = 1e-8
 _SQRT_HALF = math.sqrt(0.5)
+
+# Information curve: degree-_CURVE_DEGREE Chebyshev interpolants of
+# log mixture_integral on _CURVE_PIECES equal pieces of |s| <= 27.3,
+# beyond which exp(-s^2) underflows to zero, from the kernel's values at
+# each piece's Chebyshev points, taken _CURVE_CHUNK points per call to
+# keep the kernel's working arrays network-sized.
+_CURVE_HALF_WIDTH = 27.3
+_CURVE_PIECES = 55
+_CURVE_DEGREE = 20
+_CURVE_CHUNK = 50
+_CHEB_POINTS = np.cos(np.pi * (np.arange(_CURVE_DEGREE + 1) + 0.5) / (_CURVE_DEGREE + 1))
+# values at _CHEB_POINTS -> Chebyshev coefficients (discrete orthogonality)
+_CHEB_TRANSFORM = np.polynomial.chebyshev.chebvander(_CHEB_POINTS, _CURVE_DEGREE) * (
+    np.where(np.arange(_CURVE_DEGREE + 1) == 0, 1.0, 2.0) / (_CURVE_DEGREE + 1)
+)
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
@@ -157,6 +182,45 @@ def mixture_integral(s, eb, tau2):
     return float(out) if out.ndim == 0 else out
 
 
+@functools.lru_cache(maxsize=8)
+def _information_curve(eb: float, tau2: float):
+    """mixture_integral(s, eb, tau2) as a function of s, interpolated.
+
+    log mixture_integral is interpolated by a degree-20 Chebyshev
+    polynomial on each of 55 equal pieces of |s| <= 27.3, the range
+    where a sensor's weight exp(-s^2) is nonzero, from the kernel's
+    values at the pieces' Chebyshev points (1,155 points, taken 50 per
+    call).  At channel SNR -10 to 40 dB it is within rel 1e-12 of
+    mixture_integral for |s| <= 10 (observed: at most 3.6e-13, the
+    kernel's own panel-rule noise) and within rel 3e-12 on the whole
+    range; at 60 and 80 dB the observed maxima are 1.5e-11 and 4.1e-11.
+    Finite and positive wherever the kernel is, as the exponential of a
+    polynomial.  Depends on (eb, tau2) only, so one process builds it
+    once per channel, in 30 to 50 ms.
+    """
+    width = 2.0 * _CURVE_HALF_WIDTH / _CURVE_PIECES
+    nodes = (
+        -_CURVE_HALF_WIDTH + width * (np.arange(_CURVE_PIECES)[:, None] + 0.5 * (_CHEB_POINTS + 1.0))
+    ).ravel()
+    values = np.concatenate(
+        [mixture_integral(nodes[i : i + _CURVE_CHUNK], eb, tau2) for i in range(0, nodes.size, _CURVE_CHUNK)]
+    )
+    logs = np.log(values).reshape(_CURVE_PIECES, _CURVE_DEGREE + 1)
+    coef = (logs[:, :, None] * _CHEB_TRANSFORM).sum(axis=1)
+
+    def curve(s: np.ndarray) -> np.ndarray:
+        u = (s + _CURVE_HALF_WIDTH) / width
+        piece = np.clip(np.floor(u), 0, _CURVE_PIECES - 1)
+        t = 2.0 * (u - piece) - 1.0
+        c = coef[piece.astype(int)]
+        b1 = b2 = 0.0
+        for k in range(_CURVE_DEGREE, 0, -1):  # Clenshaw recurrence
+            b1, b2 = c[..., k] + 2.0 * t * b1 - b2, b1
+        return np.exp(c[..., 0] + t * b1 - b2)
+
+    return curve
+
+
 def _gradients(theta: SourceParams, sensors: np.ndarray, alpha: float) -> np.ndarray:
     """Rows v_i = [-1/sqrt(P0), sqrt(P0)*alpha*(xT-x_i)/d^2, sqrt(P0)*alpha*(yT-y_i)/d^2]."""
     dx = theta.xT - sensors[:, 0]
@@ -171,26 +235,40 @@ def _gradients(theta: SourceParams, sensors: np.ndarray, alpha: float) -> np.nda
     )
 
 
-def _information_terms(theta, geom, cfg):
+def _information_terms(theta, geom, cfg, thresholds, integral):
     """Weight times mixture integral c and gradient vectors v of every sensor.
 
-    Sensor i adds c[i] * outer(v[i], v[i]) to the information matrix.
-    c is zero where the Gaussian quantizer weight underflows: such a
-    sensor's bit is deterministic and carries no information.
+    ``thresholds`` broadcasts against the (K,) sensors: (K,) gives c of
+    shape (K,), and (m, 1) a row of c per candidate common threshold.
+    ``integral`` maps operating points s to the mixture integral at the
+    config's (eb, tau2).  Sensor i adds c[..., i] * outer(v[i], v[i]) to
+    the information matrix.  c is zero where the Gaussian quantizer
+    weight underflows: such a sensor's bit is deterministic and carries
+    no information.
     """
     v = _gradients(theta, geom.sensors, cfg.alpha)
     P = received_power(theta.P0, cfg.d0, cfg.alpha, distances(geom, theta))
-    x = (np.sqrt(P) - cfg.thresholds(geom.K)) / np.sqrt(cfg.sigma2)
+    x = (np.sqrt(P) - thresholds) / np.sqrt(cfg.sigma2)
     weight = P * np.exp(-x * x) / (8.0 * np.pi * cfg.sigma2 * theta.P0)
     c = np.zeros(weight.shape)
     live = weight != 0.0
-    c[live] = weight[live] * mixture_integral(x[live], cfg.eb, cfg.tau2)
+    c[live] = weight[live] * integral(x[live])
     return c, v
 
 
-def _outer_terms(c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(n, 3, 3) stack of c[i] * outer(v[i], v[i])."""
-    return c[:, None, None] * (v[:, :, None] * v[:, None, :])  # exactly symmetric
+def _exact_terms(theta, geom, cfg):
+    """_information_terms at the config's thresholds on the exact kernel."""
+    exact = functools.partial(mixture_integral, eb=cfg.eb, tau2=cfg.tau2)
+    return _information_terms(theta, geom, cfg, cfg.thresholds(geom.K), exact)
+
+
+def _assemble(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Information matrices sum_i c[..., i] * outer(v[i], v[i]), shape (..., 3, 3).
+
+    Summation is in sensor-index order for bitwise reproducibility, and
+    every term is exactly symmetric.
+    """
+    return (c[..., None, None] * (v[:, :, None] * v[:, None, :])).sum(axis=-3)
 
 
 def fisher_information(
@@ -201,10 +279,9 @@ def fisher_information(
     """3x3 information matrix for (P0, xT, yT), summed over sensors.
 
     Terms whose Gaussian quantizer weight underflows to zero add
-    nothing.  Summation is in sensor-index order for bitwise
-    reproducibility.
+    nothing.
     """
-    return _outer_terms(*_information_terms(theta, geom, cfg)).sum(axis=0)
+    return _assemble(*_exact_terms(theta, geom, cfg))
 
 
 @dataclass
@@ -216,12 +293,37 @@ class CrlbResult:
     condition_indicator: float
 
 
-def condition_indicator(fim: np.ndarray) -> float:
-    """Ratio of extreme absolute eigenvalues (inf when rank-deficient)."""
+def condition_indicator(fim: np.ndarray):
+    """Ratio of extreme absolute eigenvalues, inf when numerically rank-deficient.
+
+    Rank-deficient includes a smallest eigenvalue below the normal float
+    range: the inverse of such a matrix is not representable, and LU
+    factorization can meet an exactly zero pivot in it.  A float for one
+    matrix, an array for a (..., 3, 3) stack.
+    """
     w = np.abs(np.linalg.eigvalsh(fim))
-    if w.max() == 0.0 or w.min() == 0.0:
-        return np.inf
-    return float(w.max() / w.min())
+    w_max, w_min = w.max(axis=-1), w.min(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(w_min < _TINY, np.inf, w_max / w_min)
+    return float(cond) if cond.ndim == 0 else cond
+
+
+def _bounds(fim: np.ndarray) -> tuple:
+    """Condition indicators and bounds [I^-1]_xx + [I^-1]_yy of a (..., 3, 3) stack.
+
+    The bound is inf where the matrix is singular: its condition
+    indicator exceeds CONDITION_LIMIT, or its inverse gives no positive
+    finite bound.  The second test catches a matrix so small that its
+    inverse overflows although its eigenvalue ratio passes.
+    """
+    cond = np.asarray(condition_indicator(fim))
+    bound = np.full(cond.shape, np.inf)
+    ok = cond <= CONDITION_LIMIT  # false for inf and nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = np.linalg.inv(fim[ok])
+        b = inv[:, 1, 1] + inv[:, 2, 2]
+    bound[ok] = np.where(np.isfinite(b) & (b > 0.0), b, np.inf)
+    return cond, bound
 
 
 def per_sensor_term_norms(
@@ -230,7 +332,7 @@ def per_sensor_term_norms(
     cfg: SensorEnsembleConfig,
 ) -> np.ndarray:
     """Frobenius norm of each sensor's information contribution."""
-    c, v = _information_terms(theta, geom, cfg)
+    c, v = _exact_terms(theta, geom, cfg)
     return c * np.sum(v * v, axis=1)
 
 
@@ -243,20 +345,15 @@ def crlb_sgle(
     """Lower bound on mean squared location error for this geometry.
 
     Raises SingularFim when the information matrix's condition indicator
-    exceeds CONDITION_LIMIT (e.g. a single sensor or collinear layout).
+    exceeds CONDITION_LIMIT (e.g. a single sensor or collinear layout),
+    or its inverse is not usable.
     """
     if fim is None:
         fim = fisher_information(theta, geom, cfg)
-    cond = condition_indicator(fim)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    cond, bound = (float(v) for v in _bounds(fim))
+    if not cond <= CONDITION_LIMIT:
         raise SingularFim(cond)
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv = np.linalg.inv(fim)
-        bound = float(inv[1, 1] + inv[2, 2])
-    # an all-subnormal FIM can sneak past the eigenvalue ratio and then
-    # overflow the inverse; a bound that is not a positive finite number
-    # means the matrix was numerically singular after all
-    if not np.isfinite(bound) or bound <= 0.0:
+    if bound == np.inf:
         raise SingularFim(cond, "information matrix inverse is not usable")
     return CrlbResult(sgle_bound=bound, fim=fim, condition_indicator=cond)
 
@@ -281,13 +378,6 @@ class ThresholdResult:
 
     beta: Union[float, np.ndarray]
     sgle_bound: float
-
-
-def _bound_or_inf(theta, geom, cfg) -> float:
-    try:
-        return crlb_sgle(theta, geom, cfg).sgle_bound
-    except SingularFim:
-        return np.inf
 
 
 def _golden_section(f, lo: float, hi: float, tol: float, evaluated: list):
@@ -339,8 +429,14 @@ def optimize_thresholds(
     """Pick quantization threshold(s) minimizing the location-error bound.
 
     Common mode scans _N_COARSE points over
-    [-3*sigma, sqrt(P0) + 3*sigma], golden-section refines the best local
-    basins, and returns the best point actually evaluated.
+    [-3*sigma, sqrt(P0) + 3*sigma] in one stacked pass, golden-section
+    refines the three best local basins, and returns the best point
+    evaluated, ties to the lower threshold.  Every candidate is scored on
+    the channel's memoized information curve (_information_curve), whose
+    bounds sit within about 1e-12 relative of the exact ones: on 1,040
+    random tunings at -30 to 60 dB it picked the threshold the exact
+    scores pick in every case.  The returned sgle_bound is crlb_sgle's
+    exact bound at the chosen threshold.
 
     Per-sensor mode is the exact optimum, beta_i = sqrt(P_i) - sigma*s*,
     with s* = argmax g found once for the network's (eb, tau2).  Sensor i
@@ -366,12 +462,17 @@ def optimize_thresholds(
     lo = -3.0 * sigma
     hi = math.sqrt(theta.P0) + 3.0 * sigma
     tol = 1e-4 * math.sqrt(theta.P0)
+    curve = _information_curve(cfg.eb, cfg.tau2)
 
-    def common_objective(beta):
-        return _bound_or_inf(theta, geom, cfg.with_beta(float(beta)))
+    def curve_bounds(betas: np.ndarray) -> np.ndarray:
+        """The bound at each common threshold, inf where singular, on the curve."""
+        return _bounds(_assemble(*_information_terms(theta, geom, cfg, betas[:, None], curve)))[1]
+
+    def common_objective(beta: float) -> float:
+        return float(curve_bounds(np.array([beta]))[0])
 
     grid = np.linspace(lo, hi, _N_COARSE)
-    objs = np.array([common_objective(b) for b in grid])
+    objs = curve_bounds(grid)
     if not np.any(np.isfinite(objs)):
         raise SingularFim(np.inf, "no threshold in the bracket yields an invertible FIM")
 
@@ -389,5 +490,6 @@ def optimize_thresholds(
         refined.add(span)
         _golden_section(common_objective, grid[span[0]], grid[span[1]], tol, evaluated)
 
-    best_obj, best_beta = min(evaluated, key=lambda p: (p[0], p[1]))
-    return ThresholdResult(beta=float(best_beta), sgle_bound=float(best_obj))
+    best_beta = float(min(evaluated, key=lambda p: (p[0], p[1]))[1])
+    bound = crlb_sgle(theta, geom, cfg.with_beta(best_beta)).sgle_bound
+    return ThresholdResult(beta=best_beta, sgle_bound=bound)

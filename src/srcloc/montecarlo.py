@@ -22,13 +22,13 @@ The ML estimator, and with it scipy, is imported only where rounds are
 estimated: ``run_trials`` imports it before it estimates, and
 ``run_ensemble`` before its pool forks, so the workers inherit it and a
 command imports it once.  Placement, threshold tuning and the bound run
-without scipy.
+without scipy.  Likewise ``multiprocessing`` loads only when a pool
+starts.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -100,6 +100,8 @@ def _ordered_map(fn: Callable, calls: Sequence[tuple], workers: int) -> list:
     """
     if workers <= 1 or len(calls) <= 1:
         return [fn(*args) for args in calls]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, only for a pool
+
     chunk = max(1, len(calls) // (workers * 8))
     with ProcessPoolExecutor(max_workers=min(workers, len(calls))) as pool:
         try:

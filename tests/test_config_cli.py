@@ -365,8 +365,10 @@ def test_cli_import_leaves_out_scipy_spatial():
 _SCIPY_FREE_MODES = """
 import sys
 scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+pool_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing")
 import srcloc.cli
 assert scipy_modules() == [], ("import srcloc.cli", scipy_modules())
+assert pool_modules() == [], ("import srcloc.cli", pool_modules())
 config, per_sensor, trials, out = sys.argv[1:]
 runs = {
     "geometry": ["geometry", "--config", config],
@@ -377,12 +379,14 @@ runs = {
 for name, argv in runs.items():
     assert srcloc.cli.main(argv + ["--out", f"{out}/{name}"]) == 0, name
     assert scipy_modules() == [], (name, scipy_modules())
+    assert pool_modules() == [], (name, pool_modules())
 """
 
 
 def test_only_ml_modes_load_scipy(tmp_path):
     # scipy is the likelihood layer's import: a bound-only command never
-    # loads it, and an ensemble loads it in the parent before its pool forks
+    # loads it, and an ensemble loads it in the parent before its pool forks.
+    # multiprocessing likewise loads only where a pool starts.
     env = dict(os.environ)
     src_dir = str(Path(srcloc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
@@ -509,18 +513,37 @@ class TestExitCodes:
             ("channel_snr_db", 10**400),
             ("source", [10**400, 0]),
             ("r_t_list", [10**400]),
+            # counts beyond their ceilings, rejected before any work starts
+            ("K", 10**400),
+            ("n_geom", 10**400),
+            ("n_mc", 10**400),
+            ("gamma_num", 10**400),
+            ("max_attempts", 10**400),
+            ("workers", 10**400),
+            ("K", 10**5 + 1),
+            ("n_geom", 10**7 + 1),
+            ("n_mc", 10**7 + 1),
+            ("gamma_num", 10**6 + 1),
+            ("max_attempts", 10**9 + 1),
+            ("workers", 257),
         ],
         ids=[
             "r_t-word", "r_t-numeric-string", "r_t-bool", "r_t-inf", "source-bool-x", "source-bool-y",
             "profile-list", "r_t_list-empty", "snr-huge-int", "source-huge-int", "r_t_list-huge-int",
+            "K-huge-int", "n_geom-huge-int", "n_mc-huge-int", "gamma_num-huge-int",
+            "max_attempts-huge-int", "workers-huge-int",
+            "K-over-ceiling", "n_geom-over-ceiling", "n_mc-over-ceiling", "gamma_num-over-ceiling",
+            "max_attempts-over-ceiling", "workers-over-ceiling",
         ],
     )
     def test_mistyped_value_exit_2(self, tmp_path, capsys, key, bad):
         path = write_config(tmp_path, **{"r_t_list": [1.0, 14.0], key: bad})
-        assert main(["outage", "--config", str(path)]) == 2
+        out = tmp_path / "out"
+        assert main(["outage", "--config", str(path), "--out", str(out)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error_class"] == "ValidationError" and record["exit_code"] == 2
         assert key in record["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "gamma", [{"gamma_min": 20.0, "gamma_max": 10.0}, {"gamma_min": 200.0}], ids=["max", "diameter"]

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -6,8 +7,12 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import log_ndtr, ndtr
 
+from srcloc import crlb
 from srcloc.crlb import (
+    _CURVE_CHUNK,
+    _CURVE_HALF_WIDTH,
     _gradients,
+    _information_curve,
     _normal_cdf,
     condition_indicator,
     crlb_sgle,
@@ -19,6 +24,7 @@ from srcloc.crlb import (
 from srcloc.errors import DegenerateGeometry, QuadratureFailure, SingularFim
 from srcloc.geometry import NetworkGeometry, SourceParams, sample_geometry
 from srcloc.signal_model import SensorEnsembleConfig, received_power, simulate_rounds
+from tests import thresholds
 from tests.conftest import ref_config
 
 
@@ -303,6 +309,11 @@ class TestCrlbSgle:
         dead = np.diag([1e-320, 2e-321, 5e-322])
         with pytest.raises(SingularFim):
             crlb_sgle(ref_source, geom, cfg, fim=dead)
+        # met while tuning a K = 56 geometry at -30 dB: the eigenvalue ratio
+        # passes, and LU meets an exactly zero pivot
+        dead = np.array([[0.0, -5e-324, 0.0], [-5e-324, 1.3335e-320, 1.2554e-320], [0.0, 1.2554e-320, 1.1818e-320]])
+        with pytest.raises(SingularFim):
+            crlb_sgle(ref_source, geom, cfg, fim=dead)
 
     def test_per_sensor_term_norms(self, ref_source):
         geom = sample_geometry(6, 50.0, 0.0, rng=47)
@@ -395,3 +406,55 @@ class TestOptimizeThresholds:
         geom = sample_geometry(4, 50.0, 0.0, rng=52)
         with pytest.raises(ValueError):
             optimize_thresholds(ref_source, geom, ref_config(0.0), mode="bogus")
+
+
+class TestInformationCurve:
+    @pytest.mark.parametrize("channel_snr_db", [-10.0, 0.0, 10.0, 20.0, 30.0, 40.0])
+    def test_against_kernel(self, channel_snr_db):
+        # rel 1e-12 where sensors that shape the bound operate, and finite
+        # and positive wherever a sensor's weight is nonzero
+        cfg = ref_config(channel_snr_db)
+        curve = _information_curve(cfg.eb, cfg.tau2)
+        s = np.linspace(-_CURVE_HALF_WIDTH, _CURVE_HALF_WIDTH, 5461)
+        got = curve(s)
+        assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+        near = s[np.abs(s) <= 10.0]
+        np.testing.assert_allclose(curve(near), mixture_integral(near, cfg.eb, cfg.tau2), rtol=1e-12, atol=0.0)
+
+    def test_memoized_per_channel(self, ref_source, monkeypatch):
+        # the curve is built once per (eb, tau2), in network-sized kernel
+        # calls; a second tuning on that channel calls the kernel only for
+        # its reported bound
+        cfg = ref_config(channel_snr_db=7.25)
+        calls = []
+        real = crlb.mixture_integral
+
+        def counting(s, eb, tau2):
+            calls.append(np.size(s))
+            return real(s, eb, tau2)
+
+        monkeypatch.setattr(crlb, "mixture_integral", counting)
+        _information_curve.cache_clear()
+        optimize_thresholds(ref_source, sample_geometry(20, 50.0, 0.0, rng=56), cfg)
+        assert max(calls[:-1]) <= _CURVE_CHUNK
+        calls.clear()
+        geom = sample_geometry(30, 50.0, 2.0, rng=57)
+        tuned = optimize_thresholds(ref_source, geom, cfg)
+        assert len(calls) == 1 and calls[0] <= geom.K
+        assert tuned.sgle_bound == crlb_sgle(ref_source, geom, cfg.with_beta(tuned.beta)).sgle_bound
+
+
+_FROZEN = json.loads(thresholds.FIXTURE.read_text())["cases"]
+
+
+@pytest.mark.parametrize("channel_snr_db", thresholds.CHANNEL_SNRS_DB)
+def test_common_thresholds_match_exact_search(channel_snr_db):
+    # the curve search picks, bit for bit, the threshold and bound that
+    # scoring every candidate with the exact bound picked
+    geoms = dict(thresholds.geometries())
+    cases = [c for c in _FROZEN if c["channel_snr_db"] == channel_snr_db]
+    assert len(cases) == len(geoms)
+    for case in cases:
+        tuned = thresholds.tune(geoms[case["geometry"]], channel_snr_db)
+        got = (repr(float(tuned.beta)), repr(tuned.sgle_bound))
+        assert got == (case["beta"], case["sgle_bound"]), case["geometry"]

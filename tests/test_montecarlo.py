@@ -114,7 +114,8 @@ class TestRunTrials:
         def no_pool(*args, **kwargs):
             raise AssertionError("run_trials started a process pool")
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        # _ordered_map imports the pool class from here when it starts a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         n_mc = montecarlo._MIN_BLOCK - 1
         ts1, serial = run_trials(*self._args(n_mc))
         ts2, asked_two = run_trials(*self._args(n_mc), workers=2)
