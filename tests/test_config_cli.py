@@ -28,6 +28,7 @@ from srcloc.errors import (
 from srcloc.geometry import SourceParams, load_geometry
 from srcloc.montecarlo import trials_from_csv
 from srcloc.signal_model import SensorEnsembleConfig
+from tests import fingerprint
 
 
 def write_config(tmp_path: Path, name="config.json", **kw) -> Path:
@@ -340,6 +341,16 @@ class TestCliModes:
         cfg = write_config(tmp_path, K=4)
         assert main(["geometry", "--config", str(cfg)]) == 0
         assert (tmp_path / "envout" / "geometry-seed7" / "geometry.json").exists()
+
+
+def test_result_files_match_frozen_fingerprint(tmp_path):
+    # every result file of a fixed command matrix hashes as frozen in
+    # tests/fingerprint.json
+    frozen = json.loads(fingerprint.FIXTURE.read_text())["runs"]
+    got = fingerprint.fingerprint(tmp_path)
+    assert list(got) == list(frozen)
+    for label, hashes in got.items():
+        assert hashes == frozen[label], label
 
 
 class TestWorkers:
