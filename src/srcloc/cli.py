@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import GEOMETRY_MODES, ExperimentConfig, load_config, parse_k_t_bin, require_source_in_disk
-from .crlb import crlb_result_to_dict, crlb_sgle, per_sensor_term_norms
+from .crlb import crlb_sgle, per_sensor_term_norms
 from .errors import (
     ConfigError,
     DegenerateGeometry,
@@ -35,7 +35,7 @@ from .errors import (
     SingularFim,
     SrclocError,
 )
-from .geometry import NetworkGeometry, distances, load_geometry, save_geometry
+from .geometry import NetworkGeometry, has_sub_d0_sensor, load_geometry, save_geometry
 from .montecarlo import (
     _fmt,
     build_ccdf,
@@ -138,16 +138,18 @@ def _run_crlb(config: ExperimentConfig, out: Path) -> list:
     geom = _fixed_geometry(config)
     source = config.source_params
     cfg = with_thresholds(config, geom)
-    doc = crlb_result_to_dict(crlb_sgle(source, geom, cfg))
-    doc.update(
-        {
-            "per_sensor_term_norms": [float(v) for v in per_sensor_term_norms(source, geom, cfg)],
-            "beta": np.asarray(cfg.beta, dtype=float).tolist(),
-            "beta_common": cfg.beta_common,
-            "has_sub_d0_sensor": bool(np.any(distances(geom, source) < config.d0)),
-            "config": config.to_dict(),
-        }
-    )
+    bound = crlb_sgle(source, geom, cfg)
+    doc = {
+        "sgle_bound": bound.sgle_bound,
+        "condition_indicator": bound.condition_indicator,
+        "fim": bound.fim.tolist(),
+        "fim_eigenvalues": bound.eigenvalues.tolist(),
+        "per_sensor_term_norms": per_sensor_term_norms(bound).tolist(),
+        "beta": np.asarray(cfg.beta, dtype=float).tolist(),
+        "beta_common": cfg.beta_common,
+        "has_sub_d0_sensor": has_sub_d0_sensor(geom, source, config.d0),
+        "config": config.to_dict(),
+    }
     (out / "crlb.json").write_text(json.dumps(doc, indent=2) + "\n")
     return ["crlb.json"]
 

@@ -225,8 +225,7 @@ def load_config(
     if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool) or raw["seed"] < 0:
         raise ValidationError("seed", "seed must be a nonnegative integer")
 
-    if raw["K"] is not None:
-        _count(raw, "K")
+    _count(raw, "K")
     _positive(raw, "R")
     _positive(raw, "R_ex", strict=False)
     _positive(raw, "P0")
@@ -251,10 +250,8 @@ def load_config(
             f"gamma_min {raw['gamma_min']!r} must lie below the grid's upper end {gamma_hi!r} "
             "(gamma_max, else the disk diameter 2R)",
         )
-    if raw["workers"] is not None:
-        _count(raw, "workers")
-    if raw["beta"] is not None:
-        _finite(raw, "beta")
+    _count(raw, "workers")
+    _finite(raw, "beta")
 
     src = raw["source"]
     if not isinstance(src, (list, tuple)) or len(src) != 2 or not all(map(_is_finite, src)):

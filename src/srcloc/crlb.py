@@ -19,9 +19,12 @@ The common threshold is searched on an information curve: a
 piecewise-Chebyshev interpolant of log mixture_integral over the s
 range where a sensor's weight is nonzero, built once per (eb, tau2)
 from the exact kernel and memoized, so every geometry of a command
-shares it.  The curve only ranks candidate thresholds; every bound that
-is reported, including the one at the chosen threshold, comes from the
-exact kernel.
+shares it.  The curve only ranks candidate thresholds, and tuning
+returns only the thresholds it picks.  Every bound that is reported
+comes from one exact pass at the chosen thresholds: crlb_sgle evaluates
+each sensor's term on the exact kernel once, and keeps the terms, the
+information matrix and its eigenvalues with the bound, so nothing
+downstream evaluates them again.
 
 The normal CDF Phi that weights the two energy branches comes from the
 standard library (``math.erfc``), applied elementwise: the bound needs it
@@ -34,7 +37,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -286,11 +288,18 @@ def fisher_information(
 
 @dataclass
 class CrlbResult:
-    """Location-error bound: sgle_bound = [I^-1]_xx + [I^-1]_yy."""
+    """Location-error bound sgle_bound = [I^-1]_xx + [I^-1]_yy, and what it comes from.
+
+    ``fim`` is sum_i terms[i] * outer(gradients[i], gradients[i]) over
+    the sensors, and ``eigenvalues`` are its eigenvalues, ascending.
+    """
 
     sgle_bound: float
     fim: np.ndarray
     condition_indicator: float
+    eigenvalues: np.ndarray
+    terms: np.ndarray
+    gradients: np.ndarray
 
 
 def condition_indicator(fim: np.ndarray):
@@ -301,83 +310,73 @@ def condition_indicator(fim: np.ndarray):
     factorization can meet an exactly zero pivot in it.  A float for one
     matrix, an array for a (..., 3, 3) stack.
     """
-    w = np.abs(np.linalg.eigvalsh(fim))
-    w_max, w_min = w.max(axis=-1), w.min(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(w_min < _TINY, np.inf, w_max / w_min)
+    cond = _bounds(fim)[1]
     return float(cond) if cond.ndim == 0 else cond
 
 
 def _bounds(fim: np.ndarray) -> tuple:
-    """Condition indicators and bounds [I^-1]_xx + [I^-1]_yy of a (..., 3, 3) stack.
+    """Eigenvalues, condition indicators and bounds [I^-1]_xx + [I^-1]_yy of a (..., 3, 3) stack.
 
     The bound is inf where the matrix is singular: its condition
     indicator exceeds CONDITION_LIMIT, or its inverse gives no positive
     finite bound.  The second test catches a matrix so small that its
     inverse overflows although its eigenvalue ratio passes.
     """
-    cond = np.asarray(condition_indicator(fim))
+    eigenvalues = np.linalg.eigvalsh(fim)
+    w = np.abs(eigenvalues)
+    w_max, w_min = w.max(axis=-1), w.min(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(w_min < _TINY, np.inf, w_max / w_min)
     bound = np.full(cond.shape, np.inf)
     ok = cond <= CONDITION_LIMIT  # false for inf and nan
     with np.errstate(over="ignore", invalid="ignore"):
         inv = np.linalg.inv(fim[ok])
         b = inv[:, 1, 1] + inv[:, 2, 2]
     bound[ok] = np.where(np.isfinite(b) & (b > 0.0), b, np.inf)
-    return cond, bound
+    return eigenvalues, cond, bound
 
 
-def per_sensor_term_norms(
-    theta: SourceParams,
-    geom: NetworkGeometry,
-    cfg: SensorEnsembleConfig,
-) -> np.ndarray:
-    """Frobenius norm of each sensor's information contribution."""
-    c, v = _exact_terms(theta, geom, cfg)
-    return c * np.sum(v * v, axis=1)
+def _checked_bound(fim: np.ndarray) -> tuple:
+    """Eigenvalues, condition indicator and bound of one information matrix.
+
+    Raises SingularFim when the condition indicator exceeds
+    CONDITION_LIMIT (e.g. a single sensor or collinear layout), or the
+    inverse is not usable.
+    """
+    eigenvalues, cond, bound = _bounds(fim)
+    cond, bound = float(cond), float(bound)
+    if not cond <= CONDITION_LIMIT:
+        raise SingularFim(cond)
+    if bound == np.inf:
+        raise SingularFim(cond, "information matrix inverse is not usable")
+    return eigenvalues, cond, bound
 
 
 def crlb_sgle(
     theta: SourceParams,
     geom: NetworkGeometry,
     cfg: SensorEnsembleConfig,
-    fim: "np.ndarray | None" = None,
 ) -> CrlbResult:
     """Lower bound on mean squared location error for this geometry.
 
-    Raises SingularFim when the information matrix's condition indicator
-    exceeds CONDITION_LIMIT (e.g. a single sensor or collinear layout),
-    or its inverse is not usable.
+    One exact pass: every sensor's term on the exact kernel, the
+    information matrix they sum to, and its eigenvalues, all kept in
+    the result.  Raises SingularFim as _checked_bound does.
     """
-    if fim is None:
-        fim = fisher_information(theta, geom, cfg)
-    cond, bound = (float(v) for v in _bounds(fim))
-    if not cond <= CONDITION_LIMIT:
-        raise SingularFim(cond)
-    if bound == np.inf:
-        raise SingularFim(cond, "information matrix inverse is not usable")
-    return CrlbResult(sgle_bound=bound, fim=fim, condition_indicator=cond)
+    c, v = _exact_terms(theta, geom, cfg)
+    fim = _assemble(c, v)
+    eigenvalues, cond, bound = _checked_bound(fim)
+    return CrlbResult(
+        sgle_bound=bound, fim=fim, condition_indicator=cond, eigenvalues=eigenvalues, terms=c, gradients=v
+    )
 
 
-def crlb_result_to_dict(result: CrlbResult) -> dict:
-    """JSON-ready view of a CrlbResult."""
-    eigvals = np.linalg.eigvalsh(result.fim)
-    return {
-        "sgle_bound": result.sgle_bound,
-        "condition_indicator": result.condition_indicator,
-        "fim": [[float(v) for v in row] for row in result.fim],
-        "fim_eigenvalues": [float(v) for v in eigvals],
-    }
+def per_sensor_term_norms(result: CrlbResult) -> np.ndarray:
+    """Frobenius norm of each sensor's information contribution to a bound."""
+    return result.terms * np.sum(result.gradients * result.gradients, axis=1)
 
 
 # --- threshold optimization -------------------------------------------------
-
-
-@dataclass
-class ThresholdResult:
-    """Optimized quantization threshold(s) and the bound they achieve."""
-
-    beta: Union[float, np.ndarray]
-    sgle_bound: float
 
 
 def _golden_section(f, lo: float, hi: float, tol: float, evaluated: list):
@@ -425,8 +424,12 @@ def optimize_thresholds(
     geom: NetworkGeometry,
     cfg: SensorEnsembleConfig,
     mode: str = "common",
-) -> ThresholdResult:
-    """Pick quantization threshold(s) minimizing the location-error bound.
+) -> float | np.ndarray:
+    """Quantization threshold(s) minimizing the location-error bound.
+
+    Returns only the thresholds: a float in common mode, a (K,) array
+    in per-sensor mode.  No exact bound is evaluated here; the bound the
+    thresholds achieve is crlb_sgle's, which the caller computes once.
 
     Common mode scans _N_COARSE points over
     [-3*sigma, sqrt(P0) + 3*sigma] in one stacked pass, golden-section
@@ -435,8 +438,7 @@ def optimize_thresholds(
     the channel's memoized information curve (_information_curve), whose
     bounds sit within about 1e-12 relative of the exact ones: on 1,040
     random tunings at -30 to 60 dB it picked the threshold the exact
-    scores pick in every case.  The returned sgle_bound is crlb_sgle's
-    exact bound at the chosen threshold.
+    scores pick in every case.
 
     Per-sensor mode is the exact optimum, beta_i = sqrt(P_i) - sigma*s*,
     with s* = argmax g found once for the network's (eb, tau2).  Sensor i
@@ -454,9 +456,7 @@ def optimize_thresholds(
         # No clip to the common bracket is needed: s* lies in [-3, 3], and
         # since P_i <= P0, beta_i stays inside [-3*sigma, sqrt(P0) + 3*sigma].
         P = received_power(theta.P0, cfg.d0, cfg.alpha, distances(geom, theta))
-        beta = np.sqrt(P) - np.sqrt(cfg.sigma2) * s_star
-        bound = crlb_sgle(theta, geom, cfg.with_beta(beta)).sgle_bound
-        return ThresholdResult(beta=beta, sgle_bound=bound)
+        return np.sqrt(P) - np.sqrt(cfg.sigma2) * s_star
 
     sigma = math.sqrt(cfg.sigma2)
     lo = -3.0 * sigma
@@ -466,7 +466,7 @@ def optimize_thresholds(
 
     def curve_bounds(betas: np.ndarray) -> np.ndarray:
         """The bound at each common threshold, inf where singular, on the curve."""
-        return _bounds(_assemble(*_information_terms(theta, geom, cfg, betas[:, None], curve)))[1]
+        return _bounds(_assemble(*_information_terms(theta, geom, cfg, betas[:, None], curve)))[2]
 
     def common_objective(beta: float) -> float:
         return float(curve_bounds(np.array([beta]))[0])
@@ -490,6 +490,4 @@ def optimize_thresholds(
         refined.add(span)
         _golden_section(common_objective, grid[span[0]], grid[span[1]], tol, evaluated)
 
-    best_beta = float(min(evaluated, key=lambda p: (p[0], p[1]))[1])
-    bound = crlb_sgle(theta, geom, cfg.with_beta(best_beta)).sgle_bound
-    return ThresholdResult(beta=best_beta, sgle_bound=bound)
+    return float(min(evaluated, key=lambda p: (p[0], p[1]))[1])

@@ -151,6 +151,11 @@ def count_within(geom: NetworkGeometry, source: SourceParams, R_T: float) -> int
     return int(np.count_nonzero(distances(geom, source) <= R_T))
 
 
+def has_sub_d0_sensor(geom: NetworkGeometry, source: SourceParams, d0: float) -> bool:
+    """Whether any sensor lies closer to the source than the reference distance d0."""
+    return bool(np.any(distances(geom, source) < d0))
+
+
 # --- serialization ----------------------------------------------------------
 #
 # Two on-disk forms carry the same record: a human-readable text table

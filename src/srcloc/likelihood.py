@@ -488,18 +488,6 @@ class _SearchObjective:
         return val, grad, hess
 
 
-def _refine_starts(objective: _SearchObjective, x0s: np.ndarray):
-    """The two-stage search from the starts x0s (S, 3).
-
-    Lockstep Nelder-Mead to the coarse tolerance picks each start's
-    basin, then the Newton polish converges inside it.  Returns (coarse
-    points, polished points, Nelder-Mead's converged flags).
-    """
-    coarse, _, converged = _nelder_mead_batch(objective, x0s, objective.R)
-    polished = _newton_polish(objective.score, coarse)
-    return coarse, polished, converged
-
-
 def ml_estimate_batch(
     ts: np.ndarray,
     geom: NetworkGeometry,
@@ -555,7 +543,9 @@ def ml_estimate_batch(
             j = m * n_starts + _N_STARTS + r
             x0s[j] = rad * np.cos(ang), rad * np.sin(ang), np.log(p0_nominal)
 
-    _, results_x, results_conv = _refine_starts(_SearchObjective(el, rows, R, ln_lo, ln_hi), x0s)
+    objective = _SearchObjective(el, rows, R, ln_lo, ln_hi)
+    coarse, _, results_conv = _nelder_mead_batch(objective, x0s, R)
+    results_x = _newton_polish(objective.score, coarse)
 
     # Project every refined point into the search domain and rescore the
     # raw likelihood there.

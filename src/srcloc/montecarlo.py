@@ -37,7 +37,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .crlb import crlb_sgle, optimize_thresholds
 from .errors import EmptySubset, ParseError, SingularFim
-from .geometry import NetworkGeometry, SourceParams, count_within, distances, sample_geometry
+from .geometry import NetworkGeometry, SourceParams, count_within, has_sub_d0_sensor, sample_geometry
 from .signal_model import SensorEnsembleConfig, simulate_round
 from .streams import ROUND_NS, PLACEMENT_NS, generator, root_stream, substream
 
@@ -179,7 +179,7 @@ def trial_result(
         crlb_sgle=bound,
         crlb_singular=singular,
         k_t={float(rt): count_within(geom, source, rt) for rt in r_t_list},
-        has_sub_d0_sensor=bool(np.any(distances(geom, source) < cfg.d0)),
+        has_sub_d0_sensor=has_sub_d0_sensor(geom, source, cfg.d0),
         n_mc=sq.size,
         beta_common=cfg.beta_common,
     )
@@ -204,9 +204,7 @@ def with_thresholds(config: ExperimentConfig, geom: NetworkGeometry) -> SensorEn
     cfg = config.sensor_config()
     if config.threshold_policy == "fixed":
         return cfg
-    return cfg.with_beta(
-        optimize_thresholds(config.source_params, geom, cfg, mode=config.threshold_policy).beta
-    )
+    return cfg.with_beta(optimize_thresholds(config.source_params, geom, cfg, mode=config.threshold_policy))
 
 
 def run_geometry_trial(config: ExperimentConfig, geometry_id: int) -> GeometryTrialResult:

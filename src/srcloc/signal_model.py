@@ -72,7 +72,8 @@ class SensorEnsembleConfig:
         tau2 = eb * 10^(-channel_snr_db/10).
 
         Raises ValidationError, naming the dB setting, when sigma2, eb or
-        tau2 overflows or underflows (is not positive and finite).
+        tau2 overflows or underflows (is not positive and finite), or when
+        the branch rates 1/(eb + tau2) and 1/tau2 round to one value.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             eb = 10.0 ** (np.asarray(tx_energy_db, dtype=float) / 10.0)
@@ -85,6 +86,9 @@ class SensorEnsembleConfig:
             if not 0.0 < levels[name] < np.inf:
                 msg = f"{key} gives {name} = {levels[name]!r}; it must be positive and finite"
                 raise ValidationError(key, msg)
+        if 1.0 / (levels["eb"] + levels["tau2"]) == 1.0 / levels["tau2"]:
+            msg = f"channel_snr_db gives tau2 = {levels['tau2']!r}: 1/(eb + tau2) rounds to 1/tau2"
+            raise ValidationError("channel_snr_db", msg)
         return cls(d0=d0, alpha=alpha, beta=beta, **levels)
 
     def with_beta(self, beta: ArrayLike) -> "SensorEnsembleConfig":

@@ -54,7 +54,7 @@ def estimate(index: int, channel_snr_db: float, beta: float) -> list:
 def main() -> None:
     cases = []
     for index, snr in enumerate(CHANNEL_SNRS_DB):
-        beta = float(optimize_thresholds(SOURCE, geometry(), sensor_config(snr)).beta)
+        beta = optimize_thresholds(SOURCE, geometry(), sensor_config(snr))
         results = estimate(index, snr, beta)
         cases.append(
             {

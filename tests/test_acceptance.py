@@ -169,9 +169,11 @@ def test_criterion_3_fim_structure():
         np.testing.assert_allclose(fim, parts, rtol=1e-12, atol=0.0)
         # rotation leaves the position-error bound unchanged
         try:
-            base = crlb_sgle(theta, geom, cfg, fim=fim).sgle_bound
+            result = crlb_sgle(theta, geom, cfg)
         except SingularFim:
             continue
+        np.testing.assert_array_equal(result.fim, fim)
+        base = result.sgle_bound
         phi = rng.uniform(0.0, 2 * np.pi)
         c, s = np.cos(phi), np.sin(phi)
         rot = np.array([[c, -s], [s, c]])
@@ -216,7 +218,7 @@ def test_criterion_5_threshold_optimality():
     for trial in range(10):
         geom = sample_geometry(15, 50.0, 0.0, rng=np.random.SeedSequence(500 + trial))
         cfg = _cfg(0.0)
-        tuned = optimize_thresholds(SRC, geom, cfg)
+        tuned = crlb_sgle(SRC, geom, cfg.with_beta(optimize_thresholds(SRC, geom, cfg)))
         grid = np.linspace(0.0, np.sqrt(SRC.P0), 200)
         objs = np.empty(grid.size)
         for j, b in enumerate(grid):
@@ -256,7 +258,7 @@ def test_criterion_6_snr_trend_two_geometries():
     for label, geom in geoms.items():
         for eta in etas:
             cfg = _cfg(eta)
-            cfg = cfg.with_beta(optimize_thresholds(SRC, geom, cfg).beta)
+            cfg = cfg.with_beta(optimize_thresholds(SRC, geom, cfg))
             bound[label, eta] = crlb_sgle(SRC, geom, cfg).sgle_bound
             # matched rounds across eta: the stream key has no eta in it
             stream = root_stream(600 + {"rich": 0, "poor": 1}[label])

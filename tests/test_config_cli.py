@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import srcloc
-from srcloc import cli, errors, montecarlo
+from srcloc import cli, crlb, errors, montecarlo
 from srcloc.cli import _workers, main
 from srcloc.config import GEOMETRY_MODES, MODES, ExperimentConfig, load_config, parse_k_t_bin
 from srcloc.crlb import crlb_sgle
@@ -246,6 +246,28 @@ class TestCliModes:
         source = SourceParams(echo["P0"], *echo["source"])
         geom = load_geometry(gout / "geometry.json")
         assert crlb_sgle(source, geom, sensor_cfg).sgle_bound == doc["sgle_bound"]
+
+    @pytest.mark.parametrize("mode", ["crlb", "estimate"])
+    def test_tuned_command_runs_one_exact_pass(self, tmp_path, monkeypatch, mode):
+        # once the channel's information curve is built, a tuned geometry
+        # calls the exact kernel once and decomposes one matrix once
+        cfg = write_config(tmp_path, K=10, n_mc=2, channel_snr_db=4.5)
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "warm")]) == 0
+        calls = {"kernel": 0, "eigvalsh": 0}
+        kernel, eigvalsh = crlb.mixture_integral, np.linalg.eigvalsh
+
+        def counting_kernel(*args, **kwargs):
+            calls["kernel"] += 1
+            return kernel(*args, **kwargs)
+
+        def counting_eigvalsh(a):
+            calls["eigvalsh"] += np.ndim(a) == 2  # one matrix, not a stack of candidates
+            return eigvalsh(a)
+
+        monkeypatch.setattr(crlb, "mixture_integral", counting_kernel)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "counted")]) == 0
+        assert calls == {"kernel": 1, "eigvalsh": 1}
 
     def test_outage_mode_and_worker_invariance(self, tmp_path):
         cfg = write_config(
@@ -508,6 +530,22 @@ class TestExitCodes:
         assert main(["estimate", "--config", str(path)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error_class"] == "ValidationError" and "obs_snr_db" in record["message"]
+
+    @pytest.mark.parametrize("channel_snr_db", [-158.0, -170.0])
+    @pytest.mark.parametrize("mode", ["crlb", "estimate"])
+    def test_degenerate_channel_snr_exit_2(self, tmp_path, capsys, mode, channel_snr_db):
+        # tau2 so far above eb that 1/(eb + tau2) rounds to 1/tau2: the two
+        # energy branches are one, with fixed or tuned thresholds
+        for kw in ({}, {"beta": 4.0}):
+            path = write_config(tmp_path, K=20, n_mc=2, channel_snr_db=channel_snr_db, **kw)
+            assert main([mode, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record["error_class"] == "ValidationError" and "channel_snr_db" in record["message"]
+
+    def test_lowest_distinct_channel_snr_runs(self, tmp_path):
+        # at -161 dB the two branch rates still differ in floating point
+        path = write_config(tmp_path, K=20, channel_snr_db=-161.0)
+        assert main(["crlb", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize(
         "key, bad",

@@ -11,6 +11,7 @@ from srcloc import crlb
 from srcloc.crlb import (
     _CURVE_CHUNK,
     _CURVE_HALF_WIDTH,
+    _checked_bound,
     _gradients,
     _information_curve,
     _normal_cdf,
@@ -280,8 +281,8 @@ class TestCrlbSgle:
         bounds = []
         for eta in (0.0, 5.0, 10.0, 15.0, 20.0):
             cfg = ref_config(channel_snr_db=eta)
-            tuned = optimize_thresholds(ref_source, geom, cfg)
-            bounds.append(crlb_sgle(ref_source, geom, cfg.with_beta(tuned.beta)).sgle_bound)
+            beta = optimize_thresholds(ref_source, geom, cfg)
+            bounds.append(crlb_sgle(ref_source, geom, cfg.with_beta(beta)).sgle_bound)
         assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_rotation_invariance(self, ref_source):
@@ -301,24 +302,34 @@ class TestCrlbSgle:
         assert condition_indicator(np.diag([1.0, 2.0, 4.0])) == 4.0
         assert condition_indicator(np.diag([1.0, 1.0, 0.0])) == np.inf
 
-    def test_subnormal_fim_raises_instead_of_nan(self, ref_source):
+    def test_subnormal_fim_raises_instead_of_nan(self):
         # all-subnormal eigenvalues pass the ratio gate but overflow the
         # inverse; this must surface as SingularFim, never as a nan bound
-        geom = sample_geometry(4, 50.0, 0.0, rng=53)
-        cfg = ref_config(channel_snr_db=0.0, beta=4.0)
         dead = np.diag([1e-320, 2e-321, 5e-322])
         with pytest.raises(SingularFim):
-            crlb_sgle(ref_source, geom, cfg, fim=dead)
+            _checked_bound(dead)
         # met while tuning a K = 56 geometry at -30 dB: the eigenvalue ratio
         # passes, and LU meets an exactly zero pivot
         dead = np.array([[0.0, -5e-324, 0.0], [-5e-324, 1.3335e-320, 1.2554e-320], [0.0, 1.2554e-320, 1.1818e-320]])
         with pytest.raises(SingularFim):
-            crlb_sgle(ref_source, geom, cfg, fim=dead)
+            _checked_bound(dead)
+
+    def test_result_carries_its_one_exact_pass(self, ref_source):
+        # the terms, matrix and eigenvalues in the result are those of the
+        # reference computations, bit for bit
+        geom = sample_geometry(9, 50.0, 0.0, rng=58)
+        cfg = ref_config(channel_snr_db=3.0, beta=4.0)
+        result = crlb_sgle(ref_source, geom, cfg)
+        np.testing.assert_array_equal(result.fim, fisher_information(ref_source, geom, cfg))
+        np.testing.assert_array_equal(result.eigenvalues, np.linalg.eigvalsh(result.fim))
+        assert result.condition_indicator == condition_indicator(result.fim)
+        summed = sum(c * np.outer(v, v) for c, v in zip(result.terms, result.gradients))
+        np.testing.assert_allclose(summed, result.fim, rtol=1e-13, atol=0.0)
 
     def test_per_sensor_term_norms(self, ref_source):
         geom = sample_geometry(6, 50.0, 0.0, rng=47)
         cfg = ref_config(channel_snr_db=3.0, beta=4.0)
-        norms = per_sensor_term_norms(ref_source, geom, cfg)
+        norms = per_sensor_term_norms(crlb_sgle(ref_source, geom, cfg))
         assert norms.shape == (6,)
         assert np.all(norms >= 0)
 
@@ -336,7 +347,7 @@ class TestOptimizeThresholds:
     def test_beats_grid_scan(self, ref_source):
         geom = sample_geometry(15, 50.0, 0.0, rng=48)
         cfg = ref_config(channel_snr_db=0.0)
-        tuned = optimize_thresholds(ref_source, geom, cfg)
+        tuned = crlb_sgle(ref_source, geom, cfg.with_beta(optimize_thresholds(ref_source, geom, cfg)))
         grid = np.linspace(0.0, np.sqrt(ref_source.P0), 200)
         grid_objs = []
         for b in grid:
@@ -362,8 +373,7 @@ class TestOptimizeThresholds:
         tuned = optimize_thresholds(ref_source, geom, cfg)
         mirrored = NetworkGeometry(sensors=geom.sensors * np.array([1.0, -1.0]), R=geom.R)
         src_m = SourceParams(ref_source.P0, ref_source.xT, -ref_source.yT)
-        tuned_m = optimize_thresholds(src_m, mirrored, cfg)
-        assert tuned_m.beta == tuned.beta
+        assert optimize_thresholds(src_m, mirrored, cfg) == tuned
 
     def test_per_sensor_no_worse_than_common(self, ref_source):
         cases = [(sample_geometry(6, 50.0, 0.0, rng=51), 3.0)]
@@ -372,8 +382,9 @@ class TestOptimizeThresholds:
             cfg = ref_config(channel_snr_db=snr)
             common = optimize_thresholds(ref_source, geom, cfg, mode="common")
             per = optimize_thresholds(ref_source, geom, cfg, mode="per-sensor")
-            assert per.beta.shape == (geom.K,)
-            assert per.sgle_bound <= common.sgle_bound + 1e-12
+            assert isinstance(common, float) and per.shape == (geom.K,)
+            per_bound = crlb_sgle(ref_source, geom, cfg.with_beta(per)).sgle_bound
+            assert per_bound <= crlb_sgle(ref_source, geom, cfg.with_beta(common)).sgle_bound + 1e-12
 
     @pytest.mark.parametrize("channel_snr_db", PER_SENSOR_SNRS_DB)
     def test_per_sensor_thresholds_coordinatewise_optimal(self, ref_source, channel_snr_db):
@@ -385,22 +396,24 @@ class TestOptimizeThresholds:
         for k in range(2):
             geom = _random_geometry(channel_snr_db, k)
             per = optimize_thresholds(ref_source, geom, cfg, mode="per-sensor")
+            per_bound = crlb_sgle(ref_source, geom, cfg.with_beta(per)).sgle_bound
             for i in range(geom.K):
                 for b in grid:
-                    beta = per.beta.copy()
+                    beta = per.copy()
                     beta[i] = b
                     try:
                         bound = crlb_sgle(ref_source, geom, cfg.with_beta(beta)).sgle_bound
                     except SingularFim:
                         continue
-                    assert bound >= per.sgle_bound * (1.0 - 1e-12), (i, b)
+                    assert bound >= per_bound * (1.0 - 1e-12), (i, b)
 
     def test_per_sensor_two_basin_geometry(self, ref_source):
         # the bound as a function of sensor 33's threshold alone has two
         # basins here, and settling in the worse one gives 1.56161
         geom = sample_geometry(50, 50.0, 5.0, rng=7)
-        per = optimize_thresholds(ref_source, geom, ref_config(10.0), mode="per-sensor")
-        assert per.sgle_bound <= 1.5402
+        cfg = ref_config(10.0)
+        per = optimize_thresholds(ref_source, geom, cfg, mode="per-sensor")
+        assert crlb_sgle(ref_source, geom, cfg.with_beta(per)).sgle_bound <= 1.5402
 
     def test_unknown_mode_rejected(self, ref_source):
         geom = sample_geometry(4, 50.0, 0.0, rng=52)
@@ -423,8 +436,7 @@ class TestInformationCurve:
 
     def test_memoized_per_channel(self, ref_source, monkeypatch):
         # the curve is built once per (eb, tau2), in network-sized kernel
-        # calls; a second tuning on that channel calls the kernel only for
-        # its reported bound
+        # calls; a second tuning on that channel does not call the kernel
         cfg = ref_config(channel_snr_db=7.25)
         calls = []
         real = crlb.mixture_integral
@@ -436,12 +448,10 @@ class TestInformationCurve:
         monkeypatch.setattr(crlb, "mixture_integral", counting)
         _information_curve.cache_clear()
         optimize_thresholds(ref_source, sample_geometry(20, 50.0, 0.0, rng=56), cfg)
-        assert max(calls[:-1]) <= _CURVE_CHUNK
+        assert calls and max(calls) <= _CURVE_CHUNK
         calls.clear()
-        geom = sample_geometry(30, 50.0, 2.0, rng=57)
-        tuned = optimize_thresholds(ref_source, geom, cfg)
-        assert len(calls) == 1 and calls[0] <= geom.K
-        assert tuned.sgle_bound == crlb_sgle(ref_source, geom, cfg.with_beta(tuned.beta)).sgle_bound
+        optimize_thresholds(ref_source, sample_geometry(30, 50.0, 2.0, rng=57), cfg)
+        assert calls == []
 
 
 _FROZEN = json.loads(thresholds.FIXTURE.read_text())["cases"]
@@ -455,6 +465,6 @@ def test_common_thresholds_match_exact_search(channel_snr_db):
     cases = [c for c in _FROZEN if c["channel_snr_db"] == channel_snr_db]
     assert len(cases) == len(geoms)
     for case in cases:
-        tuned = thresholds.tune(geoms[case["geometry"]], channel_snr_db)
-        got = (repr(float(tuned.beta)), repr(tuned.sgle_bound))
+        beta, bound = thresholds.tune(geoms[case["geometry"]], channel_snr_db)
+        got = (repr(beta), repr(bound))
         assert got == (case["beta"], case["sgle_bound"]), case["geometry"]

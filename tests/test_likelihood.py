@@ -14,8 +14,9 @@ from srcloc.geometry import NetworkGeometry, SourceParams, sample_geometry
 from srcloc.likelihood import (
     _EnsembleLikelihood,
     _SearchObjective,
+    _nelder_mead_batch,
+    _newton_polish,
     _polar_grid_seeds,
-    _refine_starts,
     log_likelihood,
     ml_estimate_batch,
 )
@@ -323,8 +324,7 @@ class TestMlEstimate:
         # must come in below 5 length units
         geom = sample_geometry(50, 50.0, 0.0, rng=7)
         cfg = ref_config(channel_snr_db=30.0)
-        tuned = optimize_thresholds(ref_source, geom, cfg)
-        cfg = cfg.with_beta(tuned.beta)
+        cfg = cfg.with_beta(optimize_thresholds(ref_source, geom, cfg))
         sq = []
         for m in range(200):
             rng = np.random.default_rng((37, m))
@@ -347,7 +347,8 @@ class TestMlEstimate:
         x0s = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), lnp0])
         el = _EnsembleLikelihood(ts, geom, cfg)
         objective = _SearchObjective(el, rows, 50.0, np.log(10.0), np.log(1e7))
-        coarse, polished, _ = _refine_starts(objective, x0s)
+        coarse, _, _ = _nelder_mead_batch(objective, x0s, objective.R)
+        polished = _newton_polish(objective.score, coarse)
         ids = np.arange(3 * n)
         before, after = objective(coarse, ids), objective(polished, ids)
         assert np.all(after <= before)
@@ -451,7 +452,7 @@ def test_monotone_quality_in_channel_snr(ref_source):
     sgle = {}
     for eta in (0.0, 10.0, 20.0):
         cfg = ref_config(channel_snr_db=eta)
-        cfg = cfg.with_beta(optimize_thresholds(ref_source, geom, cfg).beta)
+        cfg = cfg.with_beta(optimize_thresholds(ref_source, geom, cfg))
         errs = []
         for m in range(100):
             rng = np.random.default_rng((1234, m))

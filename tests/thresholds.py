@@ -4,10 +4,10 @@ Twenty-four geometries of the reference model (R = 50, source (5, 10),
 P0 = 1e4, 40 dB observation SNR, 1 dB transmit energy) at channel SNRs
 -10 to 40 dB: geometries 0 and 1 of ensemble 700, and 22 seeded ones
 with K from 5 to 100 and R_ex from 0 to 5.  ``thresholds.json`` holds
-each tuning's common ``beta`` and ``sgle_bound`` as ``repr`` floats, as
-the search that scored every threshold with the exact bound found them.
-The tests require today's search to return the same two numbers bit for
-bit.  Regenerate (from the repository root) with
+each tuning's common ``beta``, and the exact ``sgle_bound`` at that
+beta, as ``repr`` floats, as the search that scored every threshold with
+the exact bound found them.  The tests require today's search and bound
+to give the same two numbers bit for bit.  Regenerate (from the repository root) with
 
     PYTHONPATH=src python -m tests.thresholds
 
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from srcloc.config import ExperimentConfig
-from srcloc.crlb import optimize_thresholds
+from srcloc.crlb import crlb_sgle, optimize_thresholds
 from srcloc.geometry import sample_geometry
 from srcloc.montecarlo import place_geometry
 
@@ -46,24 +46,21 @@ def geometries() -> list:
     return out
 
 
-def tune(geom, channel_snr_db: float):
-    """The common-mode tuning of one case."""
+def tune(geom, channel_snr_db: float) -> tuple:
+    """The common threshold of one case, and the exact bound it achieves."""
     config = ExperimentConfig(channel_snr_db=channel_snr_db)
-    return optimize_thresholds(config.source_params, geom, config.sensor_config(), mode="common")
+    source, cfg = config.source_params, config.sensor_config()
+    beta = optimize_thresholds(source, geom, cfg, mode="common")
+    return beta, crlb_sgle(source, geom, cfg.with_beta(beta)).sgle_bound
 
 
 def main() -> None:
     cases = []
     for label, geom in geometries():
         for snr in CHANNEL_SNRS_DB:
-            tuned = tune(geom, snr)
+            beta, bound = tune(geom, snr)
             cases.append(
-                {
-                    "geometry": label,
-                    "channel_snr_db": snr,
-                    "beta": repr(float(tuned.beta)),
-                    "sgle_bound": repr(tuned.sgle_bound),
-                }
+                {"geometry": label, "channel_snr_db": snr, "beta": repr(beta), "sgle_bound": repr(bound)}
             )
     FIXTURE.write_text(json.dumps({"command": COMMAND, "cases": cases}, indent=1) + "\n")
 
