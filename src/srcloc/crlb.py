@@ -111,7 +111,13 @@ def mixture_integral(s, eb, tau2):
     analytically.  Against scipy ``quad`` on feature-split panels it is
     within rel 1e-8 (observed: at most 6e-14) at channel SNR eb/tau2
     from -10 to 40 dB for |s| <= 27, the range where a sensor's weight
-    in the information matrix is nonzero.
+    in the information matrix is nonzero.  Below -20 dB (100 eb < tau2)
+    the branch-rate difference b - a, log(b/a) and the integrand's
+    a - b*u are formed without cancellation, from eb/tau2 directly, so
+    the value follows its (eb/tau2)^2 limit: the ratio is within 1e-8 of
+    1 from -100 dB down to the lowest channel SNR the sensor model
+    accepts (about -161 dB at 1 dB transmit energy).  Above -20 dB the
+    plain forms are kept, bit for bit.
 
     Raises QuadratureFailure where the integral diverges (q1 underflowed
     to zero while eb >= tau2) or the tail bound exceeds
@@ -131,11 +137,15 @@ def mixture_integral(s, eb, tau2):
             "mixture integral diverges: the one-branch weight underflowed "
             "and the squared fast branch decays slower than the density"
         )
-    log_ratio = np.log(b / a)
-    t_star = log_ratio / (b - a)  # where the two branch densities cross
+    # Below -20 dB, b - a, log(b/a) and a - b*u cancel: take them from
+    # eb/tau2 directly there, and keep the plain forms above.
+    low = 100.0 * eb < tau2
+    rate = np.where(low, eb / (tau2 * (eb + tau2)), b - a)  # b - a
+    log_ratio = np.where(low, np.log1p(eb / tau2), np.log(b / a))
+    t_star = log_ratio / rate  # where the two branch densities cross
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # where the mixture switches from the fast to the slow branch
-        t_cross = (np.log(q0) - np.log(q1) + log_ratio) / (b - a)
+        t_cross = (np.log(q0) - np.log(q1) + log_ratio) / rate
         t_end = 50.0 / a
         late = (q1 > 0.0) & (q1 < q0)
         t_end = np.maximum(np.where(late, np.maximum(t_end, t_cross + 60.0 / a), t_end), t_star)
@@ -147,7 +157,7 @@ def mixture_integral(s, eb, tau2):
 
     t0 = 0.01 * tau2
     center = np.where(np.isfinite(t_cross), t_cross, t_star)[:, None]
-    steps = (1.0 / (b - a))[:, None] * _CLUSTER_STEPS
+    steps = (1.0 / rate)[:, None] * _CLUSTER_STEPS
     edges = np.concatenate(
         [
             np.zeros((s.size, 1)),
@@ -163,11 +173,14 @@ def mixture_integral(s, eb, tau2):
     half = 0.5 * np.diff(edges, axis=1)[..., None]
     t = 0.5 * (edges[:, 1:] + edges[:, :-1])[..., None] + half * _GL_NODES
 
-    a, b, q0, q1 = (x[:, None, None] for x in (a, b, q0, q1))
-    u = np.exp(-(b - a) * t)  # ratio of fast to slow branch
+    a, b, q0, q1, rate, low = (x[:, None, None] for x in (a, b, q0, q1, rate, low))
+    u = np.exp(-rate * t)  # ratio of fast to slow branch
     den = q1 * a + q0 * b * u
+    gap = a - b * u
+    if low.any():
+        gap = np.where(low, b * -np.expm1(-rate * t) - rate, gap)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f = np.exp(-a * t) * (a - b * u) ** 2 / den
+        f = np.exp(-a * t) * gap**2 / den
         underflow = den == 0.0
         if underflow.any():
             # q1 and u both underflowed: take the analytic limit form

@@ -12,7 +12,12 @@ gradient and Hessian converges inside it.  Nelder-Mead's final
 contraction converges only linearly (Lagarias et al., SIAM J. Optim.
 1998), Newton's quadratically (More, "The Levenberg-Marquardt algorithm:
 implementation and theory", 1978), so the second stage replaces the long
-tail of simplex steps.
+tail of simplex steps.  Each stage stops when its own job is done: a
+simplex at basin scale whose best vertex has a positive-definite Hessian
+and a short Newton step hands that vertex to the polish; one on a flat
+slope or a saddle carries on to a finer scale; one still moving after a
+step cap is handed over as it stands.  The polish stops a start once
+its steps no longer gain anything.
 
 The search's settings are fixed: a 7 x 7 polar grid over the disk crossed
 with P0 factors 0.1, 1 and 10 of nominal seeds it, each round refines its
@@ -57,16 +62,34 @@ def log_likelihood(
 # Fixed search settings (see the module docstring).  Nelder-Mead only
 # picks the basin: a simplex stops when its scaled diameter is below
 # _DIAMETER_TOL_FRAC * R and its relative value spread below
-# _F_SPREAD_REL_TOL, or after _MAX_ITER steps.  The Newton polish starts
-# at its best vertex with damping _DAMPING_INIT, never lets the damping
+# _F_SPREAD_REL_TOL, provided its best vertex has a positive-definite
+# Hessian and an undamped Newton step no longer than _HANDOVER_FRAC * R
+# (scaled).  A simplex that fails this check carries on, on the path it
+# would have taken anyway, down to _RESUME_DIAMETER_FRAC * R.  Any
+# simplex still moving after
+# _MAX_ITER steps is handed over as it stands.  The Newton polish starts
+# at the best vertex with damping _DAMPING_INIT, never lets the damping
 # fall below that, and stops when the damped Newton decrement is below
-# _DECREMENT_REL_TOL * max(1, |f|), when the damping exceeds
-# _DAMPING_MAX, or after _POLISH_MAX_ITER steps.  A coarse simplex can
-# stop partway along a flat curved valley, where the polish has needed
-# up to about 140 damped steps to reach the floor, hence the budget.  The
-# derivative pass scores _SCORE_BLOCK probes at a time, which keeps its
-# temporaries below those of the simplices' first evaluation; the seed
-# grid is scored _GRID_CHUNK seeds at a time against every round.
+# _DECREMENT_REL_TOL * max(1, |f|), after _STALL_STEPS consecutive
+# accepted steps that each gained at most _STALL_REL_GAIN * max(1, |f|),
+# when the damping exceeds _DAMPING_MAX, or after _POLISH_MAX_ITER steps.
+# A coarse simplex can stop partway along a flat curved valley, where the
+# polish has needed up to about 140 damped steps to reach the floor,
+# hence the budget.  The derivative pass scores _SCORE_BLOCK probes at a
+# time, which keeps its temporaries below those of the simplices' first
+# evaluation; the seed grid is scored _GRID_CHUNK seeds at a time against
+# every round.
+#
+# Why these values, measured on the outage-desk configuration (K = 50,
+# 0 dB, 16,000 rounds) against a search that ran every simplex to
+# 1e-3 R and 2000 steps with no stall stop: without the basin check, a
+# basin diameter of 3e-3 R left 2 rounds more than 1e-3 nats lower
+# (0.06 and 0.52 nats), and even 1.25e-3 R left one.  In both the simplex
+# had stopped by a saddle near the P0 floor or on a flat slope, which
+# the check catches.  With the check, 3e-3, 5e-3 and 1e-2 R all left
+# none; the looser two measured no faster, as more simplices fail the
+# check and carry on, so 3e-3 R is kept.  A 200-step cap lost a round
+# by 0.03 nats.  A 5-step stall stop lost at most 3e-5 nats.
 
 _P0_SPAN = 1e3
 _N_GRID_RADIAL = 7
@@ -74,10 +97,14 @@ _N_GRID_ANGULAR = 7
 _P0_SEED_FACTORS = np.array([0.1, 1.0, 10.0])
 _N_STARTS = 4
 _N_RANDOM_STARTS = 1
-_MAX_ITER = 2000
-_DIAMETER_TOL_FRAC = 1e-3
+_MAX_ITER = 300
+_DIAMETER_TOL_FRAC = 3e-3
+_HANDOVER_FRAC = 1e-2
+_RESUME_DIAMETER_FRAC = 1e-3
 _F_SPREAD_REL_TOL = 1e-6
 _POLISH_MAX_ITER = 200
+_STALL_STEPS = 10
+_STALL_REL_GAIN = 1e-10
 _DAMPING_INIT = 1e-6
 _DAMPING_MAX = 1e6
 _DECREMENT_REL_TOL = 1e-13
@@ -95,7 +122,7 @@ class EstimateResult:
     converged: bool
 
 
-def _nelder_mead_batch(f, x0s, R):
+def _nelder_mead_batch(f, x0s, R, in_basin):
     """Run independent Nelder-Mead searches in lockstep over (x, y, ln P0).
 
     ``f(points, ids)`` maps an (m, 3) block of probe points, with their
@@ -103,8 +130,14 @@ def _nelder_mead_batch(f, x0s, R):
     steps R/20, R/20 and 0.25 from its start, then follows the standard
     reflect/expand/contract/shrink rules on its own comparisons;
     batching only vectorizes the function evaluations across simplices.
-    Convergence and the step budget are the search constants above;
-    converged simplices freeze and leave the batch.
+    A simplex converges when its scaled diameter is below
+    _DIAMETER_TOL_FRAC * R, its relative value spread below
+    _F_SPREAD_REL_TOL, and ``in_basin(points, ids)`` flags its best
+    vertex as inside a basin.  An unflagged simplex carries on, on the
+    path a search to that diameter alone would take, and converges at
+    _RESUME_DIAMETER_FRAC * R without another check.  Converged
+    simplices freeze and leave the batch; a simplex still moving after
+    _MAX_ITER steps is returned as it stands, unconverged.
 
     Returns (best points (S, 3), best values (S,), converged flags (S,)).
     """
@@ -112,7 +145,8 @@ def _nelder_mead_batch(f, x0s, R):
     S, n = x0s.shape
     steps = np.array([R / 20.0, R / 20.0, 0.25])
     scale = np.array([1.0, 1.0, R])
-    diam_tol = _DIAMETER_TOL_FRAC * R
+    diam_tol = np.full(S, _DIAMETER_TOL_FRAC * R)
+    floor = _RESUME_DIAMETER_FRAC * R
     verts = np.repeat(x0s[:, None, :], n + 1, axis=1)
     for j in range(n):
         verts[:, j + 1, j] += steps[j]
@@ -132,7 +166,12 @@ def _nelder_mead_batch(f, x0s, R):
         fb, fsw, fw = fvals[ar, ib], fvals[ar, isw], fvals[ar, iw]
         vb = v[ar, ib]
         diam = np.max(np.abs(v - vb[:, None, :]) * scale, axis=(1, 2))
-        done = (diam < diam_tol) & ((fw - fb) <= _F_SPREAD_REL_TOL * np.maximum(1.0, np.abs(fb)))
+        done = (diam < diam_tol[idx]) & ((fw - fb) <= _F_SPREAD_REL_TOL * np.maximum(1.0, np.abs(fb)))
+        check = np.flatnonzero(done & (diam_tol[idx] > floor))
+        if check.size:
+            out = check[~in_basin(vb[check], idx[check])]
+            diam_tol[idx[out]] = floor
+            done[out] = diam[out] < floor
         if done.any():
             converged[idx[done]] = True
             active[idx[done]] = False
@@ -227,10 +266,11 @@ def _newton_polish(score, x0s):
     where rho is the achieved over the predicted decrease, and a
     rejected step or an indefinite system multiplies it by a factor
     that doubles with each consecutive rejection.  A start stops when
-    its damped Newton decrement g'(H + mu*D)^-1 g is negligible or its
-    damping saturates (see the search constants).  Every operation is
-    per start, so a start's path does not depend on the others in the
-    batch.
+    its damped Newton decrement g'(H + mu*D)^-1 g is negligible, when
+    its last _STALL_STEPS accepted steps each gained a negligible amount,
+    or when its damping saturates (see the search constants).  Every
+    operation is per start, so a start's path does not depend on the
+    others in the batch.
 
     Returns the refined points (S, 3).
     """
@@ -240,6 +280,7 @@ def _newton_polish(score, x0s):
     scale = np.abs(np.diagonal(H, axis1=1, axis2=2)).copy()
     mu = np.full(S, _DAMPING_INIT)
     nu = np.full(S, 2.0)
+    stalled = np.zeros(S, dtype=int)
     active = np.ones(S, dtype=bool)
     for _ in range(_POLISH_MAX_ITER):
         idx = np.flatnonzero(active)
@@ -259,8 +300,11 @@ def _newton_polish(score, x0s):
             accepted[trial] = better
             curvature = (p[:, :, None] * Hi[trial] * p[:, None, :]).sum(axis=(1, 2))
             predicted = -(gi[trial] * p).sum(axis=1) - 0.5 * curvature
-            rho = (f[tidx] - ft)[better] / predicted[better]
+            gain = (f[tidx] - ft)[better]
+            rho = gain / predicted[better]
             a = tidx[better]
+            tiny = gain <= _STALL_REL_GAIN * np.maximum(1.0, np.abs(f[a]))
+            stalled[a] = np.where(tiny, stalled[a] + 1, 0)
             x[a] += p[better]
             f[a], g[a], H[a] = ft[better], gt[better], Ht[better]
             scale[a] = np.maximum(scale[a], np.abs(np.diagonal(H[a], axis1=1, axis2=2)))
@@ -270,7 +314,7 @@ def _newton_polish(score, x0s):
         rejected = idx[~done & ~accepted]
         mu[rejected] *= nu[rejected]
         nu[rejected] *= 2.0
-        active[idx[done]] = False
+        active[idx[done | (stalled[idx] >= _STALL_STEPS)]] = False
         active[rejected[mu[rejected] > _DAMPING_MAX]] = False
     return x
 
@@ -340,13 +384,17 @@ class _EnsembleLikelihood:
     def _offsets(self, p0, x, y):
         """Probe-to-sensor offsets dx, dy, squared distances d2 and received
         amplitudes sqrt(P), each (m, K), at the probes (p0, x, y)."""
-        dx = x[:, None] - self.xs[None, :]
-        dy = y[:, None] - self.ys[None, :]
-        d2 = dx * dx + dy * dy
-        ratio = self.d0_sq / np.maximum(d2, self.d0_sq)
+        dx = np.subtract.outer(x, self.xs)
+        dy = np.subtract.outer(y, self.ys)
+        d2 = dx * dx
+        d2 += dy * dy
+        # in place from here on: sqrt(p0 * (d0^2 / max(d2, d0^2))^(alpha/2))
+        amp = np.maximum(d2, self.d0_sq)
+        np.divide(self.d0_sq, amp, out=amp)
         if self.half_alpha != 1.0:
-            ratio = ratio**self.half_alpha
-        return dx, dy, d2, np.sqrt(np.asarray(p0)[:, None] * ratio)
+            amp **= self.half_alpha
+        amp *= np.asarray(p0)[:, None]
+        return dx, dy, d2, np.sqrt(amp, out=amp)
 
     def _log_terms(self, sqrt_p, rows=None, slopes=False):
         """Per-sensor log mixture densities T at the probe amplitudes sqrt_p.
@@ -355,13 +403,24 @@ class _EnsembleLikelihood:
         round scores every probe, giving (n_rounds, m, K).  With slopes,
         also returns dT/ds and d2T/ds2 in the weight argument s.
         """
-        s = (sqrt_p - self.beta) * self.inv_sigma
+        s = sqrt_p - self.beta
+        s *= self.inv_sigma
         sel = (slice(None), None) if rows is None else rows
-        small = ndtr(-np.abs(s))
-        big = 1.0 - small
         pos = s > 0
-        terms = np.where(pos, small, big) * self.f0[sel]
-        terms += np.where(pos, big, small) * self.f1[sel]
+        small = np.abs(s)
+        np.negative(small, out=small)
+        ndtr(small, out=small)
+        big = 1.0 - small
+        # the weights q0 of f0 and q1 of f1, then the products, in place
+        q0 = np.where(pos, small, big)
+        q1 = small
+        np.copyto(q1, big, where=pos)
+        if rows is None:
+            terms = q0 * self.f0[sel]
+            terms += q1 * self.f1[sel]
+        else:
+            terms = np.multiply(q0, self.f0[rows], out=q0)
+            terms += np.multiply(q1, self.f1[rows], out=q1)
         low = terms < self.floor
         with np.errstate(divide="ignore"):
             np.log(terms, out=terms)
@@ -445,7 +504,7 @@ class _SearchObjective:
         self.ln_lo, self.ln_hi = ln_lo, ln_hi
 
     def _p0(self, lnp0):
-        return np.exp(np.clip(lnp0, self.ln_lo - 30.0, self.ln_hi + 30.0))
+        return np.exp(np.minimum(np.maximum(lnp0, self.ln_lo - 30.0), self.ln_hi + 30.0))
 
     def _penalty(self, V, val):
         R, ln_lo, ln_hi = self.R, self.ln_lo, self.ln_hi
@@ -454,8 +513,9 @@ class _SearchObjective:
         over = rad > R
         if over.any():
             val = val + np.where(over, 1e6 * (rad / R - 1.0) ** 2, 0.0)
-        val = val + np.where(lnp0 < ln_lo, 1e6 * (ln_lo - lnp0) ** 2, 0.0)
-        val = val + np.where(lnp0 > ln_hi, 1e6 * (lnp0 - ln_hi) ** 2, 0.0)
+        for side, excess in ((lnp0 < ln_lo, ln_lo - lnp0), (lnp0 > ln_hi, lnp0 - ln_hi)):
+            if side.any():
+                val = val + np.where(side, 1e6 * excess**2, 0.0)
         return val, rad, over
 
     def __call__(self, V, sidx):
@@ -544,7 +604,15 @@ def ml_estimate_batch(
             x0s[j] = rad * np.cos(ang), rad * np.sin(ang), np.log(p0_nominal)
 
     objective = _SearchObjective(el, rows, R, ln_lo, ln_hi)
-    coarse, _, results_conv = _nelder_mead_batch(objective, x0s, R)
+    scale = np.array([1.0, 1.0, R])
+
+    def in_basin(V, sidx):
+        # positive-definite Hessian and a Newton step within the handover radius
+        _, g, H = objective.score(V, sidx)
+        step, pd = _cholesky_solve3(H, -g)
+        return pd & (np.max(np.abs(step) * scale, axis=1) <= _HANDOVER_FRAC * R)
+
+    coarse, _, results_conv = _nelder_mead_batch(objective, x0s, R, in_basin)
     results_x = _newton_polish(objective.score, coarse)
 
     # Project every refined point into the search domain and rescore the

@@ -80,8 +80,10 @@ class OutageCurve:
 
 
 # Fewest rounds worth a pool task.  Smaller lockstep batches cost more
-# per round: the Nelder-Mead tail, where few of a batch's rounds are
-# still active, is paid once per batch.
+# per round: the search's tail, where few of a batch's starts are still
+# active, is paid once per batch.  The step cap (300 simplex steps) and
+# the polish's stall stop bound that tail, but each of its lockstep calls
+# still costs about as much for one start as for fifty.
 _MIN_BLOCK = 100
 
 

@@ -138,6 +138,15 @@ class TestMixtureIntegral:
         ref = np.array([_quad_mixture_integral(v, eb, tau2) for v in s])
         np.testing.assert_allclose(got, ref, rtol=1e-8, atol=0.0)
 
+    @pytest.mark.parametrize("channel_snr_db", [-100.0, -120.0, -140.0, -155.0, -161.0])
+    def test_low_channel_snr_limit(self, channel_snr_db):
+        # as eb/tau2 -> 0 the integral tends to (eb/tau2)^2 (1 + O(eb/tau2))
+        # whatever the weights, down to the lowest SNR the CLI accepts
+        cfg = ref_config(channel_snr_db)
+        eb, tau2 = float(cfg.eb), float(cfg.tau2)
+        got = mixture_integral(np.array([-1.0, 0.0, 1.0]), eb, tau2)
+        np.testing.assert_allclose(got / (eb / tau2) ** 2, 1.0, rtol=0.0, atol=1e-8)
+
     def test_zero_transmit_energy(self):
         assert mixture_integral((10.0 - 5.0) / 1.0, 0.0, 1.0) == 0.0
 
