@@ -11,6 +11,7 @@ from scipy.special import log_ndtr, ndtr
 from scipy.stats import chisquare, norm, wilcoxon
 
 from srcloc import likelihood
+from srcloc.config import load_config
 from srcloc.crlb import optimize_thresholds
 from srcloc.geometry import NetworkGeometry, SourceParams, sample_geometry
 from srcloc.likelihood import (
@@ -22,12 +23,14 @@ from srcloc.likelihood import (
     log_likelihood,
     ml_estimate_batch,
 )
+from srcloc.montecarlo import place_geometry, with_thresholds
 from srcloc.signal_model import (
     SensorEnsembleConfig,
     received_power,
     simulate_round,
     simulate_rounds,
 )
+from srcloc.streams import ROUND_NS, generator, root_stream, substream
 from tests import search_quality
 from tests.conftest import marginal_energy_cdf, marginal_energy_pdf, ref_config
 
@@ -451,10 +454,6 @@ class TestMlEstimate:
         # lost a basin, by 0.06 nats (a saddle by the P0 floor) and 0.52
         # nats (a flat slope that a finer simplex walks down); loglik is
         # what the search found before the basin-scale stop
-        from srcloc.config import load_config
-        from srcloc.montecarlo import place_geometry, with_thresholds
-        from srcloc.streams import ROUND_NS, generator, root_stream, substream
-
         config = load_config(None, mode="outage", overrides=dict(
             K=50, R=50.0, R_ex=5.0, channel_snr_db=0.0, n_geom=8, n_mc=200, seed=seed))
         geom = place_geometry(config, geometry_id)
