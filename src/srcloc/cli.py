@@ -25,16 +25,7 @@ import numpy as np
 from . import __version__
 from .config import GEOMETRY_MODES, ExperimentConfig, load_config, parse_k_t_bin, require_source_in_disk
 from .crlb import crlb_sgle, per_sensor_term_norms
-from .errors import (
-    ConfigError,
-    DegenerateGeometry,
-    EmptySubset,
-    PackingFailure,
-    ParseError,
-    QuadratureFailure,
-    SingularFim,
-    SrclocError,
-)
+from .errors import ConfigError, EmptySubset, PackingFailure, ParseError, SrclocError
 from .geometry import NetworkGeometry, has_sub_d0_sensor, load_geometry, save_geometry
 from .montecarlo import (
     _fmt,
@@ -288,16 +279,13 @@ def main(argv=None) -> int:
     except PackingFailure as exc:
         _error_record(out, exc, EXIT_PACKING)
         return EXIT_PACKING
-    except (SingularFim, QuadratureFailure, DegenerateGeometry, FloatingPointError) as exc:
-        _error_record(out, exc, EXIT_NUMERICAL)
-        return EXIT_NUMERICAL
     except OSError as exc:
         _error_record(out, exc, EXIT_IO)
         return EXIT_IO
     except ConfigError as exc:  # a malformed geometry file or trials table
         _error_record(out, exc, EXIT_CONFIG)
         return EXIT_CONFIG
-    except SrclocError as exc:
+    except (SrclocError, FloatingPointError) as exc:
         _error_record(out, exc, EXIT_NUMERICAL)
         return EXIT_NUMERICAL
     except BrokenExecutor as exc:  # BrokenProcessPool: srcloc runs no thread pool

@@ -99,7 +99,6 @@ _N_GRID_RADIAL = 7
 _N_GRID_ANGULAR = 7
 _P0_SEED_FACTORS = np.array([0.1, 1.0, 10.0])
 _N_STARTS = 4
-_N_RANDOM_STARTS = 1
 _MAX_ITER = 300
 _DIAMETER_TOL_FRAC = 3e-3
 _HANDOVER_FRAC = 1e-2
@@ -590,11 +589,11 @@ def ml_estimate_batch(
     seed_order = np.argsort(-grid_ll, axis=1, kind="stable")
 
     # Per round: high-scoring seeds kept at least one grid cell apart so
-    # the local searches explore separate modes, then random extras.  The
+    # the local searches explore separate modes, then one random start.  The
     # 7 outer-ring seeds are about 0.81 R apart and a pick blocks only
     # points within R/7, so 3 picks leave a 4th distinct seed.
     min_sep_sq = (R / _N_GRID_RADIAL) ** 2
-    n_starts = _N_STARTS + _N_RANDOM_STARTS
+    n_starts = _N_STARTS + 1
     x0s = np.empty((M * n_starts, 3))
     rows = np.repeat(np.arange(M), n_starts)
     for m in range(M):
@@ -606,11 +605,9 @@ def ml_estimate_batch(
                 continue
             picked.append((gx[idx], gy[idx]))
             x0s[m * n_starts + len(picked) - 1] = gx[idx], gy[idx], np.log(gp[idx])
-        for r in range(_N_RANDOM_STARTS):
-            ang = rngs[m].uniform(0.0, 2.0 * np.pi)
-            rad = R * np.sqrt(rngs[m].uniform())
-            j = m * n_starts + _N_STARTS + r
-            x0s[j] = rad * np.cos(ang), rad * np.sin(ang), np.log(p0_nominal)
+        ang = rngs[m].uniform(0.0, 2.0 * np.pi)
+        rad = R * np.sqrt(rngs[m].uniform())
+        x0s[m * n_starts + _N_STARTS] = rad * np.cos(ang), rad * np.sin(ang), np.log(p0_nominal)
 
     objective = _SearchObjective(el, rows, R, ln_lo, ln_hi)
     scale = np.array([1.0, 1.0, R])

@@ -29,7 +29,7 @@ starts.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -45,20 +45,51 @@ if TYPE_CHECKING:
     from .likelihood import EstimateResult
 
 
+# Fixed-order CSV schemas; floats carry 17 significant digits so files
+# round-trip exactly and reruns are byte-comparable.
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def _flag(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"flag cell {cell!r} is neither 0 nor 1")
+    return cell == "1"
+
+
+def _mean_square(cell: str) -> float:
+    x = float(cell)
+    if not 0.0 <= x < np.inf:
+        raise ValueError(f"{cell!r} is not a finite nonnegative mean square")
+    return x
+
+
+_INT = {"fmt": str, "parse": int}
+_FLAG = {"fmt": lambda b: str(int(b)), "parse": _flag}
+_MEAN_SQUARE = {"fmt": _fmt, "parse": _mean_square}
+_OPTIONAL = {"fmt": lambda b: "" if b is None else _fmt(b), "parse": lambda c: float(c) if c else None}
+
+
 @dataclass
 class GeometryTrialResult:
-    """Per-geometry outcome of the inner Monte-Carlo loop."""
+    """Per-geometry outcome of the inner Monte-Carlo loop, and the schema of
+    the trials table: each field is a column, written by its metadata's
+    ``fmt`` and read back by its ``parse``, except that a ``per_radius``
+    field is one ``<name>@<R_T>`` column per radius."""
 
-    geometry_id: int
-    seed: int
-    empirical_sgle: float
-    sgle_var: float
-    crlb_sgle: float  # nan when the information matrix was singular
-    crlb_singular: bool
-    k_t: dict  # R_T -> sensor count around the source
-    has_sub_d0_sensor: bool
-    n_mc: int
-    beta_common: Optional[float] = None
+    geometry_id: int = field(metadata=_INT)
+    seed: int = field(metadata=_INT)
+    empirical_sgle: float = field(metadata=_MEAN_SQUARE)
+    sgle_var: float = field(metadata=_MEAN_SQUARE)
+    # nan when the information matrix was singular
+    crlb_sgle: float = field(metadata={"fmt": _fmt, "parse": float})
+    crlb_singular: bool = field(metadata=_FLAG)
+    k_t: dict = field(metadata={**_INT, "per_radius": True})  # R_T -> sensor count around the source
+    has_sub_d0_sensor: bool = field(metadata=_FLAG)
+    n_mc: int = field(metadata=_INT)
+    beta_common: Optional[float] = field(default=None, metadata=_OPTIONAL)
 
     @property
     def sgle_stderr(self) -> float:
@@ -291,35 +322,18 @@ def conditioned_ccdf(
 
 
 # --- artifact serialization -------------------------------------------------
-#
-# Fixed-order CSV schemas; floats carry 17 significant digits so files
-# round-trip exactly and reruns are byte-comparable.
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def trials_to_csv(trials: Sequence[GeometryTrialResult], r_t_list: Sequence[float]) -> str:
-    cols = ["geometry_id", "seed", "empirical_sgle", "sgle_var", "crlb_sgle", "crlb_singular"]
-    cols += [f"k_t@{_fmt(float(rt))}" for rt in r_t_list]
-    cols += ["has_sub_d0_sensor", "n_mc", "beta_common"]
-    lines = [",".join(cols)]
+    header = []
+    for f in fields(GeometryTrialResult):
+        header += [f"{f.name}@{_fmt(rt)}" for rt in r_t_list] if f.metadata.get("per_radius") else [f.name]
+    lines = [",".join(header)]
     for tr in trials:
-        row = [
-            str(tr.geometry_id),
-            str(tr.seed),
-            _fmt(tr.empirical_sgle),
-            _fmt(tr.sgle_var),
-            _fmt(tr.crlb_sgle),
-            str(int(tr.crlb_singular)),
-        ]
-        row += [str(tr.k_t[float(rt)]) for rt in r_t_list]
-        row += [
-            str(int(tr.has_sub_d0_sensor)),
-            str(tr.n_mc),
-            "" if tr.beta_common is None else _fmt(tr.beta_common),
-        ]
+        row = []
+        for f in fields(GeometryTrialResult):
+            fmt, value = f.metadata["fmt"], getattr(tr, f.name)
+            row += [fmt(value[rt]) for rt in r_t_list] if f.metadata.get("per_radius") else [fmt(value)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -328,32 +342,26 @@ def trials_from_csv(
     text: str, origin: str = "trials table"
 ) -> tuple[list[GeometryTrialResult], list[float]]:
     """Inverse of trials_to_csv; raises ParseError, naming ``origin``, on a
-    malformed table or one with no rows."""
+    table it could not have written or one with no rows."""
     try:
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = lines[0].split(",")
-        r_t_list = [float(c.split("@", 1)[1]) for c in header if c.startswith("k_t@")]
-        k_t_cols = [i for i, c in enumerate(header) if c.startswith("k_t@")]
-        col = {name: i for i, name in enumerate(header)}
+        r_t_list = [float(c.split("@", 1)[1]) for c in lines[0].split(",") if "@" in c]
+        if lines[0] + "\n" != trials_to_csv([], r_t_list):
+            raise ValueError(f"header {lines[0]!r} is not a trials table's")
         trials = []
         for ln in lines[1:]:
-            parts = ln.split(",")
-            beta_raw = parts[col["beta_common"]]
-            trials.append(
-                GeometryTrialResult(
-                    geometry_id=int(parts[col["geometry_id"]]),
-                    seed=int(parts[col["seed"]]),
-                    empirical_sgle=float(parts[col["empirical_sgle"]]),
-                    sgle_var=float(parts[col["sgle_var"]]),
-                    crlb_sgle=float(parts[col["crlb_sgle"]]),
-                    crlb_singular=bool(int(parts[col["crlb_singular"]])),
-                    k_t={rt: int(parts[i]) for rt, i in zip(r_t_list, k_t_cols)},
-                    has_sub_d0_sensor=bool(int(parts[col["has_sub_d0_sensor"]])),
-                    n_mc=int(parts[col["n_mc"]]),
-                    beta_common=None if beta_raw == "" else float(beta_raw),
-                )
-            )
-    except (ValueError, KeyError, IndexError) as exc:
+            if ln.count(",") != lines[0].count(","):
+                raise ValueError(f"row {ln!r} is not as wide as the header")
+            cells = iter(ln.split(","))
+            row = {}
+            for f in fields(GeometryTrialResult):
+                parse = f.metadata["parse"]
+                if f.metadata.get("per_radius"):
+                    row[f.name] = {rt: parse(next(cells)) for rt in r_t_list}
+                else:
+                    row[f.name] = parse(next(cells))
+            trials.append(GeometryTrialResult(**row))
+    except (ValueError, IndexError) as exc:
         raise ParseError(f"{origin}: malformed trials table ({type(exc).__name__}: {exc})") from exc
     if not trials:
         raise ParseError(f"{origin}: trials table has no rows")

@@ -30,6 +30,11 @@ from srcloc.montecarlo import trials_from_csv
 from srcloc.signal_model import SensorEnsembleConfig
 from tests import fingerprint
 
+TRIALS_HEADER = (
+    "geometry_id,seed,empirical_sgle,sgle_var,crlb_sgle,crlb_singular,k_t@14,"
+    "has_sub_d0_sensor,n_mc,beta_common\n"
+)
+
 
 def write_config(tmp_path: Path, name="config.json", **kw) -> Path:
     base = {"K": 8, "R": 50.0, "seed": 7}
@@ -657,10 +662,16 @@ class TestExitCodes:
                 "geometry_id,seed,empirical_sgle,sgle_var,crlb_sgle,crlb_singular,k_t@10,"
                 "has_sub_d0_sensor,n_mc,beta_common\n0,7,1.5,0.5,1.25,0,2,0,2,4\n",
             ),
+            # rows the writer never produces, under a header it does
+            ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,0.5,1.25,2,2,0,2,4\n"),
+            ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,0.5,1.25,0,2,0,2,4,9\n"),
+            ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,nan,0.5,1.25,0,2,0,2,4\n"),
+            ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,-0.5,1.25,0,2,0,2,4\n"),
         ],
         ids=[
             "text-row", "json-no-sensors", "csv-no-beta-column", "empty-trials", "header-only",
-            "no-conditioning-radius",
+            "no-conditioning-radius", "flag-not-0-or-1", "row-wider-than-header", "nan-mean-square",
+            "negative-variance",
         ],
     )
     def test_malformed_input_file_exit_2(self, tmp_path, mode, flag, name, content):
@@ -675,8 +686,25 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "exc, code",
-        [(BrokenProcessPool("a worker died"), 6), (KeyboardInterrupt(), 130)],
-        ids=["broken-pool", "interrupt"],
+        [
+            (BrokenProcessPool("a worker died"), 6),
+            (KeyboardInterrupt(), 130),
+            (SrclocError("numerical"), 4),
+            (DegenerateGeometry("a sensor on the source"), 4),
+            (SingularFim(1e20), 4),
+            (QuadratureFailure("tail above tolerance"), 4),
+            (EmptySubset("no geometry"), 4),
+            (FloatingPointError("overflow"), 4),
+            (OSError("disk full"), 5),
+            (ParseError("bad table"), 2),
+            (ValidationError("K"), 2),
+            (PackingFailure(3, 100), 3),
+        ],
+        ids=[
+            "broken-pool", "interrupt", "srcloc-error", "degenerate-geometry", "singular-fim",
+            "quadrature-failure", "empty-subset", "floating-point", "os-error", "parse-error",
+            "validation-error", "packing",
+        ],
     )
     def test_pool_failure_and_interrupt_exit_codes(self, tmp_path, monkeypatch, exc, code):
         def runner(config, out):

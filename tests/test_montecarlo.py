@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,17 +256,25 @@ class TestConditionedCcdf:
 
 class TestSerialization:
     def test_trials_csv_roundtrip_exact(self):
-        config = _mini_config(11, n_geom=3)
-        trials = run_ensemble(config, workers=1)
-        text = trials_to_csv(trials, config.r_t_list)
-        back, r_t_list = trials_from_csv(text)
-        assert r_t_list == [14.0]
+        # every column of every kind: a singular row (nan bound, flag 1), a
+        # per-sensor row (no common threshold), a row with a sensor inside d0,
+        # and two radii; floats that need all 17 digits
+        r_t_list = [7.5, 14.0]
+        trials = [
+            GeometryTrialResult(0, 11, 1 / 3, 0.1 + 0.2, np.nan, True, {7.5: 0, 14.0: 2}, False, 200, 4.0),
+            GeometryTrialResult(1, 11, 2.5e-300, 0.0, 1e-7 / 3, False, {7.5: 1, 14.0: 3}, False, 200, None),
+            GeometryTrialResult(2, 11, 1e300 / 7, 7e-3, 2 / 3, False, {7.5: 3, 14.0: 9}, True, 2, np.pi),
+        ]
+        text = trials_to_csv(trials, r_t_list)
+        back, back_r_t = trials_from_csv(text)
+        assert back_r_t == r_t_list
+        assert trials_to_csv(back, back_r_t) == text
+        assert len(back) == len(trials)
         for a, b in zip(trials, back):
-            assert a.geometry_id == b.geometry_id
-            assert a.empirical_sgle == b.empirical_sgle
-            assert a.sgle_var == b.sgle_var
-            assert a.k_t == b.k_t
-            assert a.beta_common == b.beta_common
+            for f in fields(GeometryTrialResult):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert type(x) is type(y), f.name
+                assert x == y or (np.isnan(x) and np.isnan(y)), f.name
 
     def test_curve_csv_layout(self):
         trials = [GeometryTrialResult(0, 0, 9.0, 0.0, 4.0, False, {}, False, 1)]
