@@ -44,7 +44,6 @@ from .montecarlo import (
     trials_to_csv,
     with_thresholds,
 )
-from .streams import root_stream, substream
 
 OUT_DIR_ENV = "SRCLOC_OUT"
 
@@ -89,7 +88,7 @@ def _run_estimate(config: ExperimentConfig, out: Path) -> list:
     geom = _fixed_geometry(config)
     source = config.source_params
     cfg = with_thresholds(config, geom)
-    stream = substream(root_stream(config.seed), 0)
+    stream = np.random.SeedSequence(config.seed, spawn_key=(0,))
     ts, estimates = run_trials(geom, source, cfg, config.n_mc, stream, workers=_workers(config))
 
     est_lines = ["trial,x_hat,y_hat,p0_hat,log_likelihood,converged,sgle"]

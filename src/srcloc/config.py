@@ -165,6 +165,12 @@ def _count(raw: dict, key: str):
         raise ValidationError(key, f"{key} must be an integer from 1 to {ceiling}")
 
 
+def _path(raw: dict, key: str):
+    val = raw.get(key)
+    if val is not None and (not isinstance(val, str) or not val):
+        raise ValidationError(key, f"{key} must be a nonempty path string")
+
+
 def load_config(
     path: Optional[str] = None,
     mode: Optional[str] = None,
@@ -208,6 +214,8 @@ def load_config(
     if raw["mode"] not in MODES:
         raise ValidationError("mode", f"mode must be one of {MODES}, got {raw['mode']!r}")
 
+    for key in ("out_dir", "geometry_file", "trials_file"):
+        _path(raw, key)
     if raw["geometry_file"] is not None and raw["mode"] not in GEOMETRY_MODES:
         raise ValidationError(
             "geometry_file",

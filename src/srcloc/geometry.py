@@ -164,6 +164,13 @@ def has_sub_d0_sensor(geom: NetworkGeometry, source: SourceParams, d0: float) ->
 # round-trips are exact.
 
 
+def _require_k(geom: NetworkGeometry, K) -> NetworkGeometry:
+    """``geom``, unless the file's stated sensor count K disagrees with its rows."""
+    if K is not None and K != geom.K:
+        raise ValueError(f"the file states K = {K!r} but lists {geom.K} sensors")
+    return geom
+
+
 def geometry_to_text(geom: NetworkGeometry, seed: Optional[int] = None) -> str:
     lines = [
         f"# {GEOMETRY_FORMAT} v{GEOMETRY_VERSION}",
@@ -200,11 +207,12 @@ def geometry_from_text(text: str) -> NetworkGeometry:
         rows.append((float(parts[1]), float(parts[2])))
     if "R" not in meta:
         raise ValueError("geometry text is missing the R metadata line")
-    return NetworkGeometry(
+    geom = NetworkGeometry(
         sensors=np.array(rows),
         R=float(meta["R"]),
         R_ex=float(meta.get("R_ex", 0.0)),
     )
+    return _require_k(geom, int(meta["K"]) if "K" in meta else None)
 
 
 def geometry_to_json(geom: NetworkGeometry, seed: Optional[int] = None) -> str:
@@ -224,11 +232,12 @@ def geometry_from_json(text: str) -> NetworkGeometry:
     doc = json.loads(text)
     if doc.get("format") != GEOMETRY_FORMAT:
         raise ValueError("not a geometry document")
-    return NetworkGeometry(
+    geom = NetworkGeometry(
         sensors=np.array(doc["sensors"], dtype=float),
         R=float(doc["R"]),
         R_ex=float(doc.get("R_ex", 0.0)),
     )
+    return _require_k(geom, doc.get("K"))
 
 
 def save_geometry(path, geom: NetworkGeometry, seed: Optional[int] = None) -> None:

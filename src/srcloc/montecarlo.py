@@ -8,9 +8,10 @@ sensing rounds.  Over the ensemble, the outage CCDF at threshold gamma
 is the fraction of geometries whose mean squared error (empirical, and
 separately the bound) exceeds gamma^2.
 
-Every trial draws from a stream keyed by (master seed, geometry index,
-round index), so results are bitwise identical at any worker count and
-any single trial can be replayed in isolation.
+Every draw is keyed by a numpy SeedSequence spawn key under the master
+seed: geometry gi places its sensors from key (gi, PLACEMENT_NS) and
+runs round m from key (gi, ROUND_NS, m).  So results are bitwise
+identical at any worker count, and any trial can be replayed alone.
 
 Parallelism is one process pool at a time: an ensemble spreads its
 geometries over the workers, and a single geometry's rounds run serially
@@ -39,11 +40,13 @@ from .crlb import crlb_sgle, optimize_thresholds
 from .errors import EmptySubset, ParseError, SingularFim
 from .geometry import NetworkGeometry, SourceParams, count_within, has_sub_d0_sensor, sample_geometry
 from .signal_model import SensorEnsembleConfig, simulate_round
-from .streams import ROUND_NS, PLACEMENT_NS, generator, root_stream, substream
 
 if TYPE_CHECKING:
     from .likelihood import EstimateResult
 
+# Spawn-key namespaces under a geometry's key: its placement, and its rounds.
+PLACEMENT_NS = 0
+ROUND_NS = 1
 
 # Fixed-order CSV schemas; floats carry 17 significant digits so files
 # round-trip exactly and reruns are byte-comparable.
@@ -154,9 +157,9 @@ def run_trials(
 ) -> tuple[np.ndarray, list[EstimateResult]]:
     """Energies and ML estimates for n_mc rounds of one geometry.
 
-    Round m draws from the (ROUND_NS, m) substream of ``stream``, and
-    the estimator's random restart consumes the remainder of that
-    round's stream, so every trial is individually replayable.
+    ``stream`` is the geometry's, key (gi,); round m draws from key
+    (gi, ROUND_NS, m), and the estimator's random restart consumes the
+    remainder of that round's draws, so every trial is replayable alone.
     ``ml_estimate_batch``, with the source's P0 as its nominal P0,
     refines the rounds in lockstep batches: one batch, or with
     workers > 1 up to ``n_mc // _MIN_BLOCK`` contiguous blocks run in a
@@ -166,7 +169,8 @@ def run_trials(
     """
     from .likelihood import ml_estimate_batch
 
-    rngs = [generator(substream(stream, ROUND_NS, m)) for m in range(n_mc)]
+    entropy, key = stream.entropy, (*stream.spawn_key, ROUND_NS)
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(*key, m))) for m in range(n_mc)]
     ts = np.stack([simulate_round(geom, source, cfg, rng) for rng in rngs])
 
     n_blocks = max(1, min(workers, n_mc // _MIN_BLOCK))
@@ -219,13 +223,14 @@ def trial_result(
 
 
 def place_geometry(config: ExperimentConfig, geometry_id: int) -> NetworkGeometry:
-    """Geometry ``geometry_id`` of the config's ensemble, placed from stream (geometry_id, PLACEMENT_NS)."""
+    """Geometry ``geometry_id`` of the config's ensemble, placed from key (geometry_id, PLACEMENT_NS)."""
+    seeds = np.random.SeedSequence(config.seed, spawn_key=(geometry_id, PLACEMENT_NS))
     return sample_geometry(
         config.K,
         config.R,
         config.R_ex,
         max_attempts=config.max_attempts,
-        rng=generator(substream(root_stream(config.seed), geometry_id, PLACEMENT_NS)),
+        rng=np.random.default_rng(seeds),
         source_xy=config.source,
         source_exclusion=config.source_exclusion,
     )
@@ -245,7 +250,7 @@ def run_geometry_trial(config: ExperimentConfig, geometry_id: int) -> GeometryTr
     geom = place_geometry(config, geometry_id)
     source = config.source_params
     cfg = with_thresholds(config, geom)
-    stream = substream(root_stream(config.seed), geometry_id)
+    stream = np.random.SeedSequence(config.seed, spawn_key=(geometry_id,))
     _, estimates = run_trials(geom, source, cfg, config.n_mc, stream)
     return trial_result(geom, source, cfg, estimates, config.r_t_list, geometry_id, config.seed)
 

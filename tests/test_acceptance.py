@@ -35,7 +35,6 @@ from srcloc.signal_model import (
     simulate_rounds,
     transmit_and_detect,
 )
-from srcloc.streams import root_stream
 from tests.conftest import marginal_energy_cdf, marginal_energy_pdf
 
 pytestmark = pytest.mark.acceptance
@@ -261,7 +260,7 @@ def test_criterion_6_snr_trend_two_geometries():
             cfg = cfg.with_beta(optimize_thresholds(SRC, geom, cfg))
             bound[label, eta] = crlb_sgle(SRC, geom, cfg).sgle_bound
             # matched rounds across eta: the stream key has no eta in it
-            stream = root_stream(600 + {"rich": 0, "poor": 1}[label])
+            stream = np.random.SeedSequence(600 + {"rich": 0, "poor": 1}[label])
             sgle[label, eta] = _sgle_trials(geom, cfg, n_mc, stream)
     for label in geoms:
         for lo, hi in zip(etas, etas[1:]):

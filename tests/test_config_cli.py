@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pickle
@@ -34,6 +35,14 @@ TRIALS_HEADER = (
     "geometry_id,seed,empirical_sgle,sgle_var,crlb_sgle,crlb_singular,k_t@14,"
     "has_sub_d0_sensor,n_mc,beta_common\n"
 )
+
+# a geometry file whose header states K = 20 but that lists 8 sensors, as
+# a truncated file would
+_EIGHT_SENSORS = [[3.0 * i, 1.0] for i in range(8)]
+SHORT_GEOMETRY_TEXT = "# K: 20\n# R: 50\nindex x y\n" + "".join(
+    f"{i} {x} {y}\n" for i, (x, y) in enumerate(_EIGHT_SENSORS)
+)
+SHORT_GEOMETRY_JSON = json.dumps({"format": "network-geometry", "K": 20, "R": 50.0, "sensors": _EIGHT_SENSORS})
 
 
 def write_config(tmp_path: Path, name="config.json", **kw) -> Path:
@@ -400,6 +409,39 @@ def test_cli_import_leaves_out_scipy_spatial():
     assert out.stdout.strip() == "[]"
 
 
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, skipping lines marked ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    for module in sorted(Path(srcloc.__file__).parent.glob("*.py")):
+        assert _unused_imports(module.read_text()) == [], module.name
+
+
+def test_unused_import_check_sees_what_it_must():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "import numpy as np\n"
+        "from . import likelihood  # noqa: F401\n"
+        "from .errors import (\n    ParseError,\n    SingularFim,\n)\n"
+        "def f(x: np.ndarray) -> SingularFim:\n    return os.sep\n"
+    )
+    assert _unused_imports(source) == ["line 2: sys", "line 6: ParseError"]
+
+
 _SCIPY_FREE_MODES = """
 import sys
 scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -580,6 +622,9 @@ class TestExitCodes:
             ("gamma_num", 10**6 + 1),
             ("max_attempts", 10**9 + 1),
             ("workers", 257),
+            # a trials table path that is not a nonempty string
+            ("trials_file", 5),
+            ("trials_file", ""),
         ],
         ids=[
             "r_t-word", "r_t-numeric-string", "r_t-bool", "r_t-inf", "source-bool-x", "source-bool-y",
@@ -587,7 +632,7 @@ class TestExitCodes:
             "K-huge-int", "n_geom-huge-int", "n_mc-huge-int", "gamma_num-huge-int",
             "max_attempts-huge-int", "workers-huge-int",
             "K-over-ceiling", "n_geom-over-ceiling", "n_mc-over-ceiling", "gamma_num-over-ceiling",
-            "max_attempts-over-ceiling", "workers-over-ceiling",
+            "max_attempts-over-ceiling", "workers-over-ceiling", "trials_file-int", "trials_file-empty",
         ],
     )
     def test_mistyped_value_exit_2(self, tmp_path, capsys, key, bad):
@@ -598,6 +643,30 @@ class TestExitCodes:
         assert record["error_class"] == "ValidationError" and record["exit_code"] == 2
         assert key in record["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, bad, flags",
+        [
+            ("out_dir", 5, []),
+            ("out_dir", "", []),
+            ("out_dir", None, ["--out", ""]),
+            ("geometry_file", 7, []),
+            ("geometry_file", "", []),
+            ("geometry_file", None, ["--geometry", ""]),
+        ],
+        ids=["out_dir-int", "out_dir-empty", "out-flag-empty", "geometry_file-int", "geometry_file-empty",
+             "geometry-flag-empty"],
+    )
+    def test_path_key_not_a_nonempty_string_exit_2(self, tmp_path, monkeypatch, capsys, key, bad, flags):
+        # run from tmp_path without --out, which would override the file's
+        # out_dir; nothing may be written, not even to the default directory
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, beta=4.0, **({} if bad is None else {key: bad}))
+        assert main(["crlb", "--config", str(path), *flags]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error_class"] == "ValidationError" and record["exit_code"] == 2
+        assert key in record["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize(
         "gamma", [{"gamma_min": 20.0, "gamma_max": 10.0}, {"gamma_min": 200.0}], ids=["max", "diameter"]
@@ -654,6 +723,8 @@ class TestExitCodes:
         [
             ("crlb", "--geometry", "geometry.txt", "# R: 50\nindex x y\n0 1.0\n"),
             ("crlb", "--geometry", "geometry.json", '{"format": "network-geometry", "R": 50.0}'),
+            ("crlb", "--geometry", "geometry.txt", SHORT_GEOMETRY_TEXT),
+            ("crlb", "--geometry", "geometry.json", SHORT_GEOMETRY_JSON),
             ("outage", "--trials", "trials.csv", "geometry_id,seed\n0,7\n"),
             ("outage", "--trials", "trials.csv", ""),
             ("outage", "--trials", "trials.csv", montecarlo.trials_to_csv([], [14.0])),
@@ -669,7 +740,8 @@ class TestExitCodes:
             ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,-0.5,1.25,0,2,0,2,4\n"),
         ],
         ids=[
-            "text-row", "json-no-sensors", "csv-no-beta-column", "empty-trials", "header-only",
+            "text-row", "json-no-sensors", "text-fewer-rows-than-k", "json-fewer-rows-than-k",
+            "csv-no-beta-column", "empty-trials", "header-only",
             "no-conditioning-radius", "flag-not-0-or-1", "row-wider-than-header", "nan-mean-square",
             "negative-variance",
         ],

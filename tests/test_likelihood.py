@@ -23,14 +23,13 @@ from srcloc.likelihood import (
     log_likelihood,
     ml_estimate_batch,
 )
-from srcloc.montecarlo import place_geometry, with_thresholds
+from srcloc.montecarlo import ROUND_NS, place_geometry, with_thresholds
 from srcloc.signal_model import (
     SensorEnsembleConfig,
     received_power,
     simulate_round,
     simulate_rounds,
 )
-from srcloc.streams import ROUND_NS, generator, root_stream, substream
 from tests import search_quality
 from tests.conftest import marginal_energy_cdf, marginal_energy_pdf, ref_config
 
@@ -460,7 +459,7 @@ class TestMlEstimate:
             K=50, R=50.0, R_ex=5.0, channel_snr_db=0.0, n_geom=8, n_mc=200, seed=seed))
         geom = place_geometry(config, geometry_id)
         cfg = with_thresholds(config, geom)
-        rng = generator(substream(substream(root_stream(seed), geometry_id), ROUND_NS, m))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(geometry_id, ROUND_NS, m)))
         t = simulate_round(geom, config.source_params, cfg, rng)
         est = ml_estimate(t, geom, cfg, config.P0, rng)
         assert est.log_likelihood >= loglik - 1e-9 * abs(loglik)

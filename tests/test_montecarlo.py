@@ -23,7 +23,7 @@ from srcloc.montecarlo import (
     trials_from_csv,
     trials_to_csv,
 )
-from srcloc.streams import root_stream, substream
+from srcloc.signal_model import simulate_round
 from tests.conftest import ref_config
 
 SRC = SourceParams(10_000.0, 5.0, 10.0)
@@ -56,7 +56,7 @@ class TestEmpiricalSgle:
         # outcome is its own squared error with no spread
         geom = sample_geometry(10, 50.0, 0.0, rng=60)
         cfg = ref_config(channel_snr_db=10.0, beta=4.0)
-        stream = substream(root_stream(123), 0)
+        stream = np.random.SeedSequence(123, spawn_key=(0,))
         ts1, one = run_trials(geom, SRC, cfg, 1, stream)
         ts2, two = run_trials(geom, SRC, cfg, 2, stream)
         np.testing.assert_array_equal(ts1, ts2[:1])
@@ -110,7 +110,7 @@ class TestRunTrials:
     def _args(n_mc):
         geom = sample_geometry(10, 50.0, 0.0, rng=65)
         cfg = ref_config(channel_snr_db=10.0, beta=4.0)
-        return geom, SRC, cfg, n_mc, substream(root_stream(66), 0)
+        return geom, SRC, cfg, n_mc, np.random.SeedSequence(66, spawn_key=(0,))
 
     def test_below_min_block_stays_serial(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -132,6 +132,29 @@ class TestRunTrials:
         ts2, split = run_trials(*self._args(7), workers=2)
         np.testing.assert_array_equal(ts1, ts2)
         assert split == serial
+
+
+def test_documented_spawn_key_layout():
+    # geometry gi places its sensors from key (gi, 0) under the master
+    # seed, and round m draws its energies from key (gi, 1, m)
+    config = _mini_config(31)
+    geom = montecarlo.place_geometry(config, 3)
+    placed = sample_geometry(
+        config.K,
+        config.R,
+        config.R_ex,
+        max_attempts=config.max_attempts,
+        rng=np.random.default_rng(np.random.SeedSequence(31, spawn_key=(3, 0))),
+        source_xy=config.source,
+        source_exclusion=config.source_exclusion,
+    )
+    np.testing.assert_array_equal(geom.sensors, placed.sensors)
+
+    cfg = config.sensor_config()
+    ts, _ = run_trials(geom, config.source_params, cfg, config.n_mc, np.random.SeedSequence(31, spawn_key=(3,)))
+    for m in range(config.n_mc):
+        rng = np.random.default_rng(np.random.SeedSequence(31, spawn_key=(3, 1, m)))
+        np.testing.assert_array_equal(ts[m], simulate_round(geom, config.source_params, cfg, rng))
 
 
 class TestRunEnsemble:
