@@ -19,6 +19,7 @@ import time
 from concurrent.futures import BrokenExecutor
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -225,14 +226,17 @@ def run(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _error_record(out: Path, exc: BaseException, code: int) -> None:
+def _error_record(out: Optional[Path], exc: BaseException, code: int) -> int:
+    """Report a failure on stderr and, once there is an output directory, in its error.json; returns code."""
     record = {"error_class": type(exc).__name__, "message": str(exc), "exit_code": code}
     sys.stderr.write(json.dumps(record) + "\n")
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "error.json").write_text(json.dumps(record, indent=2) + "\n")
-    except OSError:
-        pass
+    if out is not None:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "error.json").write_text(json.dumps(record, indent=2) + "\n")
+        except OSError:
+            pass
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,34 +269,24 @@ def main(argv=None) -> int:
     path, mode = overrides.pop("config"), overrides.pop("mode")
     try:
         config = load_config(path, mode=mode, overrides=overrides)
-    except ConfigError as exc:
-        sys.stderr.write(
-            json.dumps({"error_class": type(exc).__name__, "message": str(exc), "exit_code": EXIT_CONFIG})
-            + "\n"
-        )
-        return EXIT_CONFIG
+    except ConfigError as exc:  # no output directory yet, so no error.json
+        return _error_record(None, exc, EXIT_CONFIG)
 
     out = _resolve_out_dir(config)
     try:
         return run(config)
     except PackingFailure as exc:
-        _error_record(out, exc, EXIT_PACKING)
-        return EXIT_PACKING
+        return _error_record(out, exc, EXIT_PACKING)
     except OSError as exc:
-        _error_record(out, exc, EXIT_IO)
-        return EXIT_IO
+        return _error_record(out, exc, EXIT_IO)
     except ConfigError as exc:  # a malformed geometry file or trials table
-        _error_record(out, exc, EXIT_CONFIG)
-        return EXIT_CONFIG
+        return _error_record(out, exc, EXIT_CONFIG)
     except (SrclocError, FloatingPointError) as exc:
-        _error_record(out, exc, EXIT_NUMERICAL)
-        return EXIT_NUMERICAL
+        return _error_record(out, exc, EXIT_NUMERICAL)
     except BrokenExecutor as exc:  # BrokenProcessPool: srcloc runs no thread pool
-        _error_record(out, exc, EXIT_WORKER)
-        return EXIT_WORKER
+        return _error_record(out, exc, EXIT_WORKER)
     except KeyboardInterrupt as exc:
-        _error_record(out, exc, EXIT_INTERRUPTED)
-        return EXIT_INTERRUPTED
+        return _error_record(out, exc, EXIT_INTERRUPTED)
 
 
 if __name__ == "__main__":

@@ -3,15 +3,19 @@
 A single flat JSON file configures every mode; flag overrides from the
 CLI take precedence over the file, which takes precedence over the
 defaults on ``ExperimentConfig``'s fields.  Unknown keys are rejected so
-typos fail loudly.  The validated config is the one description of an
-experiment: every mode, and every ensemble worker, runs from it.
+typos fail loudly.  Each field carries, beside its default, the rule that
+reads its value alone, and ``null`` is accepted only where the default is
+null.  ``load_config`` runs those rules in one loop over the fields, then
+the rules that read two or more keys.  The validated config is the one
+description of an experiment: every mode, and every ensemble worker,
+runs from it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -30,53 +34,116 @@ GEOMETRY_MODES = ("geometry", "estimate", "crlb")
 # reference experiment sizes.
 PROFILES = {"desk": (100, 200), "paper": (500, 1000)}
 
-# Largest value each integer count accepts.  Far above any experiment
-# these models serve; a larger value would get past validation only to
-# crash or stall the run, instead of exiting as a configuration error.
-COUNT_CEILINGS = {
-    "K": 10**5,
-    "n_geom": 10**7,
-    "n_mc": 10**7,
-    "gamma_num": 10**6,
-    "max_attempts": 10**9,
-    "workers": 256,
-}
+
+def _is_finite(val) -> bool:
+    """Whether val is a number (not a bool) that converts to a finite float."""
+    try:
+        return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_bin_list(val) -> bool:
+    """Whether val is a nonempty list; raises ValidationError on a bad spec in it."""
+    if not isinstance(val, (list, tuple)) or not val:
+        return False
+    for b in val:
+        parse_k_t_bin(str(b))
+    return True
+
+
+def _floats(val) -> tuple:
+    return tuple(float(v) for v in val)
+
+
+def _key(default, test, must: str, convert=None, required=False):
+    """A config field whose own value, when not null, must pass ``test``
+    (else '<key> must be <must>'), and is stored as ``convert(value)``.
+    A required key must not be null, even though its default is."""
+    rule = {"test": test, "must": must, "convert": convert, "required": required}
+    return field(default=default, metadata=rule)
+
+
+def _count(ceiling: int, default=None):
+    # The ceiling is far above any experiment these models serve; a larger
+    # value would get past validation only to crash or stall the run,
+    # instead of exiting as a configuration error.
+    return _key(default, lambda v: _is_int(v) and 1 <= v <= ceiling, f"an integer from 1 to {ceiling}")
+
+
+def _positive(default=None, ceiling=math.inf):
+    must = "a positive finite number" if ceiling == math.inf else f"a positive number up to {ceiling:g}"
+    return _key(default, lambda v: _is_finite(v) and 0 < v <= ceiling, must)
+
+
+def _nonnegative(default):
+    return _key(default, lambda v: _is_finite(v) and v >= 0, "a finite nonnegative number")
+
+
+def _finite(default=None, convert=None):
+    return _key(default, _is_finite, "a finite number", convert)
+
+
+def _one_of(default, options: tuple, required=False):
+    return _key(default, lambda v: v in options, f"one of {options}", required=required)
+
+
+def _path():
+    return _key(None, lambda v: isinstance(v, str) and v != "", "a nonempty path string")
 
 
 @dataclass
 class ExperimentConfig:
     """One experiment.  Field order is the order of the config echo."""
 
-    mode: Optional[str] = None
-    K: Optional[int] = None
-    R: Optional[float] = None
-    R_ex: float = 0.0
-    source: tuple = (5.0, 10.0)
-    P0: float = 10_000.0
-    d0: float = 1.0
-    alpha: float = 2.0
-    obs_snr_db: float = 40.0
-    channel_snr_db: float = 0.0
-    tx_energy_db: float = 1.0
-    beta: Optional[float] = None
-    threshold_mode: str = "common"
-    profile: Optional[str] = None
-    n_geom: Optional[int] = None  # None: from the profile
-    n_mc: Optional[int] = None  # None: from the profile
-    gamma_num: int = 64
-    gamma_min: float = 0.1
-    gamma_max: Optional[float] = None  # None: the disk diameter
-    r_t_list: tuple = (14.0,)
-    conditioning_r_t: Optional[float] = None  # None: the first of r_t_list
-    k_t_bins: tuple = ("1", "2", "3+")
-    source_exclusion: float = 0.0
-    max_attempts: int = 10_000
-    seed: Optional[int] = None
-    workers: Optional[int] = None
-    out_dir: Optional[str] = None
-    geometry_file: Optional[str] = None
-    trials_file: Optional[str] = None
-    dump_energies: bool = False
+    mode: Optional[str] = _one_of(None, MODES, required=True)
+    K: Optional[int] = _count(10**5)
+    # R and P0 ceilings: far above any experiment, and low enough that R**2
+    # and the top of the ML search's P0 range, P0 * 1e3, stay finite
+    R: Optional[float] = _positive(ceiling=1e150)
+    R_ex: float = _nonnegative(0.0)
+    source: tuple = _key(
+        (5.0, 10.0),
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_finite, v)),
+        "a pair of finite coordinates",
+        _floats,
+    )
+    P0: float = _positive(10_000.0, ceiling=1e300)
+    d0: float = _positive(1.0)
+    alpha: float = _positive(2.0)
+    obs_snr_db: float = _finite(40.0)
+    channel_snr_db: float = _finite(0.0)
+    tx_energy_db: float = _finite(1.0)
+    beta: Optional[float] = _finite()
+    threshold_mode: str = _one_of("common", ("common", "per-sensor", "fixed"))
+    profile: Optional[str] = _one_of(None, tuple(PROFILES))
+    n_geom: Optional[int] = _count(10**7)  # None: from the profile
+    n_mc: Optional[int] = _count(10**7)  # None: from the profile
+    gamma_num: int = _count(10**6, 64)
+    gamma_min: float = _positive(0.1)
+    gamma_max: Optional[float] = _positive()  # None: the disk diameter
+    r_t_list: tuple = _key(
+        (14.0,),
+        lambda v: isinstance(v, (list, tuple)) and all(_is_finite(r) and r >= 0 for r in v),
+        "a list of finite nonnegative radii",
+        _floats,
+    )
+    conditioning_r_t: Optional[float] = _finite(convert=float)  # None: the first of r_t_list
+    k_t_bins: tuple = _key(
+        ("1", "2", "3+"), _is_bin_list, "a nonempty list", lambda v: tuple(str(b) for b in v)
+    )
+    source_exclusion: float = _nonnegative(0.0)
+    max_attempts: int = _count(10**9, 10_000)
+    seed: Optional[int] = _key(None, lambda v: _is_int(v) and v >= 0, "a nonnegative integer", required=True)
+    workers: Optional[int] = _count(256)
+    out_dir: Optional[str] = _path()
+    geometry_file: Optional[str] = _path()
+    trials_file: Optional[str] = _path()
+    dump_energies: bool = _key(False, lambda v: isinstance(v, bool), "a boolean")
 
     @property
     def source_params(self) -> SourceParams:
@@ -97,7 +164,7 @@ class ExperimentConfig:
 
     @property
     def threshold_policy(self) -> str:
-        """A configured beta means fixed thresholds, whatever threshold_mode says."""
+        """A configured beta means fixed thresholds; load_config refuses one under per-sensor."""
         return "fixed" if self.beta is not None else self.threshold_mode
 
     def gamma_grid(self) -> np.ndarray:
@@ -121,54 +188,6 @@ class ExperimentConfig:
                 val = list(val)
             out[f.name] = val
         return out
-
-
-def _require(raw: dict, key: str):
-    if raw.get(key) is None:
-        raise ValidationError(key)
-
-
-def _is_finite(val) -> bool:
-    """Whether val is a number (not a bool) that converts to a finite float."""
-    try:
-        return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _positive(raw: dict, key: str, *, strict=True):
-    val = raw.get(key)
-    if val is None:
-        return
-    if not _is_finite(val):
-        raise ValidationError(key, f"{key} must be a finite number")
-    if strict and val <= 0:
-        raise ValidationError(key, f"{key} must be positive")
-    if not strict and val < 0:
-        raise ValidationError(key, f"{key} must be nonnegative")
-
-
-def _finite(raw: dict, key: str):
-    val = raw.get(key)
-    if val is None:
-        return
-    if not _is_finite(val):
-        raise ValidationError(key, f"{key} must be a finite number")
-
-
-def _count(raw: dict, key: str):
-    val = raw.get(key)
-    if val is None:
-        return
-    ceiling = COUNT_CEILINGS[key]
-    if not isinstance(val, int) or isinstance(val, bool) or not 1 <= val <= ceiling:
-        raise ValidationError(key, f"{key} must be an integer from 1 to {ceiling}")
-
-
-def _path(raw: dict, key: str):
-    val = raw.get(key)
-    if val is not None and (not isinstance(val, str) or not val):
-        raise ValidationError(key, f"{key} must be a nonempty path string")
 
 
 def load_config(
@@ -211,11 +230,20 @@ def load_config(
     if mode is not None:
         raw["mode"] = mode
 
-    if raw["mode"] not in MODES:
-        raise ValidationError("mode", f"mode must be one of {MODES}, got {raw['mode']!r}")
+    # each key's own rule, from its field
+    for f in fields(ExperimentConfig):
+        key, val, rule = f.name, raw[f.name], f.metadata
+        if val is None:
+            if f.default is not None:
+                raise ValidationError(key, f"{key} must not be null")
+            if rule["required"]:
+                raise ValidationError(key)
+        elif not rule["test"](val):
+            raise ValidationError(key, f"{key} must be {rule['must']}")
+        elif rule["convert"] is not None:
+            raw[key] = rule["convert"](val)
 
-    for key in ("out_dir", "geometry_file", "trials_file"):
-        _path(raw, key)
+    # the rules that read two or more keys
     if raw["geometry_file"] is not None and raw["mode"] not in GEOMETRY_MODES:
         raise ValidationError(
             "geometry_file",
@@ -225,28 +253,11 @@ def load_config(
         raise ValidationError(
             "trials_file", f"{raw['mode']} reads no trials table; trials_file is only read by outage"
         )
-    # Geometry files carry K/R/R_ex themselves.
-    if raw["geometry_file"] is None:
-        _require(raw, "K")
-        _require(raw, "R")
-    _require(raw, "seed")
-    if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool) or raw["seed"] < 0:
-        raise ValidationError("seed", "seed must be a nonnegative integer")
+    if raw["geometry_file"] is None:  # a geometry file carries K, R and R_ex itself
+        for key in ("K", "R"):
+            if raw[key] is None:
+                raise ValidationError(key)
 
-    _count(raw, "K")
-    _positive(raw, "R")
-    _positive(raw, "R_ex", strict=False)
-    _positive(raw, "P0")
-    _positive(raw, "d0")
-    _positive(raw, "alpha")
-    _finite(raw, "obs_snr_db")
-    _finite(raw, "tx_energy_db")
-    _finite(raw, "channel_snr_db")
-    _positive(raw, "source_exclusion", strict=False)
-    _count(raw, "max_attempts")
-    _count(raw, "gamma_num")
-    _positive(raw, "gamma_min")
-    _positive(raw, "gamma_max")
     # the outage grid runs from gamma_min up to gamma_max, else the disk
     # diameter; with a geometry file and no gamma_max, R is not known here
     gamma_hi = raw["gamma_max"]
@@ -258,61 +269,29 @@ def load_config(
             f"gamma_min {raw['gamma_min']!r} must lie below the grid's upper end {gamma_hi!r} "
             "(gamma_max, else the disk diameter 2R)",
         )
-    _count(raw, "workers")
-    _finite(raw, "beta")
 
-    src = raw["source"]
-    if not isinstance(src, (list, tuple)) or len(src) != 2 or not all(map(_is_finite, src)):
-        raise ValidationError("source", "source must be a pair of finite coordinates")
-    raw["source"] = (float(src[0]), float(src[1]))
     if raw["R"] is not None:  # else the geometry file's disk is checked once it is read
         require_source_in_disk(raw["source"], raw["R"])
 
-    if raw["threshold_mode"] not in ("common", "per-sensor", "fixed"):
-        raise ValidationError("threshold_mode")
     if raw["beta"] is None and raw["threshold_mode"] == "fixed":
         raise ValidationError("beta", "threshold_mode 'fixed' requires a beta value")
+    if raw["beta"] is not None and raw["threshold_mode"] == "per-sensor":
+        raise ValidationError("beta", "beta fixes a common threshold; threshold_mode 'per-sensor' tunes each")
 
-    if raw["profile"] is not None and (
-        not isinstance(raw["profile"], str) or raw["profile"] not in PROFILES
-    ):
-        raise ValidationError("profile", f"profile must be one of {sorted(PROFILES)}")
     prof_geom, prof_mc = PROFILES[raw["profile"] or "desk"]
     if raw["n_geom"] is None:
         raw["n_geom"] = prof_geom
     if raw["n_mc"] is None:
         raw["n_mc"] = prof_mc
-    _count(raw, "n_geom")
-    _count(raw, "n_mc")
-
-    rts = raw["r_t_list"]
-    if not isinstance(rts, (list, tuple)) or not all(_is_finite(v) and v >= 0 for v in rts):
-        raise ValidationError("r_t_list", "r_t_list must be a list of finite nonnegative radii")
-    raw["r_t_list"] = tuple(float(v) for v in rts)
 
     if raw["conditioning_r_t"] is None:
         raw["conditioning_r_t"] = raw["r_t_list"][0] if raw["r_t_list"] else None
-    else:
-        _finite(raw, "conditioning_r_t")
-        raw["conditioning_r_t"] = float(raw["conditioning_r_t"])
-        if raw["conditioning_r_t"] not in raw["r_t_list"]:
-            raise ValidationError(
-                "conditioning_r_t", "conditioning_r_t must appear in r_t_list"
-            )
+    elif raw["conditioning_r_t"] not in raw["r_t_list"]:
+        raise ValidationError("conditioning_r_t", "conditioning_r_t must appear in r_t_list")
     if raw["mode"] == "outage" and raw["conditioning_r_t"] is None:
         raise ValidationError(
             "conditioning_r_t", "outage needs conditioning_r_t, or a nonempty r_t_list"
         )
-
-    bins = raw["k_t_bins"]
-    if not isinstance(bins, (list, tuple)) or not bins:
-        raise ValidationError("k_t_bins", "k_t_bins must be a nonempty list")
-    for b in bins:
-        parse_k_t_bin(str(b))  # raises ValidationError on bad spec
-    raw["k_t_bins"] = tuple(str(b) for b in bins)
-
-    if not isinstance(raw["dump_energies"], bool):
-        raise ValidationError("dump_energies", "dump_energies must be a boolean")
 
     config = ExperimentConfig(**raw)
     config.sensor_config()  # raises ValidationError on a degenerate noise level
@@ -321,18 +300,20 @@ def load_config(
 
 def require_source_in_disk(source: tuple, R: float) -> None:
     """Raise a ValidationError naming ``source`` when it lies outside the disk of radius R."""
-    if source[0] ** 2 + source[1] ** 2 > R**2:
+    if math.hypot(*source) > R:
         raise ValidationError("source", f"source must lie inside the surveillance disk (R = {R!r})")
 
 
 def parse_k_t_bin(spec: str):
-    """Predicate and label for a K_T bin spec: '2' exact, '3+' at least."""
+    """Predicate and label for a K_T bin spec: '2' exact, '3+' at least, counts from 0."""
     spec = spec.strip()
+    at_least = spec.endswith("+")
     try:
-        if spec.endswith("+"):
-            k = int(spec[:-1])
-            return (lambda n, k=k: n >= k), f"K_T>={k}"
-        k = int(spec)
-        return (lambda n, k=k: n == k), f"K_T=={k}"
+        k = int(spec[:-1] if at_least else spec)
     except ValueError:
-        raise ValidationError("k_t_bins", f"bad K_T bin spec {spec!r}") from None
+        k = -1
+    if k < 0:
+        raise ValidationError("k_t_bins", f"k_t_bins has a bad K_T bin spec {spec!r}: want n or n+, n >= 0")
+    if at_least:
+        return (lambda n, k=k: n >= k), f"K_T>={k}"
+    return (lambda n, k=k: n == k), f"K_T=={k}"

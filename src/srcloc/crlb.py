@@ -281,9 +281,11 @@ def _assemble(c: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Information matrices sum_i c[..., i] * outer(v[i], v[i]), shape (..., 3, 3).
 
     Summation is in sensor-index order for bitwise reproducibility, and
-    every term is exactly symmetric.
+    every term is exactly symmetric.  An overflow leaves a non-finite
+    matrix, which _bounds reads as singular.
     """
-    return (c[..., None, None] * (v[:, :, None] * v[:, None, :])).sum(axis=-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (c[..., None, None] * (v[:, :, None] * v[:, None, :])).sum(axis=-3)
 
 
 def fisher_information(
@@ -333,9 +335,11 @@ def _bounds(fim: np.ndarray) -> tuple:
     The bound is inf where the matrix is singular: its condition
     indicator exceeds CONDITION_LIMIT, or its inverse gives no positive
     finite bound.  The second test catches a matrix so small that its
-    inverse overflows although its eigenvalue ratio passes.
+    inverse overflows although its eigenvalue ratio passes.  A matrix
+    with a non-finite entry reads as all zeros, so as singular.
     """
-    eigenvalues = np.linalg.eigvalsh(fim)
+    finite = np.isfinite(fim).all(axis=(-2, -1))
+    eigenvalues = np.linalg.eigvalsh(np.where(finite[..., None, None], fim, 0.0))
     w = np.abs(eigenvalues)
     w_max, w_min = w.max(axis=-1), w.min(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):

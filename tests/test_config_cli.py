@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -157,8 +158,27 @@ class TestLoadConfig:
         assert label == "K_T==2" and pred(2) and not pred(3)
         pred, label = parse_k_t_bin("3+")
         assert label == "K_T>=3" and pred(7) and not pred(2)
+        pred, label = parse_k_t_bin("0")
+        assert label == "K_T==0" and pred(0) and not pred(1)
         with pytest.raises(ValidationError):
             parse_k_t_bin("x")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_any_value_of_any_key_loads_or_is_a_config_error(self, tmp_path, mode):
+        # every key, including one added later, either takes the value or
+        # refuses it as a configuration error, never a crash
+        path = tmp_path / "odd.json"
+        for f in fields(ExperimentConfig):
+            if f.name == "mode":
+                continue
+            for bad in (None, True, {}, [], "", 10**400, -1, 1e308):
+                path.write_text(json.dumps({"K": 8, "R": 50.0, "seed": 7, f.name: bad}))
+                try:
+                    load_config(path, mode=mode)
+                except ConfigError:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"{f.name} = {bad!r} under {mode}: {exc!r}")
 
 
 class TestCliModes:
@@ -563,6 +583,25 @@ class TestExitCodes:
         record = json.loads((out / "error.json").read_text())
         assert record["error_class"] == error_class and record["exit_code"] == code
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kw", [{"R": 1e200}, {"P0": 1e308, "beta": 4.0}], ids=["R", "P0"])
+    def test_value_above_ceiling_exit_2_in_every_mode(self, tmp_path, capsys, mode, kw):
+        # R**2 overflowed in the disk test, and P0 * 10 in the ML search's seeds
+        path = write_config(tmp_path, n_geom=2, n_mc=2, **kw)
+        assert main([mode, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error_class"] == "ValidationError" and next(iter(kw)) in record["message"]
+
+    @pytest.mark.parametrize("mode", ["crlb", "estimate", "outage"])
+    def test_non_finite_information_exit_4(self, tmp_path, mode):
+        # a decay exponent this large drives the information matrix to inf and
+        # nan, which reads as singular rather than reaching the eigensolver
+        cfg = write_config(tmp_path, alpha=1e200, n_geom=2, n_mc=2)
+        out = tmp_path / "numfail"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 4
+        record = json.loads((out / "error.json").read_text())
+        assert record["error_class"] == "SingularFim"
+
     def test_numerical_error_exit_4(self, tmp_path):
         # a single sensor cannot localize: the bound is undefined
         cfg = write_config(tmp_path, K=1, beta=4.0)
@@ -625,6 +664,24 @@ class TestExitCodes:
             # a trials table path that is not a nonempty string
             ("trials_file", 5),
             ("trials_file", ""),
+            # null where the default is not null
+            ("R_ex", None),
+            ("source_exclusion", None),
+            ("P0", None),
+            ("d0", None),
+            ("alpha", None),
+            ("gamma_min", None),
+            ("max_attempts", None),
+            ("gamma_num", None),
+            # beyond the R and P0 ceilings, or a source whose square overflows
+            ("R", 1e200),
+            ("P0", 1e308),
+            ("source", [1e200, 0.0]),
+            # a K_T bin with a negative count
+            ("k_t_bins", ["-1"]),
+            ("k_t_bins", ["1", "-2+"]),
+            # a fixed beta where each sensor's threshold is tuned
+            ("beta", {"beta": 4.0, "threshold_mode": "per-sensor"}),
         ],
         ids=[
             "r_t-word", "r_t-numeric-string", "r_t-bool", "r_t-inf", "source-bool-x", "source-bool-y",
@@ -633,10 +690,15 @@ class TestExitCodes:
             "max_attempts-huge-int", "workers-huge-int",
             "K-over-ceiling", "n_geom-over-ceiling", "n_mc-over-ceiling", "gamma_num-over-ceiling",
             "max_attempts-over-ceiling", "workers-over-ceiling", "trials_file-int", "trials_file-empty",
+            "R_ex-null", "source_exclusion-null", "P0-null", "d0-null", "alpha-null", "gamma_min-null",
+            "max_attempts-null", "gamma_num-null", "R-over-ceiling", "P0-over-ceiling", "source-huge",
+            "k_t_bins-negative", "k_t_bins-negative-at-least", "beta-per-sensor",
         ],
     )
     def test_mistyped_value_exit_2(self, tmp_path, capsys, key, bad):
-        path = write_config(tmp_path, **{"r_t_list": [1.0, 14.0], key: bad})
+        # a dict value is several keys at once, of which ``key`` is the one named
+        keys = bad if isinstance(bad, dict) else {key: bad}
+        path = write_config(tmp_path, **{"r_t_list": [1.0, 14.0], **keys})
         out = tmp_path / "out"
         assert main(["outage", "--config", str(path), "--out", str(out)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
