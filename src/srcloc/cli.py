@@ -60,10 +60,7 @@ EXIT_INTERRUPTED = 130
 def _resolve_out_dir(config: ExperimentConfig) -> Path:
     if config.out_dir:
         return Path(config.out_dir)
-    env = os.environ.get(OUT_DIR_ENV)
-    if env:
-        return Path(env) / f"{config.mode}-seed{config.seed}"
-    return Path("srcloc_runs") / f"{config.mode}-seed{config.seed}"
+    return Path(os.environ.get(OUT_DIR_ENV) or "srcloc_runs") / f"{config.mode}-seed{config.seed}"
 
 
 def _fixed_geometry(config: ExperimentConfig) -> NetworkGeometry:
@@ -81,8 +78,7 @@ def _fixed_geometry(config: ExperimentConfig) -> NetworkGeometry:
 def _run_geometry(config: ExperimentConfig, out: Path) -> list:
     geom = _fixed_geometry(config)
     save_geometry(out / "geometry.json", geom, seed=config.seed)
-    save_geometry(out / "geometry.txt", geom, seed=config.seed)
-    return ["geometry.json", "geometry.txt"]
+    return ["geometry.json"]
 
 
 def _run_estimate(config: ExperimentConfig, out: Path) -> list:

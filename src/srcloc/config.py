@@ -138,7 +138,11 @@ class ExperimentConfig:
     )
     source_exclusion: float = _nonnegative(0.0)
     max_attempts: int = _count(10**9, 10_000)
-    seed: Optional[int] = _key(None, lambda v: _is_int(v) and v >= 0, "a nonnegative integer", required=True)
+    # the seed ceiling keeps the default output directory name
+    # <mode>-seed<seed> well under the usual 255-byte file-name limit
+    seed: Optional[int] = _key(
+        None, lambda v: _is_int(v) and 0 <= v <= 10**200, "an integer from 0 to 10**200", required=True
+    )
     workers: Optional[int] = _count(256)
     out_dir: Optional[str] = _path()
     geometry_file: Optional[str] = _path()

@@ -288,19 +288,6 @@ def _assemble(c: np.ndarray, v: np.ndarray) -> np.ndarray:
         return (c[..., None, None] * (v[:, :, None] * v[:, None, :])).sum(axis=-3)
 
 
-def fisher_information(
-    theta: SourceParams,
-    geom: NetworkGeometry,
-    cfg: SensorEnsembleConfig,
-) -> np.ndarray:
-    """3x3 information matrix for (P0, xT, yT), summed over sensors.
-
-    Terms whose Gaussian quantizer weight underflows to zero add
-    nothing.
-    """
-    return _assemble(*_exact_terms(theta, geom, cfg))
-
-
 @dataclass
 class CrlbResult:
     """Location-error bound sgle_bound = [I^-1]_xx + [I^-1]_yy, and what it comes from.
@@ -317,20 +304,13 @@ class CrlbResult:
     gradients: np.ndarray
 
 
-def condition_indicator(fim: np.ndarray):
-    """Ratio of extreme absolute eigenvalues, inf when numerically rank-deficient.
-
-    Rank-deficient includes a smallest eigenvalue below the normal float
-    range: the inverse of such a matrix is not representable, and LU
-    factorization can meet an exactly zero pivot in it.  A float for one
-    matrix, an array for a (..., 3, 3) stack.
-    """
-    cond = _bounds(fim)[1]
-    return float(cond) if cond.ndim == 0 else cond
-
-
 def _bounds(fim: np.ndarray) -> tuple:
     """Eigenvalues, condition indicators and bounds [I^-1]_xx + [I^-1]_yy of a (..., 3, 3) stack.
+
+    The condition indicator is the ratio of extreme absolute eigenvalues,
+    inf when the smallest is below the normal float range: the inverse
+    of such a matrix is not representable, and LU factorization can meet
+    an exactly zero pivot in it.
 
     The bound is inf where the matrix is singular: its condition
     indicator exceeds CONDITION_LIMIT, or its inverse gives no positive

@@ -158,64 +158,13 @@ def has_sub_d0_sensor(geom: NetworkGeometry, source: SourceParams, d0: float) ->
 
 # --- serialization ----------------------------------------------------------
 #
-# Two on-disk forms carry the same record: a human-readable text table
-# (metadata comments, one header line, one `index x y` row per sensor)
-# and a JSON document.  Floats are written with 17 significant digits so
-# round-trips are exact.
+# A geometry is stored as one JSON document: format tag, version, K, R,
+# R_ex, the seed it was placed from (or null) and one [x, y] pair per
+# sensor.  JSON floats carry 17 significant digits, so round-trips are
+# exact.
 
 
-def _require_k(geom: NetworkGeometry, K) -> NetworkGeometry:
-    """``geom``, unless the file's stated sensor count K disagrees with its rows."""
-    if K is not None and K != geom.K:
-        raise ValueError(f"the file states K = {K!r} but lists {geom.K} sensors")
-    return geom
-
-
-def geometry_to_text(geom: NetworkGeometry, seed: Optional[int] = None) -> str:
-    lines = [
-        f"# {GEOMETRY_FORMAT} v{GEOMETRY_VERSION}",
-        f"# K: {geom.K}",
-        f"# R: {geom.R:.17g}",
-        f"# R_ex: {geom.R_ex:.17g}",
-    ]
-    if seed is not None:
-        lines.append(f"# seed: {seed}")
-    lines.append("index x y")
-    for i, (x, y) in enumerate(geom.sensors):
-        lines.append(f"{i} {x:.17g} {y:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def geometry_from_text(text: str) -> NetworkGeometry:
-    meta = {}
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                meta[key.strip()] = value.strip()
-            continue
-        if line.startswith("index"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"bad geometry row: {raw!r}")
-        rows.append((float(parts[1]), float(parts[2])))
-    if "R" not in meta:
-        raise ValueError("geometry text is missing the R metadata line")
-    geom = NetworkGeometry(
-        sensors=np.array(rows),
-        R=float(meta["R"]),
-        R_ex=float(meta.get("R_ex", 0.0)),
-    )
-    return _require_k(geom, int(meta["K"]) if "K" in meta else None)
-
-
-def geometry_to_json(geom: NetworkGeometry, seed: Optional[int] = None) -> str:
+def save_geometry(path, geom: NetworkGeometry, seed: Optional[int] = None) -> None:
     doc = {
         "format": GEOMETRY_FORMAT,
         "version": GEOMETRY_VERSION,
@@ -225,35 +174,26 @@ def geometry_to_json(geom: NetworkGeometry, seed: Optional[int] = None) -> str:
         "seed": seed,
         "sensors": [[float(x), float(y)] for x, y in geom.sensors],
     }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def geometry_from_json(text: str) -> NetworkGeometry:
-    doc = json.loads(text)
-    if doc.get("format") != GEOMETRY_FORMAT:
-        raise ValueError("not a geometry document")
-    geom = NetworkGeometry(
-        sensors=np.array(doc["sensors"], dtype=float),
-        R=float(doc["R"]),
-        R_ex=float(doc.get("R_ex", 0.0)),
-    )
-    return _require_k(geom, doc.get("K"))
-
-
-def save_geometry(path, geom: NetworkGeometry, seed: Optional[int] = None) -> None:
-    path = str(path)
-    text = geometry_to_json(geom, seed) if path.endswith(".json") else geometry_to_text(geom, seed)
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def load_geometry(path) -> NetworkGeometry:
-    """Read either on-disk form; raises ParseError, naming the file, on malformed content."""
-    with open(path) as fh:
-        text = fh.read()
+    """Read a geometry document; raises ParseError, naming the file, on malformed content."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        if text.lstrip().startswith("{"):
-            return geometry_from_json(text)
-        return geometry_from_text(text)
-    except (ValueError, KeyError, TypeError) as exc:
+        doc = json.loads(data)  # bytes, so that a decoding error is a ValueError here
+        if not isinstance(doc, dict) or doc.get("format") != GEOMETRY_FORMAT:
+            raise ValueError("not a geometry document")
+        geom = NetworkGeometry(
+            sensors=np.array(doc["sensors"], dtype=float),
+            R=float(doc["R"]),
+            R_ex=float(doc.get("R_ex", 0.0)),
+        )
+        K = doc.get("K")
+        if K is not None and K != geom.K:
+            raise ValueError(f"the file states K = {K!r} but lists {geom.K} sensors")
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ParseError(f"{path}: malformed geometry file ({type(exc).__name__}: {exc})") from exc
+    return geom

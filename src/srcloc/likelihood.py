@@ -45,18 +45,6 @@ from .geometry import NetworkGeometry, SourceParams
 from .signal_model import SensorEnsembleConfig
 
 
-def log_likelihood(
-    t: np.ndarray,
-    theta: SourceParams,
-    geom: NetworkGeometry,
-    cfg: SensorEnsembleConfig,
-) -> float:
-    """Joint log-likelihood of the received energies at theta."""
-    el = _EnsembleLikelihood(np.reshape(t, (1, -1)), geom, cfg)
-    row = np.zeros(1, dtype=int)
-    return float(el.loglik(row, np.array([theta.P0]), np.array([theta.xT]), np.array([theta.yT]))[0])
-
-
 # --- ML estimation ----------------------------------------------------------
 #
 # Fixed search settings (see the module docstring).  Nelder-Mead only

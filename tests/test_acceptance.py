@@ -18,7 +18,7 @@ from scipy.stats import expon, kstest
 
 from srcloc.cli import main
 from srcloc.config import load_config
-from srcloc.crlb import _gradients, crlb_sgle, fisher_information, optimize_thresholds
+from srcloc.crlb import _assemble, _exact_terms, _gradients, crlb_sgle, optimize_thresholds
 from srcloc.errors import SingularFim
 from srcloc.geometry import NetworkGeometry, SourceParams, count_within, sample_geometry
 from srcloc.montecarlo import (
@@ -154,15 +154,13 @@ def test_criterion_3_fim_structure():
                         for q in range(c + 1, 3):
                             minor = G[r, c] * G[s, q] - G[r, q] * G[s, c]
                             assert abs(minor) <= 1e-10 * scale * scale
-        fim = fisher_information(theta, geom, cfg)
+        fim = _assemble(*_exact_terms(theta, geom, cfg))
         np.testing.assert_array_equal(fim, fim.T)
         eigs = np.linalg.eigvalsh(fim)
         assert eigs.min() >= -1e-10 * max(np.trace(fim), 1e-300)
         # additive over sensors
         parts = sum(
-            fisher_information(
-                theta, NetworkGeometry(sensors=geom.sensors[i : i + 1], R=geom.R), cfg
-            )
+            _assemble(*_exact_terms(theta, NetworkGeometry(sensors=geom.sensors[i : i + 1], R=geom.R), cfg))
             for i in range(K)
         )
         np.testing.assert_allclose(fim, parts, rtol=1e-12, atol=0.0)
@@ -188,7 +186,7 @@ def test_criterion_4_fim_oracle():
     geom = NetworkGeometry(sensors=np.array([[0.0, 0.0], [12.0, 4.0], [3.0, -9.0]]), R=20.0)
     src = SourceParams(900.0, 4.0, 2.0)
     cfg = SensorEnsembleConfig(d0=1.0, alpha=2.0, sigma2=4.0, beta=5.0, eb=2.0, tau2=1.5)
-    fim = fisher_information(src, geom, cfg)
+    fim = crlb_sgle(src, geom, cfg).fim
     T = simulate_rounds(geom, src, cfg, 1_000_000, np.random.default_rng(401))
 
     def batch_ll(xT):

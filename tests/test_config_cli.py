@@ -37,13 +37,12 @@ TRIALS_HEADER = (
     "has_sub_d0_sensor,n_mc,beta_common\n"
 )
 
-# a geometry file whose header states K = 20 but that lists 8 sensors, as
-# a truncated file would
+# a geometry file that states K = 20 but lists 8 sensors, as a truncated
+# file would
 _EIGHT_SENSORS = [[3.0 * i, 1.0] for i in range(8)]
-SHORT_GEOMETRY_TEXT = "# K: 20\n# R: 50\nindex x y\n" + "".join(
-    f"{i} {x} {y}\n" for i, (x, y) in enumerate(_EIGHT_SENSORS)
-)
 SHORT_GEOMETRY_JSON = json.dumps({"format": "network-geometry", "K": 20, "R": 50.0, "sensors": _EIGHT_SENSORS})
+# the retired text form: metadata comments, a header, `index x y` rows
+OLD_TEXT_GEOMETRY = "# network-geometry v1\n# K: 2\n# R: 50\nindex x y\n0 1.0 2.0\n1 3.0 4.0\n"
 
 
 def write_config(tmp_path: Path, name="config.json", **kw) -> Path:
@@ -188,11 +187,9 @@ class TestCliModes:
         assert main(["geometry", "--config", str(cfg), "--out", str(out)]) == 0
         geom = load_geometry(out / "geometry.json")
         assert geom.K == 12 and geom.R_ex == 3.0
-        geom_txt = load_geometry(out / "geometry.txt")
-        np.testing.assert_array_equal(geom.sensors, geom_txt.sensors)
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["mode"] == "geometry" and manifest["master_seed"] == 7
-        assert set(manifest["artifacts"]) == {"geometry.json", "geometry.txt"}
+        assert manifest["artifacts"] == ["geometry.json"]
 
     def test_estimate_mode_and_determinism(self, tmp_path):
         cfg = write_config(tmp_path, n_mc=3, beta=4.0, channel_snr_db=10.0)
@@ -398,6 +395,17 @@ class TestCliModes:
         assert main(["geometry", "--config", str(cfg)]) == 0
         assert (tmp_path / "envout" / "geometry-seed7" / "geometry.json").exists()
 
+    def test_largest_seed_names_a_writable_default_directory(self, tmp_path, monkeypatch, capsys):
+        # the default directory is <mode>-seed<seed>; the seed ceiling keeps
+        # that name writable, and a seed above it is a configuration error
+        monkeypatch.setenv("SRCLOC_OUT", str(tmp_path / "envout"))
+        top = 10**200
+        assert main(["geometry", "--config", str(write_config(tmp_path, K=4, seed=top))]) == 0
+        assert (tmp_path / "envout" / f"geometry-seed{top}" / "geometry.json").exists()
+        assert main(["geometry", "--config", str(write_config(tmp_path, K=4, seed=top + 1))]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error_class"] == "ValidationError" and "seed" in record["message"]
+
 
 def test_result_files_match_frozen_fingerprint(tmp_path):
     # every result file of a fixed command matrix hashes as frozen in
@@ -460,6 +468,72 @@ def test_unused_import_check_sees_what_it_must():
         "def f(x: np.ndarray) -> SingularFim:\n    return os.sep\n"
     )
     assert _unused_imports(source) == ["line 2: sys", "line 6: ParseError"]
+
+
+def _reads(node, params=frozenset()) -> set:
+    """Names a syntax tree reads, less the reads of an enclosing function's parameters."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = node.args
+        params = params | {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return set() if node.id in params else {node.id}
+    return set().union(*(_reads(child, params) for child in ast.iter_child_nodes(node)))
+
+
+def _uncalled_public_functions(sources: dict, entry_points: set) -> list[str]:
+    """``module.name`` of each public top-level function in a package, given
+    as {module: source}, that no other module imports and its own module
+    never reads, leaving out the (module, name) entry points."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    imported = {
+        (node.module.split(".")[-1], alias.name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module
+        for alias in node.names
+    }
+    uncalled = []
+    for module, tree in trees.items():
+        reads = _reads(tree)
+        uncalled += [
+            f"{module}.{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+            and node.name not in reads
+            and (module, node.name) not in imported | entry_points
+        ]
+    return uncalled
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    # a public function only tests call is API kept for the tests' sake;
+    # the command's entry point is called from outside
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(srcloc.__file__).resolve().parents[2] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"].values()
+    entry_points = {tuple(target.removeprefix("srcloc.").split(":")) for target in scripts}
+    package = Path(srcloc.__file__).parent
+    sources = {module.stem: module.read_text() for module in sorted(package.glob("*.py"))}
+    assert _uncalled_public_functions(sources, entry_points) == []
+
+
+def test_uncalled_function_check_sees_what_it_must():
+    a = (
+        "from dataclasses import dataclass\n"
+        "def read(): pass\n"
+        "def imported(): pass\n"
+        "def unread(): pass\n"
+        "def shadowed(): pass\n"
+        "def size(): pass\n"
+        "def main(): pass\n"
+        "def _private(): pass\n"
+        "def uses(shadowed):\n    return shadowed + read()\n"
+        "HANDLERS = [uses, lambda unread: unread]\n"
+        "@dataclass\nclass C:\n    size: int = 0\n"
+    )
+    sources = {"a": a, "b": "from .a import imported\n"}
+    assert _uncalled_public_functions(sources, {("a", "main")}) == ["a.unread", "a.shadowed", "a.size"]
 
 
 _SCIPY_FREE_MODES = """
@@ -682,6 +756,8 @@ class TestExitCodes:
             ("k_t_bins", ["1", "-2+"]),
             # a fixed beta where each sensor's threshold is tuned
             ("beta", {"beta": 4.0, "threshold_mode": "per-sensor"}),
+            # a seed whose default directory name would be too long
+            ("seed", 10**300),
         ],
         ids=[
             "r_t-word", "r_t-numeric-string", "r_t-bool", "r_t-inf", "source-bool-x", "source-bool-y",
@@ -692,7 +768,7 @@ class TestExitCodes:
             "max_attempts-over-ceiling", "workers-over-ceiling", "trials_file-int", "trials_file-empty",
             "R_ex-null", "source_exclusion-null", "P0-null", "d0-null", "alpha-null", "gamma_min-null",
             "max_attempts-null", "gamma_num-null", "R-over-ceiling", "P0-over-ceiling", "source-huge",
-            "k_t_bins-negative", "k_t_bins-negative-at-least", "beta-per-sensor",
+            "k_t_bins-negative", "k_t_bins-negative-at-least", "beta-per-sensor", "seed-over-ceiling",
         ],
     )
     def test_mistyped_value_exit_2(self, tmp_path, capsys, key, bad):
@@ -783,10 +859,21 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "mode, flag, name, content",
         [
-            ("crlb", "--geometry", "geometry.txt", "# R: 50\nindex x y\n0 1.0\n"),
+            ("crlb", "--geometry", "geometry.json", '{"format": "network-geometry", "R": 50.0, "sensors": [[1.0]]}'),
             ("crlb", "--geometry", "geometry.json", '{"format": "network-geometry", "R": 50.0}'),
-            ("crlb", "--geometry", "geometry.txt", SHORT_GEOMETRY_TEXT),
+            ("crlb", "--geometry", "geometry.txt", OLD_TEXT_GEOMETRY),
             ("crlb", "--geometry", "geometry.json", SHORT_GEOMETRY_JSON),
+            # JSON that is not an object
+            ("crlb", "--geometry", "geometry.json", "[1, 2]"),
+            ("crlb", "--geometry", "geometry.json", "null"),
+            # bytes that are not text, nesting past the parser's depth, an
+            # integer beyond the float range
+            ("crlb", "--geometry", "geometry.json", b"\x80\x81"),
+            ("crlb", "--geometry", "geometry.json", '{"format": "network-geometry", "sensors": ' + "[" * 100_000),
+            (
+                "crlb", "--geometry", "geometry.json",
+                '{"format": "network-geometry", "R": 50.0, "sensors": [[1' + "0" * 400 + ", 0.0]]}",
+            ),
             ("outage", "--trials", "trials.csv", "geometry_id,seed\n0,7\n"),
             ("outage", "--trials", "trials.csv", ""),
             ("outage", "--trials", "trials.csv", montecarlo.trials_to_csv([], [14.0])),
@@ -802,7 +889,8 @@ class TestExitCodes:
             ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,-0.5,1.25,0,2,0,2,4\n"),
         ],
         ids=[
-            "text-row", "json-no-sensors", "text-fewer-rows-than-k", "json-fewer-rows-than-k",
+            "json-short-row", "json-no-sensors", "old-text-form", "json-fewer-rows-than-k",
+            "json-list", "json-null", "not-utf-8", "json-too-deep", "json-huge-int",
             "csv-no-beta-column", "empty-trials", "header-only",
             "no-conditioning-radius", "flag-not-0-or-1", "row-wider-than-header", "nan-mean-square",
             "negative-variance",
@@ -810,7 +898,7 @@ class TestExitCodes:
     )
     def test_malformed_input_file_exit_2(self, tmp_path, mode, flag, name, content):
         bad = tmp_path / name
-        bad.write_text(content)
+        bad.write_bytes(content if isinstance(content, bytes) else content.encode())
         out = tmp_path / "out"
         args = [mode, "--config", str(write_config(tmp_path, beta=4.0)), "--out", str(out)]
         assert main(args + [flag, str(bad)]) == 2

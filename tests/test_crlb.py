@@ -11,13 +11,14 @@ from srcloc import crlb
 from srcloc.crlb import (
     _CURVE_CHUNK,
     _CURVE_HALF_WIDTH,
+    _assemble,
+    _bounds,
     _checked_bound,
+    _exact_terms,
     _gradients,
     _information_curve,
     _normal_cdf,
-    condition_indicator,
     crlb_sgle,
-    fisher_information,
     mixture_integral,
     optimize_thresholds,
     per_sensor_term_norms,
@@ -208,11 +209,9 @@ class TestFisherInformation:
     def test_additive_over_sensors(self, ref_source):
         geom = sample_geometry(4, 50.0, 0.0, rng=42)
         cfg = ref_config(channel_snr_db=3.0, beta=4.0)
-        total = fisher_information(ref_source, geom, cfg)
+        total = crlb_sgle(ref_source, geom, cfg).fim
         parts = sum(
-            fisher_information(
-                ref_source, NetworkGeometry(sensors=geom.sensors[i : i + 1], R=geom.R), cfg
-            )
+            _assemble(*_exact_terms(ref_source, NetworkGeometry(sensors=geom.sensors[i : i + 1], R=geom.R), cfg))
             for i in range(4)
         )
         np.testing.assert_allclose(total, parts, rtol=1e-12, atol=0.0)
@@ -230,7 +229,7 @@ class TestFisherInformation:
                 eb=rng.uniform(0.5, 4.0),
                 tau2=rng.uniform(0.5, 4.0),
             )
-            fim = fisher_information(theta, geom, cfg)
+            fim = _assemble(*_exact_terms(theta, geom, cfg))
             np.testing.assert_array_equal(fim, fim.T)
             eigs = np.linalg.eigvalsh(fim)
             assert eigs.min() >= -1e-10 * max(np.trace(fim), 1e-300)
@@ -238,13 +237,13 @@ class TestFisherInformation:
     def test_coincident_sensor_raises(self):
         geom = NetworkGeometry(sensors=np.array([[5.0, 10.0], [1.0, 1.0]]), R=20.0)
         with pytest.raises(DegenerateGeometry):
-            fisher_information(SourceParams(100.0, 5.0, 10.0), geom, ref_config(0.0))
+            _exact_terms(SourceParams(100.0, 5.0, 10.0), geom, ref_config(0.0))
 
     def test_score_variance_oracle_quick(self, toy_triangle):
         # E[(d ln f / d xT)^2] from simulation vs the analytic (2,2) entry
         src = SourceParams(900.0, 4.0, 2.0)
         cfg = SensorEnsembleConfig(d0=1.0, alpha=2.0, sigma2=4.0, beta=5.0, eb=2.0, tau2=1.5)
-        fim = fisher_information(src, toy_triangle, cfg)
+        fim = crlb_sgle(src, toy_triangle, cfg).fim
         T = simulate_rounds(toy_triangle, src, cfg, 200_000, np.random.default_rng(44))
 
         def batch_ll(xT):
@@ -272,7 +271,7 @@ class TestCrlbSgle:
         )
         theta = SourceParams(10_000.0, 0.0, 0.0)
         cfg = SensorEnsembleConfig(d0=1.0, alpha=2.0, sigma2=1.0, beta=5.0, eb=2.0, tau2=1.0)
-        fim = fisher_information(theta, geom, cfg)
+        fim = _assemble(*_exact_terms(theta, geom, cfg))
         assert fim[2, 2] == 0.0  # no information along the empty axis
         with pytest.raises(SingularFim):
             crlb_sgle(theta, geom, cfg)
@@ -308,8 +307,8 @@ class TestCrlbSgle:
             assert rotated == pytest.approx(base, rel=1e-8)
 
     def test_condition_indicator(self):
-        assert condition_indicator(np.diag([1.0, 2.0, 4.0])) == 4.0
-        assert condition_indicator(np.diag([1.0, 1.0, 0.0])) == np.inf
+        assert _bounds(np.diag([1.0, 2.0, 4.0]))[1] == 4.0
+        assert _bounds(np.diag([1.0, 1.0, 0.0]))[1] == np.inf
 
     def test_subnormal_fim_raises_instead_of_nan(self):
         # all-subnormal eigenvalues pass the ratio gate but overflow the
@@ -329,9 +328,9 @@ class TestCrlbSgle:
         geom = sample_geometry(9, 50.0, 0.0, rng=58)
         cfg = ref_config(channel_snr_db=3.0, beta=4.0)
         result = crlb_sgle(ref_source, geom, cfg)
-        np.testing.assert_array_equal(result.fim, fisher_information(ref_source, geom, cfg))
+        np.testing.assert_array_equal(result.fim, _assemble(*_exact_terms(ref_source, geom, cfg)))
         np.testing.assert_array_equal(result.eigenvalues, np.linalg.eigvalsh(result.fim))
-        assert result.condition_indicator == condition_indicator(result.fim)
+        assert result.condition_indicator == _bounds(result.fim)[1]
         summed = sum(c * np.outer(v, v) for c, v in zip(result.terms, result.gradients))
         np.testing.assert_allclose(summed, result.fim, rtol=1e-13, atol=0.0)
 

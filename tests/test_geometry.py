@@ -12,12 +12,10 @@ from srcloc.geometry import (
     SourceParams,
     count_within,
     distances,
-    geometry_from_json,
-    geometry_from_text,
-    geometry_to_json,
-    geometry_to_text,
+    load_geometry,
     min_pairwise_distance,
     sample_geometry,
+    save_geometry,
 )
 
 
@@ -140,27 +138,14 @@ def test_sampled_geometry_always_valid(seed):
     assert np.all(np.sum(geom.sensors**2, axis=1) <= 12.0**2)
 
 
-def test_text_roundtrip_exact():
+def test_json_roundtrip_exact(tmp_path):
     geom = sample_geometry(25, 50.0, 5.0, rng=11)
-    back = geometry_from_text(geometry_to_text(geom, seed=11))
+    path = tmp_path / "geometry.json"
+    save_geometry(path, geom, seed=11)
+    doc = json.loads(path.read_text())
+    assert doc["K"] == 25 and doc["seed"] == 11
+    back = load_geometry(path)
     np.testing.assert_array_equal(back.sensors, geom.sensors)
     assert back.R == geom.R and back.R_ex == geom.R_ex
 
 
-def test_json_roundtrip_exact():
-    geom = sample_geometry(25, 50.0, 5.0, rng=11)
-    text = geometry_to_json(geom, seed=11)
-    doc = json.loads(text)
-    assert doc["K"] == 25 and doc["seed"] == 11
-    back = geometry_from_json(text)
-    np.testing.assert_array_equal(back.sensors, geom.sensors)
-
-
-def test_text_format_layout():
-    geom = NetworkGeometry(sensors=np.array([[1.0, 2.0]]), R=5.0)
-    lines = geometry_to_text(geom, seed=4).splitlines()
-    meta = [ln for ln in lines if ln.startswith("#")]
-    assert any("K: 1" in ln for ln in meta)
-    assert any("seed: 4" in ln for ln in meta)
-    header_idx = lines.index("index x y")
-    assert lines[header_idx + 1].startswith("0 ")

@@ -20,7 +20,6 @@ from srcloc.likelihood import (
     _nelder_mead_batch,
     _newton_polish,
     _polar_grid_seeds,
-    log_likelihood,
     ml_estimate_batch,
 )
 from srcloc.montecarlo import ROUND_NS, place_geometry, with_thresholds
@@ -147,7 +146,10 @@ class TestLogLikelihood:
         t = np.array([0.7])
         P = received_power(100.0, 1.0, 2.0, 5.0)
         expected = np.log(marginal_energy_pdf(0.7, P, 1.5, 1.0, 2.0, 0.5))
-        assert log_likelihood(t, theta, geom, cfg) == pytest.approx(expected, rel=1e-12)
+        ll = _EnsembleLikelihood(t[None, :], geom, cfg).loglik(
+            np.zeros(1, dtype=int), np.array([theta.P0]), np.array([theta.xT]), np.array([theta.yT])
+        )
+        assert ll[0] == pytest.approx(expected, rel=1e-12)
 
     def test_sensor_permutation_invariance(self, ref_source):
         geom = sample_geometry(12, 50.0, 0.0, rng=23)
@@ -155,20 +157,21 @@ class TestLogLikelihood:
         t = simulate_round(geom, ref_source, cfg, np.random.default_rng(24))
         perm = np.random.default_rng(25).permutation(12)
         geom_p = NetworkGeometry(sensors=geom.sensors[perm], R=geom.R)
-        assert log_likelihood(t, ref_source, geom, cfg) == pytest.approx(
-            log_likelihood(t[perm], ref_source, geom_p, cfg), rel=1e-12
+        at_source = (
+            np.zeros(1, dtype=int), np.array([ref_source.P0]), np.array([ref_source.xT]), np.array([ref_source.yT])
         )
+        ll = _EnsembleLikelihood(t[None, :], geom, cfg).loglik(*at_source)
+        ll_p = _EnsembleLikelihood(t[None, perm], geom_p, cfg).loglik(*at_source)
+        assert ll[0] == pytest.approx(ll_p[0], rel=1e-12)
 
     def test_finite_for_extreme_parameters(self, ref_source):
         geom = sample_geometry(10, 50.0, 0.0, rng=26)
         cfg = ref_config(channel_snr_db=0.0, beta=4.0)
         t = simulate_round(geom, ref_source, cfg, np.random.default_rng(27))
-        for theta in (
-            SourceParams(1e-3, -49.0, 0.0),
-            SourceParams(1e7, 49.0, 0.0),
-            SourceParams(10_000.0, 0.0, 49.9),
-        ):
-            assert np.isfinite(log_likelihood(t, theta, geom, cfg))
+        # (P0, xT, yT) at the P0 extremes and by the disk edge
+        p0, x, y = np.array([[1e-3, -49.0, 0.0], [1e7, 49.0, 0.0], [10_000.0, 0.0, 49.9]]).T
+        ll = _EnsembleLikelihood(t[None, :], geom, cfg).loglik(np.zeros(3, dtype=int), p0, x, y)
+        assert np.all(np.isfinite(ll))
 
     def test_gradient_matches_finite_differences(self, ref_source):
         # the module's score vs central differences of the implementation
@@ -186,10 +189,9 @@ class TestLogLikelihood:
                                   np.array([theta.xT]), np.array([theta.yT]))
             analytic = float(grad[0, 0])
             h = 1e-5 * geom.R
-            fd = (
-                log_likelihood(t, SourceParams(theta.P0, theta.xT + h, theta.yT), geom, cfg)
-                - log_likelihood(t, SourceParams(theta.P0, theta.xT - h, theta.yT), geom, cfg)
-            ) / (2 * h)
+            ll = el.loglik(np.zeros(2, dtype=int), np.full(2, theta.P0), theta.xT + np.array([h, -h]),
+                           np.full(2, theta.yT))
+            fd = (ll[0] - ll[1]) / (2 * h)
             assert fd == pytest.approx(analytic, rel=1e-4, abs=1e-10)
 
 
