@@ -152,7 +152,12 @@ def _run_outage(config: ExperimentConfig, out: Path) -> list:
     previous run's table (trials_file) without rerunning anything."""
     r_t = config.conditioning_r_t
     if config.trials_file:
-        trials, r_t_list = trials_from_csv(Path(config.trials_file).read_text(), config.trials_file)
+        data = Path(config.trials_file).read_bytes()
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{config.trials_file}: malformed trials table ({exc})") from exc
+        trials, r_t_list = trials_from_csv(text, config.trials_file)
         if r_t not in r_t_list:
             raise ParseError(
                 f"{config.trials_file}: no k_t@{_fmt(r_t)} column for conditioning_r_t {_fmt(r_t)}"

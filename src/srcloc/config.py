@@ -211,14 +211,18 @@ def load_config(
     file_raw: dict = {}
     if path is not None:
         try:
-            with open(path) as fh:
-                file_raw = json.load(fh)
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read config file {path}: {exc}") from exc
+        try:
+            file_raw = json.loads(data)  # bytes, so that a decoding error is raised here
         except json.JSONDecodeError as exc:
             raise ParseError(
                 f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{path}: malformed config file ({type(exc).__name__}: {exc})") from exc
         if not isinstance(file_raw, dict):
             raise ParseError(f"{path}: top level must be a JSON object")
 

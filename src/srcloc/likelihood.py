@@ -5,24 +5,22 @@ mean ``eb*u + tau2``, so marginally each energy follows a two-component
 exponential mixture whose weights are the bit probabilities.  The joint
 likelihood over sensors factorizes, and the source parameters
 (P0, xT, yT) are recovered by maximizing the log-likelihood with a
-two-stage multi-start search seeded from a coarse polar grid: lockstep
-Nelder-Mead to a coarse tolerance chooses each start's basin, and a
-lockstep Levenberg-Marquardt-damped Newton iteration on the exact
-gradient and Hessian converges inside it.  Nelder-Mead's final
-contraction converges only linearly (Lagarias et al., SIAM J. Optim.
-1998), Newton's quadratically (More, "The Levenberg-Marquardt algorithm:
-implementation and theory", 1978), so the second stage replaces the long
-tail of simplex steps.  Each stage stops when its own job is done: a
-simplex at basin scale whose best vertex has a positive-definite Hessian
-and a short Newton step hands that vertex to the polish; one on a flat
-slope or a saddle carries on to a finer scale; one still moving after a
-step cap is handed over as it stands.  The polish stops a start once
-its steps no longer gain anything.
-
-The search's settings are fixed: a 7 x 7 polar grid over the disk crossed
-with P0 factors 0.1, 1 and 10 of nominal seeds it, each round refines its
-4 best spatially distinct grid seeds plus 1 random start, and P0 stays
+multi-start search (Sheng & Hu, IEEE TSP 2005).  One pass scores a fixed
+seed set, a 7 x 7 polar grid and a square lattice inside the disk, each
+crossed with P0 factors, against every round of a batch; the normal CDF
+runs once per seed and sensor, not once per round.  Each round then runs
+a lockstep Levenberg-Marquardt-damped Newton iteration on the exact
+gradient and Hessian (More, "The Levenberg-Marquardt algorithm:
+implementation and theory", 1978) from its best spatially distinct
+seeds, one random start, and the centroid of the sensors whose energy
+favours bit 1 (Bulusu, Heidemann & Estrin, IEEE Pers. Commun. 2000).
+The polish is the only local stage: Nelder-Mead, which converges only
+linearly (Lagarias et al., SIAM J. Optim. 1998), is gone.  P0 stays
 within a factor 1e3 of nominal.
+
+A round's estimate is ``converged`` when the polish of the start that
+gave it met its decrement or stall test; a start that ran out of steps
+or whose damping saturated, and the raw best seed, are not.
 
 One kernel, ``_EnsembleLikelihood._log_terms``, evaluates every
 per-sensor term T.  It works in the linear domain, ``log(q0*f0 + q1*f1)``
@@ -47,58 +45,59 @@ from .signal_model import SensorEnsembleConfig
 
 # --- ML estimation ----------------------------------------------------------
 #
-# Fixed search settings (see the module docstring).  Nelder-Mead only
-# picks the basin: a simplex stops when its scaled diameter is below
-# _DIAMETER_TOL_FRAC * R and its relative value spread below
-# _F_SPREAD_REL_TOL, provided its best vertex has a positive-definite
-# Hessian and an undamped Newton step no longer than _HANDOVER_FRAC * R
-# (scaled).  The check runs on every _CHECK_EVERY-th step, since each
-# call costs about as much for one simplex as for fifty.  A simplex that
-# fails it carries on, on the path it would have taken anyway, down to
-# _RESUME_DIAMETER_FRAC * R.  Any simplex still moving after
-# _MAX_ITER steps is handed over as it stands.  The Newton polish starts
-# at the best vertex with damping _DAMPING_INIT, never lets the damping
-# fall below that, and stops when the damped Newton decrement is below
-# _DECREMENT_REL_TOL * max(1, |f|), after _STALL_STEPS consecutive
-# accepted steps that each gained at most _STALL_REL_GAIN * max(1, |f|),
-# when the damping exceeds _DAMPING_MAX, or after _POLISH_MAX_ITER steps.
-# A coarse simplex can stop partway along a flat curved valley, where the
-# polish has needed up to about 140 damped steps to reach the floor,
-# hence the budget.  The derivative pass scores _SCORE_BLOCK probes at a
-# time, which keeps its temporaries below those of the simplices' first
-# evaluation; the seed grid is scored _GRID_CHUNK seeds at a time against
-# every round.
+# Fixed search settings (see the module docstring).  The seeds are the
+# polar grid crossed with _P0_SEED_FACTORS and a square lattice of
+# spacing _LATTICE_FRAC * R crossed with _LATTICE_P0_FACTORS, 832 in all;
+# grid_loglik scores them _GRID_CHUNK at a time against every round.  A
+# round polishes its _N_STARTS best seeds at least _MIN_SEP_FRAC * R
+# apart, its random start at nominal P0, and the centroid start at the
+# best of _N_CENTROID_P0 log-spaced P0 values across the range.  The
+# polish starts with damping _DAMPING_INIT, never lets it fall below
+# that, and scales it by the largest |diag H| seen, floored at 1/R^2 in
+# x and y and 1 in ln P0: where the location is flat (|H_xx| about 1e-12
+# with P0 near its floor) the damping could otherwise not shorten the
+# location step, and saturated before P0 moved.  A start stops when its
+# damped Newton decrement is below _DECREMENT_REL_TOL * max(1, |f|),
+# after _STALL_STEPS consecutive accepted steps that each gained at most
+# _STALL_REL_GAIN * max(1, |f|), when the damping exceeds _DAMPING_MAX,
+# or after _POLISH_MAX_ITER steps.  The derivative pass scores
+# _SCORE_BLOCK probes at a time.  Candidates within rel _TIE_REL_TOL of a
+# round's best log-likelihood tie, so that the answer on a flat
+# likelihood does not turn on the last bits of the energies.
 #
-# Why these values, measured on the outage-desk configuration (K = 50,
-# 0 dB, 16,000 rounds) against a search that ran every simplex to
-# 1e-3 R and 2000 steps with no stall stop: without the basin check, a
-# basin diameter of 3e-3 R left 2 rounds more than 1e-3 nats lower
-# (0.06 and 0.52 nats), and even 1.25e-3 R left one.  In both the simplex
-# had stopped by a saddle near the P0 floor or on a flat slope, which
-# the check catches.  With the check, 3e-3, 5e-3 and 1e-2 R all left
-# none; the looser two measured no faster, as more simplices fail the
-# check and carry on, so 3e-3 R is kept.  Checking on every 8th step
-# instead of every step also left none, with about a fifth of the check
-# calls and 4% more simplex probes.  A 200-step cap lost a round by
-# 0.03 nats.  A 5-step stall stop lost at most 3e-5 nats.
+# Why these values, measured on outage-desk rounds (K = 50, 0 dB,
+# ensembles 502000-503000, 3,200 rounds) as rounds more than 1e-3 nats
+# above / below the Nelder-Mead search this replaced: the chosen set gave
+# 585 / 66 at 18.4 score probes per start, and 36-40% less ML CPU.  Lattice
+# spacing 0.1 R gave 574 / 95 with twice the seed-pass time (ML CPU only
+# 13% below the old search), 0.2 R gave 576 / 75.  4 lattice starts gave
+# 571 / 101, 6 gave 597 / 53 for a seventh more polish.  Without the
+# centroid start (4 lattice starts) 561 / 127 against 571 / 101, and the
+# two-ring test instance lands in 0 of 40 runs against 40 of 40.  P0
+# factors 0.2-5 gave 585 / 44 but lost round 1 of ensemble 508000,
+# geometry 7, whose maximum sits at 1.5% of nominal P0.  The earlier stops
+# (decrement 1e-13, 10 stall steps of 1e-10, 200 steps) cost 24.5 probes
+# per start and gained 12 rounds by more than 1e-3 nats on creeping
+# walks; a 200-step cap changed no round against 100, and 60 lost one by
+# 0.13 nats.  Without the floor on the scaling, 9 of 22,400 starts ended
+# by saturation, against 1 with it.
 
 _P0_SPAN = 1e3
 _N_GRID_RADIAL = 7
 _N_GRID_ANGULAR = 7
 _P0_SEED_FACTORS = np.array([0.1, 1.0, 10.0])
-_N_STARTS = 4
-_MAX_ITER = 300
-_DIAMETER_TOL_FRAC = 3e-3
-_HANDOVER_FRAC = 1e-2
-_RESUME_DIAMETER_FRAC = 1e-3
-_CHECK_EVERY = 8
-_F_SPREAD_REL_TOL = 1e-6
-_POLISH_MAX_ITER = 200
-_STALL_STEPS = 10
-_STALL_REL_GAIN = 1e-10
+_LATTICE_FRAC = 0.15
+_LATTICE_P0_FACTORS = np.array([0.1, 0.3, 1.0, 3.0, 10.0])
+_N_STARTS = 5
+_MIN_SEP_FRAC = 0.15
+_N_CENTROID_P0 = 25
+_POLISH_MAX_ITER = 100
+_STALL_STEPS = 3
+_STALL_REL_GAIN = 1e-8
 _DAMPING_INIT = 1e-6
 _DAMPING_MAX = 1e6
-_DECREMENT_REL_TOL = 1e-13
+_DECREMENT_REL_TOL = 1e-10
+_TIE_REL_TOL = 1e-12
 _SCORE_BLOCK = 1024
 _GRID_CHUNK = 32
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -111,117 +110,6 @@ class EstimateResult:
     theta_hat: SourceParams
     log_likelihood: float
     converged: bool
-
-
-def _nelder_mead_batch(f, x0s, R, in_basin):
-    """Run independent Nelder-Mead searches in lockstep over (x, y, ln P0).
-
-    ``f(points, ids)`` maps an (m, 3) block of probe points, with their
-    owning simplex indices, to (m,) values; x0s is (S, 3).  Each simplex
-    steps R/20, R/20 and 0.25 from its start, then follows the standard
-    reflect/expand/contract/shrink rules on its own comparisons;
-    batching only vectorizes the function evaluations across simplices.
-    A simplex converges when its scaled diameter is below
-    _DIAMETER_TOL_FRAC * R, its relative value spread below
-    _F_SPREAD_REL_TOL, and ``in_basin(points, ids)`` flags its best
-    vertex as inside a basin; the check runs every _CHECK_EVERY steps,
-    and a simplex that meets the first two conditions in between keeps
-    stepping until then.  An unflagged simplex carries on, on the path a
-    search to that diameter alone would take, and converges at
-    _RESUME_DIAMETER_FRAC * R without another check.  Converged
-    simplices freeze and leave the batch; a simplex still moving after
-    _MAX_ITER steps is returned as it stands, unconverged.
-
-    Returns (best points (S, 3), best values (S,), converged flags (S,)).
-    """
-    x0s = np.asarray(x0s, dtype=float)
-    S, n = x0s.shape
-    steps = np.array([R / 20.0, R / 20.0, 0.25])
-    scale = np.array([1.0, 1.0, R])
-    diam_tol = np.full(S, _DIAMETER_TOL_FRAC * R)
-    floor = _RESUME_DIAMETER_FRAC * R
-    verts = np.repeat(x0s[:, None, :], n + 1, axis=1)
-    for j in range(n):
-        verts[:, j + 1, j] += steps[j]
-    all_ids = np.arange(S)
-    fv = f(verts.reshape(-1, n), np.repeat(all_ids, n + 1)).reshape(S, n + 1)
-    converged = np.zeros(S, dtype=bool)
-    active = np.ones(S, dtype=bool)
-    for step in range(_MAX_ITER):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        v = verts[idx]
-        fvals = fv[idx]
-        order = np.argsort(fvals, axis=1, kind="stable")
-        ar = np.arange(idx.size)
-        ib, isw, iw = order[:, 0], order[:, -2], order[:, -1]
-        fb, fsw, fw = fvals[ar, ib], fvals[ar, isw], fvals[ar, iw]
-        vb = v[ar, ib]
-        diam = np.max(np.abs(v - vb[:, None, :]) * scale, axis=(1, 2))
-        done = (diam < diam_tol[idx]) & ((fw - fb) <= _F_SPREAD_REL_TOL * np.maximum(1.0, np.abs(fb)))
-        check = np.flatnonzero(done & (diam_tol[idx] > floor))
-        if check.size:
-            if step % _CHECK_EVERY:
-                out = check
-            else:
-                out = check[~in_basin(vb[check], idx[check])]
-                diam_tol[idx[out]] = floor
-            done[out] = diam[out] < floor
-        if done.any():
-            converged[idx[done]] = True
-            active[idx[done]] = False
-            keep = ~done
-            idx = idx[keep]
-            if idx.size == 0:
-                continue
-            v, fvals = v[keep], fvals[keep]
-            ib, isw, iw = ib[keep], isw[keep], iw[keep]
-            fb, fsw, fw = fb[keep], fsw[keep], fw[keep]
-            vb = vb[keep]
-            ar = np.arange(idx.size)
-        vw = v[ar, iw]
-        centroid = (v.sum(axis=1) - vw) / n
-        xr = 2.0 * centroid - vw
-        fr = f(xr, idx)
-
-        expand = fr < fb
-        reflect = ~expand & (fr < fsw)
-        contract_out = ~expand & ~reflect & (fr < fw)
-        contract_in = ~expand & ~reflect & ~contract_out
-        second = np.empty_like(xr)
-        second[expand] = 3.0 * centroid[expand] - 2.0 * vw[expand]
-        second[contract_out] = 0.5 * (centroid[contract_out] + xr[contract_out])
-        second[contract_in] = 0.5 * (centroid[contract_in] + vw[contract_in])
-        fs = np.full(idx.size, np.inf)
-        need = ~reflect
-        if need.any():
-            fs[need] = f(second[need], idx[need])
-
-        new_vert = xr.copy()
-        new_f = fr.copy()
-        better_second = (expand & (fs < fr)) | (contract_out & (fs <= fr)) | (
-            contract_in & (fs < fw)
-        )
-        new_vert[better_second] = second[better_second]
-        new_f[better_second] = fs[better_second]
-        shrink = (contract_out & (fs > fr)) | (contract_in & (fs >= fw))
-
-        accept = ~shrink
-        if accept.any():
-            gidx = idx[accept]
-            verts[gidx, iw[accept]] = new_vert[accept]
-            fv[gidx, iw[accept]] = new_f[accept]
-        if shrink.any():
-            gidx = idx[shrink]
-            anchors = vb[shrink][:, None, :]
-            verts[gidx] = anchors + 0.5 * (verts[gidx] - anchors)
-            fv[gidx] = f(
-                verts[gidx].reshape(-1, n), np.repeat(gidx, n + 1)
-            ).reshape(gidx.size, n + 1)
-    order = np.argmin(fv, axis=1)
-    sel = np.arange(S)
-    return verts[sel, order], fv[sel, order], converged
 
 
 def _cholesky_solve3(A, b):
@@ -250,34 +138,36 @@ def _cholesky_solve3(A, b):
     return np.where(pd[:, None], np.column_stack([p1, p2, p3]), 0.0), pd
 
 
-def _newton_polish(score, x0s):
+def _newton_polish(score, x0s, floor):
     """Refine independent starts in lockstep with damped Newton steps.
 
     ``score(points, ids)`` maps an (m, 3) block of points, with their
     owning start indices, to their values (m,), gradients (m, 3) and
     Hessians (m, 3, 3).  Each start solves (H + mu*D) p = -g, with D the
-    largest |diag H| seen along its path (More's scaling), and moves to
-    x + p only if that lowers its value.  The damping follows Nielsen's
-    rule: an accepted step scales mu by max(1/3, 1 - (2 rho - 1)^3),
-    where rho is the achieved over the predicted decrease, and a
-    rejected step or an indefinite system multiplies it by a factor
-    that doubles with each consecutive rejection.  A start stops when
-    its damped Newton decrement g'(H + mu*D)^-1 g is negligible, when
-    its last _STALL_STEPS accepted steps each gained a negligible amount,
-    or when its damping saturates (see the search constants).  Every
-    operation is per start, so a start's path does not depend on the
-    others in the batch.
+    largest |diag H| seen along its path (More's scaling), but at least
+    ``floor`` (3,), and moves to x + p only if that lowers its value.
+    The damping follows Nielsen's rule: an accepted step scales mu by
+    max(1/3, 1 - (2 rho - 1)^3), where rho is the achieved over the
+    predicted decrease, and a rejected step or an indefinite system
+    multiplies it by a factor that doubles with each consecutive
+    rejection.  A start converges when its damped Newton decrement
+    g'(H + mu*D)^-1 g is negligible or its last _STALL_STEPS accepted
+    steps each gained a negligible amount; it gives up when its damping
+    saturates or its step budget runs out (see the search constants).
+    Every operation is per start, so a start's path does not depend on
+    the others in the batch.
 
-    Returns the refined points (S, 3).
+    Returns the refined points (S, 3) and the converged flags (S,).
     """
     x = np.array(x0s, dtype=float)
     S = x.shape[0]
     f, g, H = score(x, np.arange(S))
-    scale = np.abs(np.diagonal(H, axis1=1, axis2=2)).copy()
+    scale = np.maximum(np.abs(np.diagonal(H, axis1=1, axis2=2)), floor)
     mu = np.full(S, _DAMPING_INIT)
     nu = np.full(S, 2.0)
     stalled = np.zeros(S, dtype=int)
     active = np.ones(S, dtype=bool)
+    converged = np.zeros(S, dtype=bool)
     for _ in range(_POLISH_MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
@@ -310,19 +200,29 @@ def _newton_polish(score, x0s):
         rejected = idx[~done & ~accepted]
         mu[rejected] *= nu[rejected]
         nu[rejected] *= 2.0
-        active[idx[done | (stalled[idx] >= _STALL_STEPS)]] = False
+        stop = idx[done | (stalled[idx] >= _STALL_STEPS)]
+        converged[stop], active[stop] = True, False
         active[rejected[mu[rejected] > _DAMPING_MAX]] = False
-    return x
+    return x, converged
 
 
-def _polar_grid_seeds(R: float, p0_nominal: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seed points (P0, x, y): the polar grid crossed with the P0 factors."""
+def _seed_points(R: float, p0_nominal: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seed points (P0, x, y): the polar grid crossed with _P0_SEED_FACTORS,
+    then the square lattice inside the disk crossed with _LATTICE_P0_FACTORS."""
     radii = (np.arange(_N_GRID_RADIAL) + 0.5) / _N_GRID_RADIAL * R
     angles = 2.0 * np.pi * np.arange(_N_GRID_ANGULAR) / _N_GRID_ANGULAR
     rr, aa = np.meshgrid(radii, angles, indexing="ij")
-    gx = np.repeat((rr * np.cos(aa)).ravel(), _P0_SEED_FACTORS.size)
-    gy = np.repeat((rr * np.sin(aa)).ravel(), _P0_SEED_FACTORS.size)
-    gp = np.tile(p0_nominal * _P0_SEED_FACTORS, rr.size)
+    n = int(1.0 / _LATTICE_FRAC)
+    ticks = np.arange(-n, n + 1) * (_LATTICE_FRAC * R)
+    lx, ly = np.meshgrid(ticks, ticks, indexing="ij")
+    inside = lx * lx + ly * ly <= R * R
+    parts = [
+        ((rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel(), _P0_SEED_FACTORS),
+        (lx[inside], ly[inside], _LATTICE_P0_FACTORS),
+    ]
+    gx = np.concatenate([np.repeat(px, f.size) for px, _, f in parts])
+    gy = np.concatenate([np.repeat(py, f.size) for _, py, f in parts])
+    gp = np.concatenate([np.tile(p0_nominal * f, px.size) for px, _, f in parts])
     return gp, gx, gy
 
 
@@ -555,13 +455,14 @@ def ml_estimate_batch(
 
     The location is searched on the geometry's disk (quadratic penalty
     outside) and P0 on a log scale within a factor 1e3 of p0_nominal.
-    Scores the full seed grid for every round in one pass, then refines
-    each round's best spatially distinct seeds, plus one random start
-    from the round's own generator in ``rngs``, with the two-stage search
-    (lockstep Nelder-Mead, then the Newton polish) across all rounds at
-    once.  Per round, ties on log-likelihood break toward the
-    lexicographically smallest (x, y), and the returned log-likelihood
-    is never below the round's best grid seed.
+    Scores the whole seed set for every round in one pass, then polishes
+    each round's best spatially distinct seeds, one random start from the
+    round's own generator in ``rngs`` (two uniform draws) and the
+    centroid start, across all rounds at once; no start depends on the
+    other rounds of the batch.  Per round, candidates within rel
+    _TIE_REL_TOL of the best log-likelihood tie and the lexicographically
+    smallest (x, y) among them wins, so the returned log-likelihood is
+    never below the round's best seed by more than that.
     """
     ts = np.atleast_2d(np.asarray(ts, dtype=float))
     M = ts.shape[0]
@@ -572,73 +473,70 @@ def ml_estimate_batch(
     ln_lo = np.log(p0_nominal / _P0_SPAN)
     ln_hi = np.log(p0_nominal * _P0_SPAN)
 
-    gp, gx, gy = _polar_grid_seeds(R, p0_nominal)
-    grid_ll = el.grid_loglik(gp, gx, gy)  # (M, n_seeds)
-    seed_order = np.argsort(-grid_ll, axis=1, kind="stable")
+    gp, gx, gy = _seed_points(R, p0_nominal)
+    seed_ll = el.grid_loglik(gp, gx, gy)  # (M, n_seeds)
 
-    # Per round: high-scoring seeds kept at least one grid cell apart so
-    # the local searches explore separate modes, then one random start.  The
-    # 7 outer-ring seeds are about 0.81 R apart and a pick blocks only
-    # points within R/7, so 3 picks leave a 4th distinct seed.
-    min_sep_sq = (R / _N_GRID_RADIAL) ** 2
-    n_starts = _N_STARTS + 1
-    x0s = np.empty((M * n_starts, 3))
-    rows = np.repeat(np.arange(M), n_starts)
+    # Starts per round: the best seeds at least _MIN_SEP_FRAC * R apart,
+    # so that they explore separate modes; the random start; and the
+    # centroid of the sensors whose energy favours bit 1, at the best of
+    # _N_CENTROID_P0 values of ln P0 across the range.
+    open_ll = seed_ll.copy()
+    picks = np.empty((M, _N_STARTS), dtype=int)
+    for k in range(_N_STARTS):
+        pick = picks[:, k] = np.argmax(open_ll, axis=1)
+        near = (gx - gx[pick, None]) ** 2 + (gy - gy[pick, None]) ** 2 < (_MIN_SEP_FRAC * R) ** 2
+        open_ll[near] = -np.inf
+    n_starts = _N_STARTS + 2
+    x0s = np.empty((M, n_starts, 3))
+    x0s[:, :_N_STARTS] = np.stack([gx[picks], gy[picks], np.log(gp[picks])], axis=-1)
     for m in range(M):
-        picked = []
-        for idx in seed_order[m]:
-            if len(picked) >= _N_STARTS:
-                break
-            if any((gx[idx] - px) ** 2 + (gy[idx] - py) ** 2 < min_sep_sq for px, py in picked):
-                continue
-            picked.append((gx[idx], gy[idx]))
-            x0s[m * n_starts + len(picked) - 1] = gx[idx], gy[idx], np.log(gp[idx])
         ang = rngs[m].uniform(0.0, 2.0 * np.pi)
         rad = R * np.sqrt(rngs[m].uniform())
-        x0s[m * n_starts + _N_STARTS] = rad * np.cos(ang), rad * np.sin(ang), np.log(p0_nominal)
+        x0s[m, _N_STARTS] = rad * np.cos(ang), rad * np.sin(ang), np.log(p0_nominal)
+    ones = el.log_f1 > el.log_f0
+    n_ones = np.maximum(ones.sum(axis=1), 1)
+    cx, cy = (ones * el.xs).sum(axis=1) / n_ones, (ones * el.ys).sum(axis=1) / n_ones
+    ln_p0s = np.linspace(ln_lo, ln_hi, _N_CENTROID_P0)
+    scan = el.loglik(
+        np.repeat(np.arange(M), ln_p0s.size),
+        np.tile(np.exp(ln_p0s), M),
+        np.repeat(cx, ln_p0s.size),
+        np.repeat(cy, ln_p0s.size),
+    ).reshape(M, ln_p0s.size)
+    x0s[:, -1] = np.column_stack([cx, cy, ln_p0s[np.argmax(scan, axis=1)]])
 
+    rows = np.repeat(np.arange(M), n_starts)
     objective = _SearchObjective(el, rows, R, ln_lo, ln_hi)
-    scale = np.array([1.0, 1.0, R])
+    polished, converged = _newton_polish(objective.score, x0s.reshape(-1, 3), np.array([1.0 / R**2, 1.0 / R**2, 1.0]))
 
-    def in_basin(V, sidx):
-        # positive-definite Hessian and a Newton step within the handover radius
-        _, g, H = objective.score(V, sidx)
-        step, pd = _cholesky_solve3(H, -g)
-        return pd & (np.max(np.abs(step) * scale, axis=1) <= _HANDOVER_FRAC * R)
-
-    coarse, _, results_conv = _nelder_mead_batch(objective, x0s, R, in_basin)
-    results_x = _newton_polish(objective.score, coarse)
-
-    # Project every refined point into the search domain and rescore the
-    # raw likelihood there.
-    x = results_x[:, 0].copy()
-    y = results_x[:, 1].copy()
+    # Candidates: every polished start, projected into the search domain
+    # and rescored on the raw likelihood there, plus the best seed, which
+    # guarantees the seed-dominance contract.
+    x, y = polished[:, 0].copy(), polished[:, 1].copy()
     rad = np.hypot(x, y)
     over = rad > R
     x[over] *= R / rad[over]
     y[over] *= R / rad[over]
-    p0 = np.exp(np.clip(results_x[:, 2], ln_lo, ln_hi))
-    cand_ll = el.loglik(rows, p0, x, y)
+    p0 = np.exp(np.clip(polished[:, 2], ln_lo, ln_hi))
+    best = picks[:, 0]
 
+    def per_round(starts, seed):
+        return np.column_stack([starts.reshape(M, n_starts), seed])
+
+    cand_ll = per_round(el.loglik(rows, p0, x, y), seed_ll[np.arange(M), best])
+    cand_x, cand_y = per_round(x, gx[best]), per_round(y, gy[best])
+    cand_p0 = per_round(p0, gp[best])
+    cand_conv = per_round(converged, np.zeros(M, dtype=bool))
     out = []
     for m in range(M):
-        sl = slice(m * n_starts, (m + 1) * n_starts)
-        best_seed = seed_order[m, 0]
-        # candidates: refined starts plus the raw best grid seed, which
-        # guarantees the grid-dominance contract
-        cand = list(zip(cand_ll[sl], x[sl], y[sl], p0[sl]))
-        cand.append(
-            (grid_ll[m, best_seed], gx[best_seed], gy[best_seed], gp[best_seed])
-        )
-        best = cand[0]
-        for c in cand[1:]:
-            if c[0] > best[0] or (c[0] == best[0] and (c[1], c[2]) < (best[1], best[2])):
-                best = c
+        top = cand_ll[m].max()
+        tied = np.flatnonzero(cand_ll[m] >= top - _TIE_REL_TOL * abs(top))
+        w = tied[np.lexsort((cand_y[m, tied], cand_x[m, tied]))[0]]
         out.append(
             EstimateResult(
-                theta_hat=SourceParams(P0=float(best[3]), xT=float(best[1]), yT=float(best[2])),
-                log_likelihood=float(best[0]),
-                converged=bool(results_conv[sl].any()),
+                theta_hat=SourceParams(P0=float(cand_p0[m, w]), xT=float(cand_x[m, w]), yT=float(cand_y[m, w])),
+                log_likelihood=float(cand_ll[m, w]),
+                converged=bool(cand_conv[m, w]),
             )
         )
     return out

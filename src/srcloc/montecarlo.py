@@ -114,10 +114,11 @@ class OutageCurve:
 
 
 # Fewest rounds worth a pool task.  Smaller lockstep batches cost more
-# per round: the search's tail, where few of a batch's starts are still
-# active, is paid once per batch.  The step cap (300 simplex steps) and
-# the polish's stall stop bound that tail, but each of its lockstep calls
-# still costs about as much for one start as for fifty.
+# per round: the seed pass's per-call overhead and the polish's tail,
+# where few of a batch's starts are still active, are paid once per
+# batch.  The polish's step cap (100 steps) and stall stop bound that
+# tail, but each of its lockstep calls still costs about as much for one
+# start as for fifty.
 _MIN_BLOCK = 100
 
 

@@ -6,7 +6,8 @@ and stored.  ``search_quality.json`` holds each round's log-likelihood as
 found by the estimator that generated it: the Nelder-Mead-only search
 (simplices run to a scaled diameter of 1e-6 R and a value spread of
 1e-9) that preceded the two-stage search.  The tests compare today's
-estimator against it.  Regenerate (from the repository root) with
+estimator against it; ``search_reference.py`` freezes a stronger
+reference on the same rounds.  Regenerate (from the repository root) with
 
     PYTHONPATH=src python -m tests.search_quality
 
@@ -42,13 +43,19 @@ def sensor_config(channel_snr_db: float) -> SensorEnsembleConfig:
     return SensorEnsembleConfig.from_snr_db(SOURCE.P0, 40.0, channel_snr_db, 1.0)
 
 
-def estimate(index: int, channel_snr_db: float, beta: float) -> list:
-    """The estimator's results for case ``index`` at threshold beta."""
+def rounds(index: int, channel_snr_db: float, beta: float) -> tuple:
+    """The estimator's arguments (ts, geom, cfg, p0_nominal, rngs) for case
+    ``index`` at threshold beta."""
     geom = geometry()
     cfg = sensor_config(channel_snr_db).with_beta(beta)
     ts = simulate_rounds(geom, SOURCE, cfg, N_ROUNDS, np.random.default_rng((GEOMETRY_SEED, index)))
     rngs = [np.random.default_rng((GEOMETRY_SEED, index, m)) for m in range(N_ROUNDS)]
-    return ml_estimate_batch(ts, geom, cfg, SOURCE.P0, rngs)
+    return ts, geom, cfg, SOURCE.P0, rngs
+
+
+def estimate(index: int, channel_snr_db: float, beta: float) -> list:
+    """The estimator's results for case ``index`` at threshold beta."""
+    return ml_estimate_batch(*rounds(index, channel_snr_db, beta))
 
 
 def main() -> None:

@@ -857,6 +857,18 @@ class TestExitCodes:
         assert main(["outage", "--config", str(tmp_path / "nope.json")]) == 2
 
     @pytest.mark.parametrize(
+        "content", [b"\x80", b"[" * 100_000], ids=["not-utf-8", "too-deep"]
+    )
+    def test_malformed_config_file_exit_2(self, tmp_path, capsys, content):
+        # bytes that are not text and nesting past the parser's depth are
+        # parse errors naming the file, not tracebacks
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main(["crlb", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error_class"] == "ParseError" and str(path) in record["message"]
+
+    @pytest.mark.parametrize(
         "mode, flag, name, content",
         [
             ("crlb", "--geometry", "geometry.json", '{"format": "network-geometry", "R": 50.0, "sensors": [[1.0]]}'),
@@ -875,6 +887,7 @@ class TestExitCodes:
                 '{"format": "network-geometry", "R": 50.0, "sensors": [[1' + "0" * 400 + ", 0.0]]}",
             ),
             ("outage", "--trials", "trials.csv", "geometry_id,seed\n0,7\n"),
+            ("outage", "--trials", "trials.csv", b"\x80"),
             ("outage", "--trials", "trials.csv", ""),
             ("outage", "--trials", "trials.csv", montecarlo.trials_to_csv([], [14.0])),
             (
@@ -891,7 +904,7 @@ class TestExitCodes:
         ids=[
             "json-short-row", "json-no-sensors", "old-text-form", "json-fewer-rows-than-k",
             "json-list", "json-null", "not-utf-8", "json-too-deep", "json-huge-int",
-            "csv-no-beta-column", "empty-trials", "header-only",
+            "csv-no-beta-column", "trials-not-utf-8", "empty-trials", "header-only",
             "no-conditioning-radius", "flag-not-0-or-1", "row-wider-than-header", "nan-mean-square",
             "negative-variance",
         ],
