@@ -68,9 +68,10 @@ from .signal_model import SensorEnsembleConfig
 # Why these values, measured on outage-desk rounds (K = 50, 0 dB,
 # ensembles 502000-503000, 3,200 rounds) as rounds more than 1e-3 nats
 # above / below the Nelder-Mead search this replaced: the chosen set gave
-# 585 / 66 at 18.4 score probes per start, and 36-40% less ML CPU.  Lattice
-# spacing 0.1 R gave 574 / 95 with twice the seed-pass time (ML CPU only
-# 13% below the old search), 0.2 R gave 576 / 75.  4 lattice starts gave
+# 585 / 66 at 18.4 score probes per start.  Timed interleaved with the
+# old search on ensembles 501000-505000 (one core), it takes 0.56 of its
+# ML CPU.  Lattice spacing 0.1 R gave 574 / 95 from 1,692 seeds, twice
+# the seed pass; 0.2 R gave 576 / 75 from 512.  4 lattice starts gave
 # 571 / 101, 6 gave 597 / 53 for a seventh more polish.  Without the
 # centroid start (4 lattice starts) 561 / 127 against 571 / 101, and the
 # two-ring test instance lands in 0 of 40 runs against 40 of 40.  P0
@@ -99,7 +100,7 @@ _DAMPING_MAX = 1e6
 _DECREMENT_REL_TOL = 1e-10
 _TIE_REL_TOL = 1e-12
 _SCORE_BLOCK = 1024
-_GRID_CHUNK = 32
+_GRID_CHUNK = 8
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
@@ -344,8 +345,12 @@ class _EnsembleLikelihood:
 
         The per-term slopes of ``_log_terms`` are chained through
         s = (sqrt(P) - beta)/sigma with sqrt(P) = sqrt(P0) (d0/d)^(alpha/2),
-        whose location derivatives vanish inside the d0 clamp.  Probes
-        are scored _SCORE_BLOCK at a time.
+        whose location derivatives vanish inside the d0 clamp.  With
+        a = sqrt(P)/sigma and w = (alpha/2) a / d^2, the slopes of s are
+        -w dx, -w dy and a/2, and its curvatures w2 dx dx - w, w2 dx dy,
+        w2 dy dy - w, -w dx/2, -w dy/2 and a/4, where w2 = (alpha/2 + 2)
+        w / d^2; the sums below group the products by those factors.
+        Probes are scored _SCORE_BLOCK at a time.
         """
         m = len(x)
         ll = np.empty(m)
@@ -359,20 +364,22 @@ class _EnsembleLikelihood:
             a = sqrt_p * self.inv_sigma
             d2c = np.maximum(d2, self.d0_sq)
             w = np.where(d2 > self.d0_sq, c * a / d2c, 0.0)
-            w2 = (c + 2.0) * w / d2c
-            sx, sy = -w * dx, -w * dy
-            first = (sx, sy, 0.5 * a)
-            second = (
-                (w2 * dx * dx - w, w2 * dx * dy, 0.5 * sx),
-                (None, w2 * dy * dy - w, 0.5 * sy),
-                (None, None, 0.25 * a),
-            )
+            e = dT * w  # location slope terms
+            u = d2T * w * w + dT * ((c + 2.0) * w / d2c)  # location curvature terms
+            t = d2T * a + dT
+            q = t * w  # location-P0 curvature terms
+            ux, uy = u * dx, u * dy
+            e_sum = e.sum(axis=1)
             ll[sl] = terms.sum(axis=1)
-            for i in range(3):
-                grad[sl, i] = (dT * first[i]).sum(axis=1)
-                for j in range(i, 3):
-                    hij = (d2T * first[i] * first[j] + dT * second[i][j]).sum(axis=1)
-                    hess[sl, i, j] = hess[sl, j, i] = hij
+            grad[sl, 0] = -(e * dx).sum(axis=1)
+            grad[sl, 1] = -(e * dy).sum(axis=1)
+            grad[sl, 2] = 0.5 * (dT * a).sum(axis=1)
+            hess[sl, 0, 0] = (ux * dx).sum(axis=1) - e_sum
+            hess[sl, 1, 1] = (uy * dy).sum(axis=1) - e_sum
+            hess[sl, 0, 1] = hess[sl, 1, 0] = (ux * dy).sum(axis=1)
+            hess[sl, 0, 2] = hess[sl, 2, 0] = -0.5 * (q * dx).sum(axis=1)
+            hess[sl, 1, 2] = hess[sl, 2, 1] = -0.5 * (q * dy).sum(axis=1)
+            hess[sl, 2, 2] = 0.25 * (t * a).sum(axis=1)
         return ll, grad, hess
 
     def grid_loglik(self, p0, x, y) -> np.ndarray:
@@ -527,16 +534,15 @@ def ml_estimate_batch(
     cand_x, cand_y = per_round(x, gx[best]), per_round(y, gy[best])
     cand_p0 = per_round(p0, gp[best])
     cand_conv = per_round(converged, np.zeros(M, dtype=bool))
-    out = []
-    for m in range(M):
-        top = cand_ll[m].max()
-        tied = np.flatnonzero(cand_ll[m] >= top - _TIE_REL_TOL * abs(top))
-        w = tied[np.lexsort((cand_y[m, tied], cand_x[m, tied]))[0]]
-        out.append(
-            EstimateResult(
-                theta_hat=SourceParams(P0=float(cand_p0[m, w]), xT=float(cand_x[m, w]), yT=float(cand_y[m, w])),
-                log_likelihood=float(cand_ll[m, w]),
-                converged=bool(cand_conv[m, w]),
-            )
+    top = cand_ll.max(axis=1, keepdims=True)
+    tied = cand_ll >= top - _TIE_REL_TOL * np.abs(top)
+    tied &= cand_x == np.where(tied, cand_x, np.inf).min(axis=1, keepdims=True)
+    win = np.arange(M), np.argmin(np.where(tied, cand_y, np.inf), axis=1)
+    return [
+        EstimateResult(
+            theta_hat=SourceParams(P0=float(p), xT=float(xt), yT=float(yt)),
+            log_likelihood=float(ll),
+            converged=bool(conv),
         )
-    return out
+        for ll, xt, yt, p, conv in zip(cand_ll[win], cand_x[win], cand_y[win], cand_p0[win], cand_conv[win])
+    ]
