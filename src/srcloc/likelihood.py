@@ -12,11 +12,13 @@ runs once per seed and sensor, not once per round.  Each round then runs
 a lockstep Levenberg-Marquardt-damped Newton iteration on the exact
 gradient and Hessian (More, "The Levenberg-Marquardt algorithm:
 implementation and theory", 1978) from its best spatially distinct
-seeds, one random start, and the centroid of the sensors whose energy
-favours bit 1 (Bulusu, Heidemann & Estrin, IEEE Pers. Commun. 2000).
-The polish is the only local stage: Nelder-Mead, which converges only
-linearly (Lagarias et al., SIAM J. Optim. 1998), is gone.  P0 stays
-within a factor 1e3 of nominal.
+seeds and the centroid of the sensors whose energy favours bit 1
+(Bulusu, Heidemann & Estrin, IEEE Pers. Commun. 2000).  The polish is
+the only local stage: Nelder-Mead, which converges only linearly
+(Lagarias et al., SIAM J. Optim. 1998), is gone.  P0 stays within a
+factor 1e3 of nominal.  No start is random, so a round's estimate
+depends only on its energies (given the geometry, the sensor model and
+the nominal P0) and can be replayed from them alone.
 
 A round's estimate is ``converged`` when the polish of the start that
 gave it met its decrement or stall test; a start that ran out of steps
@@ -34,7 +36,6 @@ returns dT/ds and d2T/ds2 in the weight argument s, from which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
@@ -50,15 +51,15 @@ from .signal_model import SensorEnsembleConfig
 # spacing _LATTICE_FRAC * R crossed with _LATTICE_P0_FACTORS, 832 in all;
 # grid_loglik scores them _GRID_CHUNK at a time against every round.  A
 # round polishes its _N_STARTS best seeds at least _MIN_SEP_FRAC * R
-# apart, its random start at nominal P0, and the centroid start at the
-# best of _N_CENTROID_P0 log-spaced P0 values across the range.  The
-# polish starts with damping _DAMPING_INIT, never lets it fall below
-# that, and scales it by the largest |diag H| seen, floored at 1/R^2 in
-# x and y and 1 in ln P0: where the location is flat (|H_xx| about 1e-12
-# with P0 near its floor) the damping could otherwise not shorten the
-# location step, and saturated before P0 moved.  A start stops when its
-# damped Newton decrement is below _DECREMENT_REL_TOL * max(1, |f|),
-# after _STALL_STEPS consecutive accepted steps that each gained at most
+# apart and the centroid start at the best of _N_CENTROID_P0 log-spaced
+# P0 values across the range.  The polish starts with damping
+# _DAMPING_INIT, never lets it fall below that, and scales it by the
+# largest |diag H| seen, floored at 1/R^2 in x and y and 1 in ln P0:
+# where the location is flat (|H_xx| about 1e-12 with P0 near its floor)
+# the damping could otherwise not shorten the location step, and
+# saturated before P0 moved.  A start stops when its damped Newton
+# decrement is below _DECREMENT_REL_TOL * max(1, |f|), after
+# _STALL_STEPS consecutive accepted steps that each gained at most
 # _STALL_REL_GAIN * max(1, |f|), when the damping exceeds _DAMPING_MAX,
 # or after _POLISH_MAX_ITER steps.  The derivative pass scores
 # _SCORE_BLOCK probes at a time.  Candidates within rel _TIE_REL_TOL of a
@@ -67,21 +68,27 @@ from .signal_model import SensorEnsembleConfig
 #
 # Why these values, measured on outage-desk rounds (K = 50, 0 dB,
 # ensembles 502000-503000, 3,200 rounds) as rounds more than 1e-3 nats
-# above / below the Nelder-Mead search this replaced: the chosen set gave
-# 585 / 66 at 18.4 score probes per start.  Timed interleaved with the
-# old search on ensembles 501000-505000 (one core), it takes 0.56 of its
-# ML CPU.  Lattice spacing 0.1 R gave 574 / 95 from 1,692 seeds, twice
-# the seed pass; 0.2 R gave 576 / 75 from 512.  4 lattice starts gave
-# 571 / 101, 6 gave 597 / 53 for a seventh more polish.  Without the
-# centroid start (4 lattice starts) 561 / 127 against 571 / 101, and the
-# two-ring test instance lands in 0 of 40 runs against 40 of 40.  P0
-# factors 0.2-5 gave 585 / 44 but lost round 1 of ensemble 508000,
-# geometry 7, whose maximum sits at 1.5% of nominal P0.  The earlier stops
-# (decrement 1e-13, 10 stall steps of 1e-10, 200 steps) cost 24.5 probes
-# per start and gained 12 rounds by more than 1e-3 nats on creeping
-# walks; a 200-step cap changed no round against 100, and 60 lost one by
-# 0.13 nats.  Without the floor on the scaling, 9 of 22,400 starts ended
-# by saturation, against 1 with it.
+# above / below the Nelder-Mead search this replaced: the chosen set
+# gave 596 / 60 at 99.6 score probes per round, 14.2 per start.  Five
+# lattice starts and a random start at nominal P0 gave 585 / 66 at 110.5
+# probes per round: the random start took 27.1 probes against 16.2 for
+# the sixth lattice start.  Against that set, on ensembles 501000-505000
+# (8,000 rounds), 96 rounds rose and 16 fell, the worst by 0.28 nats.
+# The figures below were measured with the random start.  Timed
+# interleaved with the old search on ensembles 501000-505000 (one core),
+# the search took 0.56 of its ML CPU.  Lattice spacing 0.1 R gave
+# 574 / 95 from 1,692 seeds, twice the seed pass; 0.2 R gave 576 / 75
+# from 512.  4 lattice starts gave 571 / 101, and 6, the number chosen
+# once the random start went, 597 / 53.  Without the centroid start (4
+# lattice starts) 561 / 127 against 571 / 101, and the two-ring test
+# instance lands in 0 of 40 runs against 40 of 40.  P0 factors 0.2-5 gave
+# 585 / 44 but lost round 1 of ensemble 508000, geometry 7, whose maximum
+# sits at 1.5% of nominal P0.  The earlier stops (decrement 1e-13, 10
+# stall steps of 1e-10, 200 steps) cost 24.5 probes per start and gained
+# 12 rounds by more than 1e-3 nats on creeping walks; a 200-step cap
+# changed no round against 100, and 60 lost one by 0.13 nats.  Without
+# the floor on the scaling, 9 of 22,400 starts ended by saturation,
+# against 1 with it.
 
 _P0_SPAN = 1e3
 _N_GRID_RADIAL = 7
@@ -89,7 +96,7 @@ _N_GRID_ANGULAR = 7
 _P0_SEED_FACTORS = np.array([0.1, 1.0, 10.0])
 _LATTICE_FRAC = 0.15
 _LATTICE_P0_FACTORS = np.array([0.1, 0.3, 1.0, 3.0, 10.0])
-_N_STARTS = 5
+_N_STARTS = 6
 _MIN_SEP_FRAC = 0.15
 _N_CENTROID_P0 = 25
 _POLISH_MAX_ITER = 100
@@ -398,8 +405,8 @@ class _SearchObjective:
     Negative log-likelihood of start sidx's round, rows[sidx], plus
     1e6 (r/R - 1)^2 outside the disk and 1e6 times the squared excess of
     ln P0 outside [ln_lo, ln_hi]; P0 itself is clipped 30 e-folds beyond
-    that range.  Calling it gives values; ``score`` adds the exact
-    gradient and Hessian.
+    that range.  ``score`` gives its values with their exact gradients
+    and Hessians.
     """
 
     def __init__(self, el: _EnsembleLikelihood, rows, R, ln_lo, ln_hi):
@@ -409,43 +416,30 @@ class _SearchObjective:
     def _p0(self, lnp0):
         return np.exp(np.minimum(np.maximum(lnp0, self.ln_lo - 30.0), self.ln_hi + 30.0))
 
-    def _penalty(self, V, val):
-        R, ln_lo, ln_hi = self.R, self.ln_lo, self.ln_hi
-        x, y, lnp0 = V[:, 0], V[:, 1], V[:, 2]
-        rad = np.hypot(x, y)
-        over = rad > R
-        if over.any():
-            val = val + np.where(over, 1e6 * (rad / R - 1.0) ** 2, 0.0)
-        for side, excess in ((lnp0 < ln_lo, ln_lo - lnp0), (lnp0 > ln_hi, lnp0 - ln_hi)):
-            if side.any():
-                val = val + np.where(side, 1e6 * excess**2, 0.0)
-        return val, rad, over
-
-    def __call__(self, V, sidx):
-        ll = self.el.loglik(self.rows[sidx], self._p0(V[:, 2]), V[:, 0], V[:, 1])
-        return self._penalty(V, -ll)[0]
-
     def score(self, V, sidx):
         """Values (m,), gradients (m, 3) and Hessians (m, 3, 3)."""
         x, y, lnp0 = V[:, 0], V[:, 1], V[:, 2]
         ll, grad, hess = self.el.score(self.rows[sidx], self._p0(lnp0), x, y)
-        val, rad, over = self._penalty(V, -ll)
-        grad, hess = -grad, -hess
+        val, grad, hess = -ll, -grad, -hess
         clipped = (lnp0 < self.ln_lo - 30.0) | (lnp0 > self.ln_hi + 30.0)
         grad[clipped, 2] = 0.0
         hess[clipped, 2, :] = hess[clipped, :, 2] = 0.0
-        if over.any():
+        rad = np.hypot(x, y)
+        o = rad > self.R
+        if o.any():
             # 1e6 (r/R - 1)^2: gradient k u, Hessian k/r (I - u u') + 2e6/R^2 u u'
-            R, o = self.R, over
+            R = self.R
             u = np.column_stack([x[o], y[o]]) / rad[o, None]
             k = 2e6 * (rad[o] / R - 1.0) / R
             uu = u[:, :, None] * u[:, None, :]
+            val[o] += 1e6 * (rad[o] / R - 1.0) ** 2
             grad[o, :2] += k[:, None] * u
             hess[o, :2, :2] += (k / rad[o])[:, None, None] * (np.eye(2) - uu) + 2e6 / R**2 * uu
         for side, excess in (
             (lnp0 < self.ln_lo, lnp0 - self.ln_lo),
             (lnp0 > self.ln_hi, lnp0 - self.ln_hi),
         ):
+            val[side] += 1e6 * excess[side] ** 2
             grad[side, 2] += 2e6 * excess[side]
             hess[side, 2, 2] += 2e6
         return val, grad, hess
@@ -456,25 +450,22 @@ def ml_estimate_batch(
     geom: NetworkGeometry,
     cfg: SensorEnsembleConfig,
     p0_nominal: float,
-    rngs: Sequence[np.random.Generator],
 ) -> list:
     """ML source estimates for a block of rounds on one geometry.
 
     The location is searched on the geometry's disk (quadratic penalty
     outside) and P0 on a log scale within a factor 1e3 of p0_nominal.
     Scores the whole seed set for every round in one pass, then polishes
-    each round's best spatially distinct seeds, one random start from the
-    round's own generator in ``rngs`` (two uniform draws) and the
-    centroid start, across all rounds at once; no start depends on the
-    other rounds of the batch.  Per round, candidates within rel
-    _TIE_REL_TOL of the best log-likelihood tie and the lexicographically
-    smallest (x, y) among them wins, so the returned log-likelihood is
-    never below the round's best seed by more than that.
+    each round's best spatially distinct seeds and its centroid start,
+    across all rounds at once; no start depends on the other rounds of
+    the batch, so each estimate is a function of its round's energies
+    alone.  Per round, candidates within rel _TIE_REL_TOL of the best
+    log-likelihood tie and the lexicographically smallest (x, y) among
+    them wins, so the returned log-likelihood is never below the round's
+    best seed by more than that.
     """
     ts = np.atleast_2d(np.asarray(ts, dtype=float))
     M = ts.shape[0]
-    if len(rngs) != M:
-        raise ValueError("need one random stream per round")
     el = _EnsembleLikelihood(ts, geom, cfg)
     R = geom.R
     ln_lo = np.log(p0_nominal / _P0_SPAN)
@@ -484,22 +475,18 @@ def ml_estimate_batch(
     seed_ll = el.grid_loglik(gp, gx, gy)  # (M, n_seeds)
 
     # Starts per round: the best seeds at least _MIN_SEP_FRAC * R apart,
-    # so that they explore separate modes; the random start; and the
-    # centroid of the sensors whose energy favours bit 1, at the best of
-    # _N_CENTROID_P0 values of ln P0 across the range.
+    # so that they explore separate modes, and the centroid of the
+    # sensors whose energy favours bit 1, at the best of _N_CENTROID_P0
+    # values of ln P0 across the range.
     open_ll = seed_ll.copy()
     picks = np.empty((M, _N_STARTS), dtype=int)
     for k in range(_N_STARTS):
         pick = picks[:, k] = np.argmax(open_ll, axis=1)
         near = (gx - gx[pick, None]) ** 2 + (gy - gy[pick, None]) ** 2 < (_MIN_SEP_FRAC * R) ** 2
         open_ll[near] = -np.inf
-    n_starts = _N_STARTS + 2
+    n_starts = _N_STARTS + 1
     x0s = np.empty((M, n_starts, 3))
     x0s[:, :_N_STARTS] = np.stack([gx[picks], gy[picks], np.log(gp[picks])], axis=-1)
-    for m in range(M):
-        ang = rngs[m].uniform(0.0, 2.0 * np.pi)
-        rad = R * np.sqrt(rngs[m].uniform())
-        x0s[m, _N_STARTS] = rad * np.cos(ang), rad * np.sin(ang), np.log(p0_nominal)
     ones = el.log_f1 > el.log_f0
     n_ones = np.maximum(ones.sum(axis=1), 1)
     cx, cy = (ones * el.xs).sum(axis=1) / n_ones, (ones * el.ys).sum(axis=1) / n_ones

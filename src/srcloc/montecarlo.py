@@ -139,10 +139,9 @@ def _ordered_map(fn: Callable, calls: Sequence[tuple], workers: int) -> list:
         return [fn(*args) for args in calls]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, only for a pool
 
-    chunk = max(1, len(calls) // (workers * 8))
     with ProcessPoolExecutor(max_workers=min(workers, len(calls))) as pool:
         try:
-            return list(pool.map(fn, *zip(*calls), chunksize=chunk))
+            return list(pool.map(fn, *zip(*calls)))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -158,9 +157,9 @@ def run_trials(
 ) -> tuple[np.ndarray, list[EstimateResult]]:
     """Energies and ML estimates for n_mc rounds of one geometry.
 
-    ``stream`` is the geometry's, key (gi,); round m draws from key
-    (gi, ROUND_NS, m), and the estimator's random restart consumes the
-    remainder of that round's draws, so every trial is replayable alone.
+    ``stream`` is the geometry's, key (gi,); round m simulates its
+    energies from key (gi, ROUND_NS, m), and its estimate depends on
+    those energies alone, so every trial is replayable alone.
     ``ml_estimate_batch``, with the source's P0 as its nominal P0,
     refines the rounds in lockstep batches: one batch, or with
     workers > 1 up to ``n_mc // _MIN_BLOCK`` contiguous blocks run in a
@@ -171,12 +170,12 @@ def run_trials(
     from .likelihood import ml_estimate_batch
 
     entropy, key = stream.entropy, (*stream.spawn_key, ROUND_NS)
-    rngs = [np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(*key, m))) for m in range(n_mc)]
-    ts = np.stack([simulate_round(geom, source, cfg, rng) for rng in rngs])
+    seeds = [np.random.SeedSequence(entropy, spawn_key=(*key, m)) for m in range(n_mc)]
+    ts = np.stack([simulate_round(geom, source, cfg, np.random.default_rng(s)) for s in seeds])
 
     n_blocks = max(1, min(workers, n_mc // _MIN_BLOCK))
     edges = [n_mc * b // n_blocks for b in range(n_blocks + 1)]
-    blocks = [(ts[a:b], geom, cfg, source.P0, rngs[a:b]) for a, b in zip(edges, edges[1:])]
+    blocks = [(ts[a:b], geom, cfg, source.P0) for a, b in zip(edges, edges[1:])]
     return ts, [est for part in _ordered_map(ml_estimate_batch, blocks, n_blocks) for est in part]
 
 

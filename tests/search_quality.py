@@ -44,13 +44,12 @@ def sensor_config(channel_snr_db: float) -> SensorEnsembleConfig:
 
 
 def rounds(index: int, channel_snr_db: float, beta: float) -> tuple:
-    """The estimator's arguments (ts, geom, cfg, p0_nominal, rngs) for case
+    """The estimator's arguments (ts, geom, cfg, p0_nominal) for case
     ``index`` at threshold beta."""
     geom = geometry()
     cfg = sensor_config(channel_snr_db).with_beta(beta)
     ts = simulate_rounds(geom, SOURCE, cfg, N_ROUNDS, np.random.default_rng((GEOMETRY_SEED, index)))
-    rngs = [np.random.default_rng((GEOMETRY_SEED, index, m)) for m in range(N_ROUNDS)]
-    return ts, geom, cfg, SOURCE.P0, rngs
+    return ts, geom, cfg, SOURCE.P0
 
 
 def estimate(index: int, channel_snr_db: float, beta: float) -> list:

@@ -25,8 +25,10 @@ which reruns the dense search and the current estimator and writes each
 round's reference as the best of those and the frozen value, so the
 reference only rises; ``parent_loglik`` is copied as frozen.  To freeze
 another checkout's estimator as ``parent_loglik``, write its values with
-``PYTHONPATH=<checkout>/src:. python -m tests.search_reference
---estimates FILE`` and pass ``--parent FILE`` to the regeneration.
+that checkout's own module, from its root (``PYTHONPATH=src python -m
+tests.search_reference --estimates FILE``: this tree's ``tests`` need not
+match another checkout's ``src``), and pass ``--parent FILE`` to the
+regeneration here.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ DENSE_SEP_FRAC = 1.0 / 10.0
 
 
 def rounds():
-    """(label, estimator arguments (ts, geom, cfg, p0_nominal, rngs)) of every case."""
+    """(label, estimator arguments (ts, geom, cfg, p0_nominal)) of every case."""
     frozen = json.loads(search_quality.FIXTURE.read_text())["cases"]
     for index, case in enumerate(frozen):
         snr = case["channel_snr_db"]
@@ -63,12 +65,9 @@ def rounds():
     for gi in DESK_GEOMETRIES:
         geom = place_geometry(config, gi)
         cfg = with_thresholds(config, geom)
-        rngs = [
-            np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(gi, ROUND_NS, m)))
-            for m in range(config.n_mc)
-        ]
-        ts = np.stack([simulate_round(geom, config.source_params, cfg, rng) for rng in rngs])
-        yield f"outage-desk {config.seed} geometry {gi}", (ts, geom, cfg, config.P0, rngs)
+        seeds = [np.random.SeedSequence(config.seed, spawn_key=(gi, ROUND_NS, m)) for m in range(config.n_mc)]
+        ts = np.stack([simulate_round(geom, config.source_params, cfg, np.random.default_rng(s)) for s in seeds])
+        yield f"outage-desk {config.seed} geometry {gi}", (ts, geom, cfg, config.P0)
 
 
 def estimator_loglik(args) -> list:
@@ -120,13 +119,9 @@ def main(argv=None) -> None:
     old = {c["label"]: c for c in json.loads(FIXTURE.read_text())["cases"]} if FIXTURE.exists() else {}
     parent = json.loads(Path(args.parent).read_text()) if args.parent else None
     cases = []
-    for label, (ts, geom, cfg, p0, rngs) in rounds():
+    for label, case in rounds():
         parent_ll = np.array(parent[label] if parent else old[label]["parent_loglik"])
-        best = np.maximum.reduce([
-            parent_ll,
-            dense_loglik(ts, geom, cfg, p0),
-            np.array(estimator_loglik((ts, geom, cfg, p0, rngs))),
-        ])
+        best = np.maximum.reduce([parent_ll, dense_loglik(*case), np.array(estimator_loglik(case))])
         if label in old:
             best = np.maximum(best, old[label]["reference"])
         cases.append({"label": label, "parent_loglik": parent_ll.tolist(), "reference": best.tolist()})
