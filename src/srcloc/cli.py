@@ -33,7 +33,6 @@ from .montecarlo import (
     build_ccdf,
     conditioned_ccdf,
     curve_to_csv,
-    curve_to_dict,
     curves_to_csv,
     default_workers,
     place_geometry,
@@ -147,10 +146,10 @@ def _workers(config: ExperimentConfig) -> int:
 
 
 def _run_outage(config: ExperimentConfig, out: Path) -> list:
-    """The ensemble's outage CCDF, whole and split into K_T bins at the
-    conditioning radius.  The trials come from a fresh ensemble, or from a
-    previous run's table (trials_file) without rerunning anything."""
-    r_t = config.conditioning_r_t
+    """The ensemble's outage CCDF, whole and split into K_T bins at each
+    radius of r_t_list, in list order.  The trials come from a fresh
+    ensemble, or from a previous run's table (trials_file), split at the
+    table's own radii, without rerunning anything."""
     if config.trials_file:
         data = Path(config.trials_file).read_bytes()
         try:
@@ -158,41 +157,27 @@ def _run_outage(config: ExperimentConfig, out: Path) -> list:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{config.trials_file}: malformed trials table ({exc})") from exc
         trials, r_t_list = trials_from_csv(text, config.trials_file)
-        if r_t not in r_t_list:
-            raise ParseError(
-                f"{config.trials_file}: no k_t@{_fmt(r_t)} column for conditioning_r_t {_fmt(r_t)}"
-            )
         fresh = []
     else:
         trials = run_ensemble(config, workers=_workers(config))
-        (out / "geometry_trials.csv").write_text(trials_to_csv(trials, config.r_t_list))
+        r_t_list = config.r_t_list
+        (out / "geometry_trials.csv").write_text(trials_to_csv(trials, r_t_list))
         fresh = ["geometry_trials.csv"]
 
     gamma = config.gamma_grid()
     curve = build_ccdf(trials, gamma)
     (out / "outage_curve.csv").write_text(curve_to_csv(curve))
-    doc = {"curve": curve_to_dict(curve), "config": config.to_dict()}
-    (out / "outage_curve.json").write_text(json.dumps(doc, indent=2) + "\n")
 
     curves = [curve]
-    empty_bins = []
-    for spec_str in config.k_t_bins:
-        predicate, label = parse_k_t_bin(spec_str)
-        try:
-            curves.append(conditioned_ccdf(trials, r_t, predicate, gamma, f"{label}@R_T={_fmt(r_t)}"))
-        except EmptySubset:
-            empty_bins.append(spec_str)
+    bins = [parse_k_t_bin(spec) for spec in config.k_t_bins]
+    for r_t in r_t_list:
+        for predicate, label in bins:
+            try:
+                curves.append(conditioned_ccdf(trials, r_t, predicate, gamma, f"{label}@R_T={_fmt(r_t)}"))
+            except EmptySubset:
+                pass
     (out / "conditioned_curves.csv").write_text(curves_to_csv(curves))
-    doc = {
-        "conditioning_r_t": r_t,
-        "curves": [curve_to_dict(c) for c in curves],
-        "empty_bins": empty_bins,
-        "config": config.to_dict(),
-    }
-    (out / "conditioned_curves.json").write_text(json.dumps(doc, indent=2) + "\n")
-    return [
-        "outage_curve.csv", *fresh, "outage_curve.json", "conditioned_curves.csv", "conditioned_curves.json"
-    ]
+    return ["outage_curve.csv", *fresh, "conditioned_curves.csv"]
 
 
 _RUNNERS = {
@@ -254,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", dest="out_dir", default=None, help="output directory override")
-        p.add_argument("--profile", choices=("desk", "paper"), default=None)
         p.add_argument("--workers", type=int, default=None)
         if mode in GEOMETRY_MODES:
             p.add_argument("--geometry", dest="geometry_file", default=None, help="geometry file override")

@@ -30,10 +30,6 @@ MODES = ("geometry", "estimate", "crlb", "outage")
 # seed's ensemble); outage places its own, or reads a trials table.
 GEOMETRY_MODES = ("geometry", "estimate", "crlb")
 
-# (n_geom, n_mc): desk scale keeps CI fast, paper scale matches the
-# reference experiment sizes.
-PROFILES = {"desk": (100, 200), "paper": (500, 1000)}
-
 
 def _is_finite(val) -> bool:
     """Whether val is a number (not a bool) that converts to a finite float."""
@@ -84,8 +80,8 @@ def _nonnegative(default):
     return _key(default, lambda v: _is_finite(v) and v >= 0, "a finite nonnegative number")
 
 
-def _finite(default=None, convert=None):
-    return _key(default, _is_finite, "a finite number", convert)
+def _finite(default=None):
+    return _key(default, _is_finite, "a finite number")
 
 
 def _one_of(default, options: tuple, required=False):
@@ -117,22 +113,19 @@ class ExperimentConfig:
     alpha: float = _positive(2.0)
     obs_snr_db: float = _finite(40.0)
     channel_snr_db: float = _finite(0.0)
-    tx_energy_db: float = _finite(1.0)
     beta: Optional[float] = _finite()
     threshold_mode: str = _one_of("common", ("common", "per-sensor", "fixed"))
-    profile: Optional[str] = _one_of(None, tuple(PROFILES))
-    n_geom: Optional[int] = _count(10**7)  # None: from the profile
-    n_mc: Optional[int] = _count(10**7)  # None: from the profile
+    n_geom: int = _count(10**7, 100)
+    n_mc: int = _count(10**7, 200)
     gamma_num: int = _count(10**6, 64)
     gamma_min: float = _positive(0.1)
     gamma_max: Optional[float] = _positive()  # None: the disk diameter
     r_t_list: tuple = _key(
         (14.0,),
-        lambda v: isinstance(v, (list, tuple)) and all(_is_finite(r) and r >= 0 for r in v),
-        "a list of finite nonnegative radii",
+        lambda v: isinstance(v, (list, tuple)) and all(_is_finite(r) and r >= 0 for r in v) and len(set(v)) == len(v),
+        "a list of distinct finite nonnegative radii",
         _floats,
     )
-    conditioning_r_t: Optional[float] = _finite(convert=float)  # None: the first of r_t_list
     k_t_bins: tuple = _key(
         ("1", "2", "3+"), _is_bin_list, "a nonempty list", lambda v: tuple(str(b) for b in v)
     )
@@ -160,7 +153,6 @@ class ExperimentConfig:
             p0=self.P0,
             obs_snr_db=self.obs_snr_db,
             channel_snr_db=self.channel_snr_db,
-            tx_energy_db=self.tx_energy_db,
             d0=self.d0,
             alpha=self.alpha,
             beta=0.0 if self.beta is None else self.beta,
@@ -285,21 +277,6 @@ def load_config(
         raise ValidationError("beta", "threshold_mode 'fixed' requires a beta value")
     if raw["beta"] is not None and raw["threshold_mode"] == "per-sensor":
         raise ValidationError("beta", "beta fixes a common threshold; threshold_mode 'per-sensor' tunes each")
-
-    prof_geom, prof_mc = PROFILES[raw["profile"] or "desk"]
-    if raw["n_geom"] is None:
-        raw["n_geom"] = prof_geom
-    if raw["n_mc"] is None:
-        raw["n_mc"] = prof_mc
-
-    if raw["conditioning_r_t"] is None:
-        raw["conditioning_r_t"] = raw["r_t_list"][0] if raw["r_t_list"] else None
-    elif raw["conditioning_r_t"] not in raw["r_t_list"]:
-        raise ValidationError("conditioning_r_t", "conditioning_r_t must appear in r_t_list")
-    if raw["mode"] == "outage" and raw["conditioning_r_t"] is None:
-        raise ValidationError(
-            "conditioning_r_t", "outage needs conditioning_r_t, or a nonempty r_t_list"
-        )
 
     config = ExperimentConfig(**raw)
     config.sensor_config()  # raises ValidationError on a degenerate noise level

@@ -14,11 +14,10 @@ gradient and Hessian (More, "The Levenberg-Marquardt algorithm:
 implementation and theory", 1978) from its best spatially distinct
 seeds and the centroid of the sensors whose energy favours bit 1
 (Bulusu, Heidemann & Estrin, IEEE Pers. Commun. 2000).  The polish is
-the only local stage: Nelder-Mead, which converges only linearly
-(Lagarias et al., SIAM J. Optim. 1998), is gone.  P0 stays within a
-factor 1e3 of nominal.  No start is random, so a round's estimate
-depends only on its energies (given the geometry, the sensor model and
-the nominal P0) and can be replayed from them alone.
+the only local stage.  P0 stays within a factor 1e3 of nominal.  No
+start is random, so a round's estimate depends only on its energies
+(given the geometry, the sensor model and the nominal P0) and can be
+replayed from them alone.
 
 A round's estimate is ``converged`` when the polish of the start that
 gave it met its decrement or stall test; a start that ran out of steps
@@ -68,27 +67,22 @@ from .signal_model import SensorEnsembleConfig
 #
 # Why these values, measured on outage-desk rounds (K = 50, 0 dB,
 # ensembles 502000-503000, 3,200 rounds) as rounds more than 1e-3 nats
-# above / below the Nelder-Mead search this replaced: the chosen set
-# gave 596 / 60 at 99.6 score probes per round, 14.2 per start.  Five
-# lattice starts and a random start at nominal P0 gave 585 / 66 at 110.5
-# probes per round: the random start took 27.1 probes against 16.2 for
-# the sixth lattice start.  Against that set, on ensembles 501000-505000
-# (8,000 rounds), 96 rounds rose and 16 fell, the worst by 0.28 nats.
-# The figures below were measured with the random start.  Timed
-# interleaved with the old search on ensembles 501000-505000 (one core),
-# the search took 0.56 of its ML CPU.  Lattice spacing 0.1 R gave
-# 574 / 95 from 1,692 seeds, twice the seed pass; 0.2 R gave 576 / 75
-# from 512.  4 lattice starts gave 571 / 101, and 6, the number chosen
-# once the random start went, 597 / 53.  Without the centroid start (4
-# lattice starts) 561 / 127 against 571 / 101, and the two-ring test
-# instance lands in 0 of 40 runs against 40 of 40.  P0 factors 0.2-5 gave
-# 585 / 44 but lost round 1 of ensemble 508000, geometry 7, whose maximum
-# sits at 1.5% of nominal P0.  The earlier stops (decrement 1e-13, 10
-# stall steps of 1e-10, 200 steps) cost 24.5 probes per start and gained
-# 12 rounds by more than 1e-3 nats on creeping walks; a 200-step cap
-# changed no round against 100, and 60 lost one by 0.13 nats.  Without
-# the floor on the scaling, 9 of 22,400 starts ended by saturation,
-# against 1 with it.
+# above / below a Nelder-Mead reference search: the chosen set gave
+# 596 / 60 at 99.6 score probes per round, 14.2 per start.  A random
+# start at nominal P0 in place of the sixth lattice start gave 585 / 66
+# at 110.5 probes per round, taking 27.1 probes against 16.2.  Beside
+# such a random start: lattice spacing 0.1 R gave 574 / 95 from 1,692
+# seeds, twice the seed pass; 0.2 R gave 576 / 75 from 512.  4 lattice
+# starts gave 571 / 101, and 6 gave 597 / 53.  Without the centroid
+# start (4 lattice starts) 561 / 127 against 571 / 101, and the two-ring
+# test instance lands in 0 of 40 runs against 40 of 40.  P0 factors
+# 0.2-5 gave 585 / 44 but lost round 1 of ensemble 508000, geometry 7,
+# whose maximum sits at 1.5% of nominal P0.  Stricter stops (decrement
+# 1e-13, 10 stall steps of 1e-10, 200 steps) cost 24.5 probes per start
+# and gained 12 rounds by more than 1e-3 nats on creeping walks; a
+# 200-step cap changed no round against 100, and 60 lost one by 0.13
+# nats.  Without the floor on the scaling, 9 of 22,400 starts ended by
+# saturation, against 1 with it.
 
 _P0_SPAN = 1e3
 _N_GRID_RADIAL = 7

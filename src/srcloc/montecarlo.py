@@ -109,7 +109,6 @@ class OutageCurve:
     ccdf_empirical: np.ndarray
     ccdf_crlb: np.ndarray
     n_geometries: int
-    n_crlb_singular: int = 0
     conditioning: Optional[str] = None
 
 
@@ -279,8 +278,7 @@ def build_ccdf(
 
     A geometry is in outage at gamma when its mean squared error exceeds
     gamma^2.  Geometries with a singular information matrix count as
-    outage at every gamma on the bound curve (their bound is unbounded)
-    and are tallied in n_crlb_singular.
+    outage at every gamma on the bound curve (their bound is unbounded).
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 1 or gamma.size < 1:
@@ -297,7 +295,6 @@ def build_ccdf(
         ccdf_empirical=(emp[None, :] > g2[:, None]).mean(axis=1),
         ccdf_crlb=(bound[None, :] > g2[:, None]).mean(axis=1),
         n_geometries=len(trials),
-        n_crlb_singular=int(sum(tr.crlb_singular for tr in trials)),
         conditioning=conditioning,
     )
 
@@ -390,14 +387,3 @@ def curves_to_csv(curves: Sequence[OutageCurve]) -> str:
                 f"{label},{curve.n_geometries},{_fmt(g)},{_fmt(ce)},{_fmt(cb)}"
             )
     return "\n".join(lines) + "\n"
-
-
-def curve_to_dict(curve: OutageCurve) -> dict:
-    return {
-        "gamma": [float(g) for g in curve.gamma],
-        "ccdf_empirical": [float(v) for v in curve.ccdf_empirical],
-        "ccdf_crlb": [float(v) for v in curve.ccdf_crlb],
-        "n_geometries": curve.n_geometries,
-        "n_crlb_singular": curve.n_crlb_singular,
-        "conditioning": curve.conditioning,
-    }

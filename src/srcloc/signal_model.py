@@ -24,6 +24,12 @@ from .geometry import NetworkGeometry, SourceParams, distances
 
 ArrayLike = Union[float, np.ndarray]
 
+# Transmit energy for bit 1, in dB, for from_snr_db.  Scaling eb and tau2
+# together scales every energy alike, so in exact arithmetic results
+# depend on the channel only through its SNR; this fixes the scale, and
+# with it the rounding.
+TX_ENERGY_DB = 1.0
+
 
 @dataclass
 class SensorEnsembleConfig:
@@ -61,28 +67,27 @@ class SensorEnsembleConfig:
         p0: float,
         obs_snr_db: float,
         channel_snr_db: float,
-        tx_energy_db: float,
         d0: float = 1.0,
         alpha: float = 2.0,
         beta: ArrayLike = 0.0,
     ) -> "SensorEnsembleConfig":
         """Build a config from the dB conventions used throughout.
 
-        sigma2 = P0 * 10^(-obs_snr_db/10), eb = 10^(tx_energy_db/10),
+        sigma2 = P0 * 10^(-obs_snr_db/10), eb = 10^(TX_ENERGY_DB/10),
         tau2 = eb * 10^(-channel_snr_db/10).
 
-        Raises ValidationError, naming the dB setting, when sigma2, eb or
-        tau2 overflows or underflows (is not positive and finite), or when
-        the branch rates 1/(eb + tau2) and 1/tau2 round to one value.
+        Raises ValidationError, naming the dB setting, when sigma2 or tau2
+        overflows or underflows (is not positive and finite), or when the
+        branch rates 1/(eb + tau2) and 1/tau2 round to one value.
         """
+        eb = 10.0 ** (TX_ENERGY_DB / 10.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            eb = 10.0 ** (np.asarray(tx_energy_db, dtype=float) / 10.0)
             levels = {
                 "sigma2": float(p0 * 10.0 ** (-np.asarray(obs_snr_db, dtype=float) / 10.0)),
-                "eb": float(eb),
+                "eb": eb,
                 "tau2": float(eb * 10.0 ** (-np.asarray(channel_snr_db, dtype=float) / 10.0)),
             }
-        for name, key in (("sigma2", "obs_snr_db"), ("eb", "tx_energy_db"), ("tau2", "channel_snr_db")):
+        for name, key in (("sigma2", "obs_snr_db"), ("tau2", "channel_snr_db")):
             if not 0.0 < levels[name] < np.inf:
                 msg = f"{key} gives {name} = {levels[name]!r}; it must be positive and finite"
                 raise ValidationError(key, msg)

@@ -7,10 +7,9 @@ from srcloc.signal_model import SensorEnsembleConfig
 
 # Reference experiment parameterization used across suites: K=50 sensors
 # in a radius-50 disk, source at (5, 10) with P0=1e4, unit reference
-# distance, inverse-square decay, 40 dB observation SNR, 1 dB transmit
-# energy.
+# distance, inverse-square decay, 40 dB observation SNR.
 REF = dict(K=50, R=50.0, P0=10_000.0, d0=1.0, alpha=2.0,
-           obs_snr_db=40.0, tx_energy_db=1.0, source=(5.0, 10.0))
+           obs_snr_db=40.0, source=(5.0, 10.0))
 
 
 @pytest.fixture
@@ -23,7 +22,6 @@ def ref_config(channel_snr_db: float, beta=3.0) -> SensorEnsembleConfig:
         p0=REF["P0"],
         obs_snr_db=REF["obs_snr_db"],
         channel_snr_db=channel_snr_db,
-        tx_energy_db=REF["tx_energy_db"],
         d0=REF["d0"],
         alpha=REF["alpha"],
         beta=beta,

@@ -40,7 +40,7 @@ def geometry():
 
 
 def sensor_config(channel_snr_db: float) -> SensorEnsembleConfig:
-    return SensorEnsembleConfig.from_snr_db(SOURCE.P0, 40.0, channel_snr_db, 1.0)
+    return SensorEnsembleConfig.from_snr_db(SOURCE.P0, 40.0, channel_snr_db)
 
 
 def rounds(index: int, channel_snr_db: float, beta: float) -> tuple:

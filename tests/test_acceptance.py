@@ -76,7 +76,7 @@ def criterion(n, budget_s):
 def _cfg(channel_snr_db, beta=0.0):
     return SensorEnsembleConfig.from_snr_db(
         p0=SRC.P0, obs_snr_db=40.0, channel_snr_db=channel_snr_db,
-        tx_energy_db=1.0, d0=1.0, alpha=2.0, beta=beta,
+        d0=1.0, alpha=2.0, beta=beta,
     )
 
 
@@ -395,7 +395,7 @@ def test_criterion_9_determinism(tmp_path):
         runs[tag] = out
     for name in ("estimates.csv", "estimate_summary.json"):
         assert (runs["est_a"] / name).read_bytes() == (runs["est_b"] / name).read_bytes()
-    for name in ("outage_curve.csv", "geometry_trials.csv", "outage_curve.json"):
+    for name in ("outage_curve.csv", "geometry_trials.csv", "conditioned_curves.csv"):
         assert (runs["out_w1"] / name).read_bytes() == (runs["out_w2"] / name).read_bytes()
     for name in ("estimates.csv", "energies.csv", "estimate_summary.json"):
         assert (runs["est_w1"] / name).read_bytes() == (runs["est_w2"] / name).read_bytes()

@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -53,20 +54,21 @@ def write_config(tmp_path: Path, name="config.json", **kw) -> Path:
     return path
 
 
+def _conditions(out: Path) -> list:
+    """The curve labels of an outage run's conditioned_curves.csv, in file order."""
+    rows = (out / "conditioned_curves.csv").read_text().splitlines()[1:]
+    return list(dict.fromkeys(row.split(",")[0] for row in rows))
+
+
 class TestLoadConfig:
     def test_reference_defaults_echo(self, tmp_path):
         path = write_config(tmp_path, K=50, R=50.0, seed=1)
         cfg = load_config(path, mode="outage")
         assert cfg.K == 50 and cfg.R == 50.0
         assert cfg.P0 == 10_000.0 and cfg.alpha == 2.0 and cfg.d0 == 1.0
-        assert cfg.obs_snr_db == 40.0 and cfg.tx_energy_db == 1.0
+        assert cfg.obs_snr_db == 40.0
         assert cfg.source == (5.0, 10.0)
-        assert cfg.n_geom == 100 and cfg.n_mc == 200  # desk profile
-
-    def test_paper_profile_counts(self, tmp_path):
-        path = write_config(tmp_path, profile="paper")
-        cfg = load_config(path, mode="outage")
-        assert cfg.n_geom == 500 and cfg.n_mc == 1000
+        assert cfg.n_geom == 100 and cfg.n_mc == 200
 
     def test_missing_k_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -121,24 +123,22 @@ class TestLoadConfig:
             assert err.value.field == field
 
     def test_echo_key_order(self):
-        # the echo is embedded in every result file, so a reordered field
-        # would move every artifact's bytes
+        # the echo is embedded in every JSON result file and the manifest,
+        # so a reordered field would move their bytes
         assert list(ExperimentConfig().to_dict()) == [
             "mode", "K", "R", "R_ex", "source", "P0", "d0", "alpha", "obs_snr_db",
-            "channel_snr_db", "tx_energy_db", "beta", "threshold_mode", "profile", "n_geom",
-            "n_mc", "gamma_num", "gamma_min", "gamma_max", "r_t_list", "conditioning_r_t",
-            "k_t_bins", "source_exclusion", "max_attempts", "seed", "geometry_file",
-            "trials_file", "dump_energies",
+            "channel_snr_db", "beta", "threshold_mode", "n_geom", "n_mc", "gamma_num",
+            "gamma_min", "gamma_max", "r_t_list", "k_t_bins", "source_exclusion",
+            "max_attempts", "seed", "geometry_file", "trials_file", "dump_energies",
         ]
 
     @pytest.mark.parametrize(
         "mode, kw",
         [
             ("estimate", {"obs_snr_db": 4000}),  # sigma2 underflows to 0
-            ("estimate", {"tx_energy_db": 4000}),  # eb overflows to inf
             ("estimate", {"channel_snr_db": 4000}),  # tau2 underflows to 0
         ],
-        ids=["sigma2", "eb", "tau2"],
+        ids=["sigma2", "tau2"],
     )
     def test_degenerate_noise_level_rejected(self, tmp_path, mode, kw):
         path = write_config(tmp_path, beta=4.0, **kw)
@@ -269,7 +269,6 @@ class TestCliModes:
             p0=echo["P0"],
             obs_snr_db=echo["obs_snr_db"],
             channel_snr_db=echo["channel_snr_db"],
-            tx_energy_db=echo["tx_energy_db"],
             d0=echo["d0"],
             alpha=echo["alpha"],
             beta=np.array(doc["beta"]),
@@ -307,7 +306,7 @@ class TestCliModes:
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
         assert main(["outage", "--config", str(cfg), "--out", str(out1), "--workers", "1"]) == 0
         assert main(["outage", "--config", str(cfg), "--out", str(out2), "--workers", "2"]) == 0
-        for name in ("outage_curve.csv", "geometry_trials.csv", "outage_curve.json"):
+        for name in ("outage_curve.csv", "geometry_trials.csv", "conditioned_curves.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         rows = (out1 / "outage_curve.csv").read_text().splitlines()
         assert rows[0] == "gamma,ccdf_empirical,ccdf_crlb"
@@ -350,14 +349,12 @@ class TestCliModes:
         for name in ("outage_curve.csv", "conditioned_curves.csv"):
             assert (fresh / name).read_bytes() == (reused / name).read_bytes(), name
         manifest = json.loads((reused / "run_manifest.json").read_text())
-        assert manifest["artifacts"] == [
-            "outage_curve.csv", "outage_curve.json", "conditioned_curves.csv", "conditioned_curves.json"
-        ]
-        doc = json.loads((reused / "conditioned_curves.json").read_text())
-        assert doc["conditioning_r_t"] == 14.0
-        assert doc["curves"][0]["conditioning"] is None and len(doc["curves"]) > 1
+        assert manifest["artifacts"] == ["outage_curve.csv", "conditioned_curves.csv"]
         lines = (reused / "conditioned_curves.csv").read_text().splitlines()
         assert lines[0] == "condition,n_geometries,gamma,ccdf_empirical,ccdf_crlb"
+        conditions = _conditions(reused)
+        assert conditions[0] == "all" and len(conditions) > 1
+        assert all(c.endswith("@R_T=14") for c in conditions[1:])
 
     def test_conditioned_outage_runs_own_ensemble(self, tmp_path):
         cfg = write_config(
@@ -366,10 +363,43 @@ class TestCliModes:
         out = tmp_path / "cond2"
         assert main(["outage", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "geometry_trials.csv").exists()
-        doc = json.loads((out / "conditioned_curves.json").read_text())
-        labels = [c["conditioning"] for c in doc["curves"][1:]]
-        for label in labels:
+        for label in _conditions(out)[1:]:
             assert label.startswith("K_T")
+
+    def test_outage_conditions_at_every_radius_in_list_order(self, tmp_path):
+        # a second radius appends its curves to the one-radius run's bytes
+        base = dict(K=20, n_geom=4, n_mc=2, beta=4.0, gamma_num=8, k_t_bins=["0", "1", "2+"])
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert main(["outage", "--config", str(write_config(tmp_path, "1.json", r_t_list=[10.0], **base)),
+                     "--out", str(one)]) == 0
+        assert main(["outage", "--config", str(write_config(tmp_path, "2.json", r_t_list=[10.0, 20.0], **base)),
+                     "--out", str(two)]) == 0
+        first = (one / "conditioned_curves.csv").read_bytes()
+        both = (two / "conditioned_curves.csv").read_bytes()
+        assert both.startswith(first) and len(both) > len(first)
+        labels = _conditions(two)[1:]
+        at_10 = [c for c in labels if c.endswith("@R_T=10")]
+        assert labels == at_10 + [c for c in labels if c.endswith("@R_T=20")] and at_10
+
+    def test_empty_radius_list_writes_the_whole_curve_alone(self, tmp_path):
+        cfg = write_config(tmp_path, K=8, n_geom=2, n_mc=2, beta=4.0, gamma_num=8, r_t_list=[])
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        assert main(["outage", "--config", str(cfg), "--out", str(fresh)]) == 0
+        assert "k_t@" not in (fresh / "geometry_trials.csv").read_text()
+        trials = str(fresh / "geometry_trials.csv")
+        assert main(["outage", "--config", str(cfg), "--out", str(reused), "--trials", trials]) == 0
+        assert _conditions(fresh) == _conditions(reused) == ["all"]
+
+    def test_trials_table_conditions_at_its_own_radii(self, tmp_path):
+        # --trials splits at the table's k_t@ columns, whatever r_t_list says
+        base = dict(K=20, n_geom=4, n_mc=2, beta=4.0, gamma_num=8)
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        cfg = write_config(tmp_path, "fresh.json", r_t_list=[10.0], **base)
+        assert main(["outage", "--config", str(cfg), "--out", str(fresh)]) == 0
+        other = write_config(tmp_path, "other.json", r_t_list=[14.0, 20.0], **base)
+        trials = str(fresh / "geometry_trials.csv")
+        assert main(["outage", "--config", str(other), "--out", str(reused), "--trials", trials]) == 0
+        assert (fresh / "conditioned_curves.csv").read_bytes() == (reused / "conditioned_curves.csv").read_bytes()
 
     def test_per_sensor_threshold_mode(self, tmp_path):
         cfg = write_config(
@@ -405,6 +435,46 @@ class TestCliModes:
         assert main(["geometry", "--config", str(write_config(tmp_path, K=4, seed=top + 1))]) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error_class"] == "ValidationError" and "seed" in record["message"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_artifacts(mode: str, dump_energies=False, trials=False) -> list[str]:
+    """The result files README's Artifacts table lists for one run of ``mode``, in table order."""
+    section = README.read_text().split("\n## Artifacts\n", 1)[1].split("\n## ", 1)[0]
+    names, row_mode = [], None
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            continue
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        row_mode = cells[0] or row_mode
+        if row_mode != mode:
+            continue
+        if "(opt)" in cells[1] and not dump_energies or "not with `--trials`" in cells[1] and trials:
+            continue
+        names += re.findall(r"`([\w.]+\.(?:csv|json))`", cells[1])
+    return names
+
+
+def test_manifest_artifacts_match_readme_table(tmp_path):
+    # each mode writes exactly the files README lists for it, plus the manifest
+    cfg = str(write_config(tmp_path, K=8, n_geom=2, n_mc=2, beta=4.0, gamma_num=8))
+    runs = [
+        ("geometry", "geometry", [], {}),
+        ("estimate", "estimate", [], {}),
+        ("estimate-dump", "estimate", ["--dump-energies"], {"dump_energies": True}),
+        ("crlb", "crlb", [], {}),
+        ("outage", "outage", [], {}),
+        ("outage-trials", "outage", ["--trials", str(tmp_path / "outage" / "geometry_trials.csv")], {"trials": True}),
+    ]
+    for name, mode, flags, kw in runs:
+        out = tmp_path / name
+        assert main([mode, "--config", cfg, "--out", str(out), *flags]) == 0, name
+        listed = _readme_artifacts(mode, **kw)
+        assert listed, name
+        assert json.loads((out / "run_manifest.json").read_text())["artifacts"] == listed, name
+        assert sorted(f.name for f in out.iterdir()) == sorted([*listed, "run_manifest.json"]), name
 
 
 def test_result_files_match_frozen_fingerprint(tmp_path):
@@ -710,14 +780,14 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "key, bad",
         [
-            ("conditioning_r_t", "abc"),
-            ("conditioning_r_t", "14"),
-            ("conditioning_r_t", True),
-            ("conditioning_r_t", float("inf")),
+            ("r_t_list", ["abc"]),
+            ("r_t_list", ["14"]),
+            ("r_t_list", [True]),
+            ("r_t_list", [float("inf")]),
+            ("r_t_list", [14, 14.0]),  # a radius listed twice
             ("source", [True, 0.0]),
             ("source", [0.0, False]),
-            ("profile", []),
-            ("r_t_list", []),  # outage needs a conditioning radius
+            ("profile", []),  # a removed key
             # integers beyond the float range
             ("channel_snr_db", 10**400),
             ("source", [10**400, 0]),
@@ -760,8 +830,8 @@ class TestExitCodes:
             ("seed", 10**300),
         ],
         ids=[
-            "r_t-word", "r_t-numeric-string", "r_t-bool", "r_t-inf", "source-bool-x", "source-bool-y",
-            "profile-list", "r_t_list-empty", "snr-huge-int", "source-huge-int", "r_t_list-huge-int",
+            "r_t-word", "r_t-numeric-string", "r_t-bool", "r_t-inf", "r_t-repeated", "source-bool-x", "source-bool-y",
+            "profile-list", "snr-huge-int", "source-huge-int", "r_t_list-huge-int",
             "K-huge-int", "n_geom-huge-int", "n_mc-huge-int", "gamma_num-huge-int",
             "max_attempts-huge-int", "workers-huge-int",
             "K-over-ceiling", "n_geom-over-ceiling", "n_mc-over-ceiling", "gamma_num-over-ceiling",
@@ -819,9 +889,10 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_integer_conditioning_radius_is_a_float(self, tmp_path):
-        path = write_config(tmp_path, r_t_list=[1.0, 14.0], conditioning_r_t=14)
+        # outage conditions at each radius of r_t_list
+        path = write_config(tmp_path, r_t_list=[1, 14])
         cfg = load_config(path, mode="outage")
-        assert type(cfg.conditioning_r_t) is float and cfg.conditioning_r_t == 14.0
+        assert cfg.r_t_list == (1.0, 14.0) and all(type(r) is float for r in cfg.r_t_list)
 
     @pytest.mark.parametrize("mode", sorted(set(MODES) - set(GEOMETRY_MODES)))
     def test_ensemble_modes_read_no_geometry(self, tmp_path, capsys, mode):
@@ -890,11 +961,6 @@ class TestExitCodes:
             ("outage", "--trials", "trials.csv", b"\x80"),
             ("outage", "--trials", "trials.csv", ""),
             ("outage", "--trials", "trials.csv", montecarlo.trials_to_csv([], [14.0])),
-            (
-                "outage", "--trials", "trials.csv",  # no count at the default conditioning radius 14
-                "geometry_id,seed,empirical_sgle,sgle_var,crlb_sgle,crlb_singular,k_t@10,"
-                "has_sub_d0_sensor,n_mc,beta_common\n0,7,1.5,0.5,1.25,0,2,0,2,4\n",
-            ),
             # rows the writer never produces, under a header it does
             ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,0.5,1.25,2,2,0,2,4\n"),
             ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,0.5,1.25,0,2,0,2,4,9\n"),
@@ -905,7 +971,7 @@ class TestExitCodes:
             "json-short-row", "json-no-sensors", "old-text-form", "json-fewer-rows-than-k",
             "json-list", "json-null", "not-utf-8", "json-too-deep", "json-huge-int",
             "csv-no-beta-column", "trials-not-utf-8", "empty-trials", "header-only",
-            "no-conditioning-radius", "flag-not-0-or-1", "row-wider-than-header", "nan-mean-square",
+            "flag-not-0-or-1", "row-wider-than-header", "nan-mean-square",
             "negative-variance",
         ],
     )

@@ -193,7 +193,7 @@ def _kernel_case(obs_snr_db, channel_snr_db, n_rounds=12, n_probes=5000):
     """Rounds on a K=50 geometry plus probes from the truth to the disk edge."""
     src = SourceParams(10_000.0, 5.0, 10.0)
     geom = sample_geometry(50, 50.0, 0.0, rng=41)
-    cfg = SensorEnsembleConfig.from_snr_db(10_000.0, obs_snr_db, channel_snr_db, 1.0, beta=4.0)
+    cfg = SensorEnsembleConfig.from_snr_db(10_000.0, obs_snr_db, channel_snr_db, beta=4.0)
     ts = simulate_rounds(geom, src, cfg, n_rounds, np.random.default_rng((42, int(channel_snr_db) + 10)))
     rng = np.random.default_rng(43)
     # rays from the truth to the edge of the disk, at every distance along them
@@ -571,7 +571,7 @@ class TestMlEstimate:
             ]
         )
         geom = NetworkGeometry(sensors=sensors, R=50.0)
-        cfg = SensorEnsembleConfig.from_snr_db(10_000.0, 60.0, 40.0, 1.0).with_beta(100.0 / 9.2)
+        cfg = SensorEnsembleConfig.from_snr_db(10_000.0, 60.0, 40.0).with_beta(100.0 / 9.2)
         hits = 0
         n_runs = 40
         for m in range(n_runs):

@@ -213,7 +213,6 @@ class TestBuildCcdf:
         ]
         curve = build_ccdf(trials, np.array([5.0, 500.0]))
         np.testing.assert_array_equal(curve.ccdf_crlb, [0.5, 0.5])
-        assert curve.n_crlb_singular == 1
 
     def test_grid_validation(self):
         trials = [GeometryTrialResult(0, 0, 1.0, 0.0, 1.0, False, {}, False, 1)]
