@@ -34,6 +34,7 @@ returns dT/ds and d2T/ds2 in the weight argument s, from which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ from .signal_model import SensorEnsembleConfig
 # Fixed search settings (see the module docstring).  The seeds are the
 # polar grid crossed with _P0_SEED_FACTORS and a square lattice of
 # spacing _LATTICE_FRAC * R crossed with _LATTICE_P0_FACTORS, 832 in all;
-# grid_loglik scores them _GRID_CHUNK at a time against every round.  A
+# grid_loglik scores them _GRID_CHUNK at a time against blocks of rounds.  A
 # round polishes its _N_STARTS best seeds at least _MIN_SEP_FRAC * R
 # apart and the centroid start at the best of _N_CENTROID_P0 log-spaced
 # P0 values across the range.  The polish starts with damping
@@ -60,10 +61,19 @@ from .signal_model import SensorEnsembleConfig
 # decrement is below _DECREMENT_REL_TOL * max(1, |f|), after
 # _STALL_STEPS consecutive accepted steps that each gained at most
 # _STALL_REL_GAIN * max(1, |f|), when the damping exceeds _DAMPING_MAX,
-# or after _POLISH_MAX_ITER steps.  The derivative pass scores
-# _SCORE_BLOCK probes at a time.  Candidates within rel _TIE_REL_TOL of a
-# round's best log-likelihood tie, so that the answer on a flat
+# or after _POLISH_MAX_ITER steps.  Candidates within rel _TIE_REL_TOL of
+# a round's best log-likelihood tie, so that the answer on a flat
 # likelihood does not turn on the last bits of the energies.
+#
+# Every (probes x sensors) intermediate of the kernel lives in work arrays
+# of _ELEMENT_BUDGET elements (256 KiB each), allocated once per batch:
+# the polish's probes, the centroid scan, the rescoring and the seed
+# pass's blocks of rounds are all cut to that size.  Fresh temporaries of
+# 0.4-2 MB per block sat above glibc's mmap threshold or were trimmed off
+# the heap top, so every block faulted in new zeroed pages: about 240k
+# minor faults and 0.45 s of system time per outage-desk command.
+# Blocks of 8k elements cost more in per-call overhead than they saved;
+# 64k did no better than 32k.
 #
 # Why these values, measured on outage-desk rounds (K = 50, 0 dB,
 # ensembles 502000-503000, 3,200 rounds) as rounds more than 1e-3 nats
@@ -100,7 +110,7 @@ _DAMPING_INIT = 1e-6
 _DAMPING_MAX = 1e6
 _DECREMENT_REL_TOL = 1e-10
 _TIE_REL_TOL = 1e-12
-_SCORE_BLOCK = 1024
+_ELEMENT_BUDGET = 32_768
 _GRID_CHUNK = 8
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -159,7 +169,8 @@ def _newton_polish(score, x0s, floor):
     Every operation is per start, so a start's path does not depend on
     the others in the batch.
 
-    Returns the refined points (S, 3) and the converged flags (S,).
+    Returns the refined points (S, 3), their values (S,) and the
+    converged flags (S,).
     """
     x = np.array(x0s, dtype=float)
     S = x.shape[0]
@@ -205,7 +216,7 @@ def _newton_polish(score, x0s, floor):
         stop = idx[done | (stalled[idx] >= _STALL_STEPS)]
         converged[stop], active[stop] = True, False
         active[rejected[mu[rejected] > _DAMPING_MAX]] = False
-    return x, converged
+    return x, f, converged
 
 
 def _seed_points(R: float, p0_nominal: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -247,7 +258,15 @@ class _EnsembleLikelihood:
     threshold loses digits or becomes 0.  So terms below ``floor`` (about
     1e-290, see ``__init__``) are recomputed in the log domain with
     ``log_ndtr`` and ``logaddexp``: every term is finite and matches the
-    log-domain form to rounding.
+    log-domain form to rounding.  A term is at least half the smaller of
+    its densities, so a batch whose densities all exceed four floors
+    skips that check.
+
+    The kernel writes every (probes x sensors) intermediate into nine
+    work arrays of _ELEMENT_BUDGET elements made once per batch (see the
+    search constants), and scores probes in blocks that fit them.  The
+    arrays that ``_offsets``, ``_weights`` and ``_log_terms`` return are
+    views of them, valid until the next call.
     """
 
     def __init__(self, ts: np.ndarray, geom: NetworkGeometry, cfg: SensorEnsembleConfig):
@@ -257,7 +276,7 @@ class _EnsembleLikelihood:
         if np.any(ts < 0):
             raise ValueError("energies must be nonnegative")
         eb, tau2 = cfg.eb, cfg.tau2
-        self.n_rounds = ts.shape[0]
+        self.n_rounds, self.K = ts.shape
         self.xs = geom.sensors[:, 0].copy()
         self.ys = geom.sensors[:, 1].copy()
         self.beta = cfg.thresholds(geom.K)
@@ -278,51 +297,87 @@ class _EnsembleLikelihood:
         # terms above this floor are therefore exact to rounding.
         fl = np.finfo(float)
         self.floor = fl.tiny / fl.eps * (2.0 + 1.0 / tau2)
+        low_density = min(np.min(self.f0, initial=np.inf), np.min(self.f1, initial=np.inf))
+        self.check_floor = not low_density > 4.0 * self.floor
+        self.probe_block = max(1, _ELEMENT_BUDGET // self.K)
+        size = max(_ELEMENT_BUDGET, _GRID_CHUNK * self.K)
+        self._work = np.empty((9, size))
+        self._mask = np.empty(size, dtype=bool)
+
+    def _views(self, shape, first, count):
+        """Work arrays first .. first+count-1 viewed as C-contiguous shape."""
+        n = math.prod(shape)
+        return [w[:n].reshape(shape) for w in self._work[first : first + count]]
+
+    def _probe_blocks(self, m):
+        for lo in range(0, m, self.probe_block):
+            yield slice(lo, min(lo + self.probe_block, m))
 
     def _offsets(self, p0, x, y):
         """Probe-to-sensor offsets dx, dy, squared distances d2 and received
-        amplitudes sqrt(P), each (m, K), at the probes (p0, x, y)."""
-        dx = np.subtract.outer(x, self.xs)
-        dy = np.subtract.outer(y, self.ys)
-        d2 = dx * dx
-        d2 += dy * dy
+        amplitudes sqrt(P), each (m, K), at the probes (p0, x, y); work
+        arrays 0-3."""
+        dx, dy, d2, amp = self._views((len(x), self.K), 0, 4)
+        np.subtract.outer(x, self.xs, out=dx)
+        np.subtract.outer(y, self.ys, out=dy)
+        np.multiply(dx, dx, out=d2)
+        d2 += np.multiply(dy, dy, out=amp)
         # in place from here on: sqrt(p0 * (d0^2 / max(d2, d0^2))^(alpha/2))
-        amp = np.maximum(d2, self.d0_sq)
+        np.maximum(d2, self.d0_sq, out=amp)
         np.divide(self.d0_sq, amp, out=amp)
         if self.half_alpha != 1.0:
             amp **= self.half_alpha
         amp *= np.asarray(p0)[:, None]
         return dx, dy, d2, np.sqrt(amp, out=amp)
 
-    def _log_terms(self, sqrt_p, rows=None, slopes=False):
-        """Per-sensor log mixture densities T at the probe amplitudes sqrt_p.
-
-        Probe i scores round rows[i], giving (m, K); with rows None every
-        round scores every probe, giving (n_rounds, m, K).  With slopes,
-        also returns dT/ds and d2T/ds2 in the weight argument s.
-        """
-        s = sqrt_p - self.beta
+    def _weights(self, sqrt_p):
+        """The weight argument s = (sqrt(P) - beta)/sigma and the mixture
+        weights q0 of f0 and q1 of f1, each shaped like sqrt_p; work
+        arrays 4-6."""
+        s, q0, q1 = self._views(sqrt_p.shape, 4, 3)
+        np.subtract(sqrt_p, self.beta, out=s)
         s *= self.inv_sigma
-        sel = (slice(None), None) if rows is None else rows
-        pos = s > 0
-        small = np.abs(s)
-        np.negative(small, out=small)
-        ndtr(small, out=small)
-        big = 1.0 - small
-        # the weights q0 of f0 and q1 of f1, then the products, in place
-        q0 = np.where(pos, small, big)
-        q1 = small
-        np.copyto(q1, big, where=pos)
-        if rows is None:
-            terms = q0 * self.f0[sel]
-            terms += q1 * self.f1[sel]
+        pos = self._mask[: s.size].reshape(s.shape)
+        np.greater(s, 0, out=pos)
+        # the smaller weight ndtr(-|s|) into q1, its complement into q0,
+        # then swapped where s > 0
+        np.abs(s, out=q1)
+        np.negative(q1, out=q1)
+        ndtr(q1, out=q1)
+        np.subtract(1.0, q1, out=q0)
+        np.copyto(q0, q1, where=pos)
+        np.subtract(1.0, q1, out=q1, where=pos)
+        return s, q0, q1
+
+    def _log_terms(self, weights, rows, slopes=False):
+        """Per-sensor log mixture densities T from the ``_weights`` of m probes.
+
+        With rows an index array, probe i scores round rows[i], giving
+        (m, K); with rows a slice of rounds, every round in it scores every
+        probe, giving (rounds, m, K).  With slopes (index rows only), also
+        returns dT/ds and d2T/ds2 in the weight argument s.  T is work
+        array 7 and the slopes are 5 and 6, over the weights.
+        """
+        s, q0, q1 = weights
+        if isinstance(rows, slice):
+            sel = (rows, None)
+            shape = (len(range(*rows.indices(self.n_rounds))),) + s.shape
+            terms, tmp = self._views(shape, 7, 2)
+            np.multiply(q0, self.f0[sel], out=terms)
+            terms += np.multiply(q1, self.f1[sel], out=tmp)
         else:
-            terms = np.multiply(q0, self.f0[rows], out=q0)
-            terms += np.multiply(q1, self.f1[rows], out=q1)
-        low = terms < self.floor
+            # take's mode "clip" writes straight into out ("raise" buffers
+            # a copy); rows are always in range
+            sel = rows
+            terms, tmp = self._views(s.shape, 7, 2)
+            np.multiply(q0, self.f0.take(rows, axis=0, out=tmp, mode="clip"), out=terms)
+            tmp = self.f1.take(rows, axis=0, out=tmp, mode="clip")
+            terms += np.multiply(q1, tmp, out=tmp)
+        if self.check_floor:
+            low = np.less(terms, self.floor, out=self._mask[: terms.size].reshape(terms.shape))
         with np.errstate(divide="ignore"):
             np.log(terms, out=terms)
-        if low.any():
+        if self.check_floor and low.any():
             s_low = np.broadcast_to(s, terms.shape)[low]
             terms[low] = np.logaddexp(
                 np.broadcast_to(self.log_f0[sel], terms.shape)[low] + log_ndtr(-s_low),
@@ -333,12 +388,26 @@ class _EnsembleLikelihood:
         # dT/ds = phi(s) (f1 - f0) / e^T, formed in logs so that it stays
         # finite where e^T is below the floor; d2T/ds2 follows from
         # phi' = -s phi.
-        dT = self.sign_df[sel] * np.exp(-0.5 * s * s - _LOG_SQRT_2PI + self.log_df[sel] - terms)
-        return terms, dT, -s * dT - dT * dT
+        dT, d2T = q0, q1
+        np.multiply(-0.5, s, out=dT)
+        dT *= s
+        dT -= _LOG_SQRT_2PI
+        dT += self.log_df.take(rows, axis=0, out=tmp, mode="clip")
+        dT -= terms
+        np.exp(dT, out=dT)
+        dT *= self.sign_df.take(rows, axis=0, out=tmp, mode="clip")
+        np.negative(s, out=d2T)
+        d2T *= dT
+        d2T -= np.multiply(dT, dT, out=tmp)
+        return terms, dT, d2T
 
     def loglik(self, rows: np.ndarray, p0: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per-probe log-likelihood; probe i scores round rows[i]."""
-        return self._log_terms(self._offsets(p0, x, y)[3], rows).sum(axis=1)
+        out = np.empty(len(x))
+        for sl in self._probe_blocks(len(x)):
+            sqrt_p = self._offsets(p0[sl], x[sl], y[sl])[3]
+            out[sl] = self._log_terms(self._weights(sqrt_p), rows[sl]).sum(axis=1)
+        return out
 
     def score(self, rows, p0, x, y):
         """Per-probe log-likelihood with its gradient (m, 3) and Hessian
@@ -351,45 +420,65 @@ class _EnsembleLikelihood:
         -w dx, -w dy and a/2, and its curvatures w2 dx dx - w, w2 dx dy,
         w2 dy dy - w, -w dx/2, -w dy/2 and a/4, where w2 = (alpha/2 + 2)
         w / d^2; the sums below group the products by those factors.
-        Probes are scored _SCORE_BLOCK at a time.
+        Each block's products reuse the work arrays as they fall free.
         """
         m = len(x)
         ll = np.empty(m)
         grad = np.empty((m, 3))
         hess = np.empty((m, 3, 3))
         c = self.half_alpha
-        for lo in range(0, m, _SCORE_BLOCK):
-            sl = slice(lo, min(lo + _SCORE_BLOCK, m))
-            dx, dy, d2, sqrt_p = self._offsets(p0[sl], x[sl], y[sl])
-            terms, dT, d2T = self._log_terms(sqrt_p, rows[sl], slopes=True)
-            a = sqrt_p * self.inv_sigma
-            d2c = np.maximum(d2, self.d0_sq)
-            w = np.where(d2 > self.d0_sq, c * a / d2c, 0.0)
-            e = dT * w  # location slope terms
-            u = d2T * w * w + dT * ((c + 2.0) * w / d2c)  # location curvature terms
-            t = d2T * a + dT
-            q = t * w  # location-P0 curvature terms
-            ux, uy = u * dx, u * dy
-            e_sum = e.sum(axis=1)
+        for sl in self._probe_blocks(m):
+            dx, dy, d2, a = self._offsets(p0[sl], x[sl], y[sl])
+            terms, dT, d2T = self._log_terms(self._weights(a), rows[sl], slopes=True)
+            (prod,) = self._views(dx.shape, 4, 1)
+            w, v = self._views(dx.shape, 7, 2)
             ll[sl] = terms.sum(axis=1)
-            grad[sl, 0] = -(e * dx).sum(axis=1)
-            grad[sl, 1] = -(e * dy).sum(axis=1)
-            grad[sl, 2] = 0.5 * (dT * a).sum(axis=1)
-            hess[sl, 0, 0] = (ux * dx).sum(axis=1) - e_sum
-            hess[sl, 1, 1] = (uy * dy).sum(axis=1) - e_sum
-            hess[sl, 0, 1] = hess[sl, 1, 0] = (ux * dy).sum(axis=1)
-            hess[sl, 0, 2] = hess[sl, 2, 0] = -0.5 * (q * dx).sum(axis=1)
-            hess[sl, 1, 2] = hess[sl, 2, 1] = -0.5 * (q * dy).sum(axis=1)
-            hess[sl, 2, 2] = 0.25 * (t * a).sum(axis=1)
+            a *= self.inv_sigma
+            grad[sl, 2] = 0.5 * np.multiply(dT, a, out=prod).sum(axis=1)
+            clamped = np.greater(d2, self.d0_sq, out=self._mask[: d2.size].reshape(d2.shape))
+            np.logical_not(clamped, out=clamped)
+            d2c = np.maximum(d2, self.d0_sq, out=d2)
+            np.multiply(c, a, out=w)
+            w /= d2c
+            np.copyto(w, 0.0, where=clamped)
+            np.multiply(c + 2.0, w, out=v)
+            v /= d2c
+            v *= dT
+            u = np.multiply(d2T, w, out=d2)  # location curvature terms
+            u *= w
+            u += v
+            t = np.multiply(d2T, a, out=v)
+            t += dT
+            hess[sl, 2, 2] = 0.25 * np.multiply(t, a, out=prod).sum(axis=1)
+            q = t
+            q *= w  # location-P0 curvature terms
+            hess[sl, 0, 2] = hess[sl, 2, 0] = -0.5 * np.multiply(q, dx, out=prod).sum(axis=1)
+            hess[sl, 1, 2] = hess[sl, 2, 1] = -0.5 * np.multiply(q, dy, out=prod).sum(axis=1)
+            e = np.multiply(dT, w, out=v)  # location slope terms
+            e_sum = e.sum(axis=1)
+            grad[sl, 0] = -np.multiply(e, dx, out=prod).sum(axis=1)
+            grad[sl, 1] = -np.multiply(e, dy, out=prod).sum(axis=1)
+            ux = np.multiply(u, dx, out=v)
+            hess[sl, 0, 0] = np.multiply(ux, dx, out=prod).sum(axis=1) - e_sum
+            hess[sl, 0, 1] = hess[sl, 1, 0] = np.multiply(ux, dy, out=prod).sum(axis=1)
+            uy = np.multiply(u, dy, out=v)
+            hess[sl, 1, 1] = np.multiply(uy, dy, out=prod).sum(axis=1) - e_sum
         return ll, grad, hess
 
     def grid_loglik(self, p0, x, y) -> np.ndarray:
-        """(n_rounds, n_seeds) log-likelihoods for theta-only seed points."""
+        """(n_rounds, n_seeds) log-likelihoods for theta-only seed points.
+
+        Each chunk of _GRID_CHUNK seeds computes its weights once and
+        scores them against blocks of rounds that fill the work arrays.
+        """
         out = np.empty((self.n_rounds, len(x)))
         for lo in range(0, len(x), _GRID_CHUNK):
             hi = min(lo + _GRID_CHUNK, len(x))
-            sqrt_p = self._offsets(p0[lo:hi], x[lo:hi], y[lo:hi])[3]
-            out[:, lo:hi] = self._log_terms(sqrt_p).sum(axis=2)
+            weights = self._weights(self._offsets(p0[lo:hi], x[lo:hi], y[lo:hi])[3])
+            step = max(1, _ELEMENT_BUDGET // weights[0].size)
+            for r in range(0, self.n_rounds, step):
+                rounds = slice(r, min(r + step, self.n_rounds))
+                out[rounds, lo:hi] = self._log_terms(weights, rounds).sum(axis=2)
         return out
 
 
@@ -495,23 +584,31 @@ def ml_estimate_batch(
 
     rows = np.repeat(np.arange(M), n_starts)
     objective = _SearchObjective(el, rows, R, ln_lo, ln_hi)
-    polished, converged = _newton_polish(objective.score, x0s.reshape(-1, 3), np.array([1.0 / R**2, 1.0 / R**2, 1.0]))
+    polished, values, converged = _newton_polish(
+        objective.score, x0s.reshape(-1, 3), np.array([1.0 / R**2, 1.0 / R**2, 1.0])
+    )
 
     # Candidates: every polished start, projected into the search domain
     # and rescored on the raw likelihood there, plus the best seed, which
-    # guarantees the seed-dominance contract.
+    # guarantees the seed-dominance contract.  A start that ended inside
+    # the domain carries no penalty, so its final value is minus its raw
+    # log-likelihood bit for bit and needs no rescoring.
     x, y = polished[:, 0].copy(), polished[:, 1].copy()
     rad = np.hypot(x, y)
     over = rad > R
     x[over] *= R / rad[over]
     y[over] *= R / rad[over]
-    p0 = np.exp(np.clip(polished[:, 2], ln_lo, ln_hi))
+    ln_p0 = polished[:, 2]
+    p0 = np.exp(np.clip(ln_p0, ln_lo, ln_hi))
+    start_ll = -values
+    outside = over | (ln_p0 < ln_lo) | (ln_p0 > ln_hi)
+    start_ll[outside] = el.loglik(rows[outside], p0[outside], x[outside], y[outside])
     best = picks[:, 0]
 
     def per_round(starts, seed):
         return np.column_stack([starts.reshape(M, n_starts), seed])
 
-    cand_ll = per_round(el.loglik(rows, p0, x, y), seed_ll[np.arange(M), best])
+    cand_ll = per_round(start_ll, seed_ll[np.arange(M), best])
     cand_x, cand_y = per_round(x, gx[best]), per_round(y, gy[best])
     cand_p0 = per_round(p0, gp[best])
     cand_conv = per_round(converged, np.zeros(M, dtype=bool))

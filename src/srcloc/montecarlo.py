@@ -350,6 +350,8 @@ def trials_from_csv(
         r_t_list = [float(c.split("@", 1)[1]) for c in lines[0].split(",") if "@" in c]
         if lines[0] + "\n" != trials_to_csv([], r_t_list):
             raise ValueError(f"header {lines[0]!r} is not a trials table's")
+        if len(set(r_t_list)) != len(r_t_list):
+            raise ValueError(f"header {lines[0]!r} repeats a k_t radius")
         trials = []
         for ln in lines[1:]:
             if ln.count(",") != lines[0].count(","):

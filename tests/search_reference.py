@@ -99,7 +99,7 @@ def dense_loglik(ts, geom, cfg, p0_nominal) -> np.ndarray:
     ln_lo, ln_hi = np.log(p0_nominal) - np.log(1e3), np.log(p0_nominal) + np.log(1e3)
     rows = np.repeat(np.arange(M), DENSE_STARTS)
     objective = _SearchObjective(el, rows, R, ln_lo, ln_hi)
-    polished, _ = _newton_polish(objective.score, x0s.reshape(-1, 3), np.array([1.0 / R**2, 1.0 / R**2, 1.0]))
+    polished, _, _ = _newton_polish(objective.score, x0s.reshape(-1, 3), np.array([1.0 / R**2, 1.0 / R**2, 1.0]))
     x, y = polished[:, 0], polished[:, 1]
     shrink = np.minimum(1.0, R / np.maximum(np.hypot(x, y), 1e-300))
     p0 = np.exp(np.clip(polished[:, 2], ln_lo, ln_hi))

@@ -966,13 +966,18 @@ class TestExitCodes:
             ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,0.5,1.25,0,2,0,2,4,9\n"),
             ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,nan,0.5,1.25,0,2,0,2,4\n"),
             ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,-0.5,1.25,0,2,0,2,4\n"),
+            # a radius twice, whose later cell would silently win
+            (
+                "outage", "--trials", "trials.csv",
+                montecarlo.trials_to_csv([], [14.0, 14.0]) + "0,7,1.5,0.5,1.25,0,2,3,0,2,4\n",
+            ),
         ],
         ids=[
             "json-short-row", "json-no-sensors", "old-text-form", "json-fewer-rows-than-k",
             "json-list", "json-null", "not-utf-8", "json-too-deep", "json-huge-int",
             "csv-no-beta-column", "trials-not-utf-8", "empty-trials", "header-only",
             "flag-not-0-or-1", "row-wider-than-header", "nan-mean-square",
-            "negative-variance",
+            "negative-variance", "repeated-radius",
         ],
     )
     def test_malformed_input_file_exit_2(self, tmp_path, mode, flag, name, content):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,10 +190,10 @@ class TestLogLikelihood:
             assert fd == pytest.approx(analytic, rel=1e-4, abs=1e-10)
 
 
-def _kernel_case(obs_snr_db, channel_snr_db, n_rounds=12, n_probes=5000):
-    """Rounds on a K=50 geometry plus probes from the truth to the disk edge."""
+def _kernel_case(obs_snr_db, channel_snr_db, n_rounds=12, n_probes=5000, K=50):
+    """Rounds on a K-sensor geometry plus probes from the truth to the disk edge."""
     src = SourceParams(10_000.0, 5.0, 10.0)
-    geom = sample_geometry(50, 50.0, 0.0, rng=41)
+    geom = sample_geometry(K, 50.0, 0.0, rng=41)
     cfg = SensorEnsembleConfig.from_snr_db(10_000.0, obs_snr_db, channel_snr_db, beta=4.0)
     ts = simulate_rounds(geom, src, cfg, n_rounds, np.random.default_rng((42, int(channel_snr_db) + 10)))
     rng = np.random.default_rng(43)
@@ -253,7 +254,7 @@ class TestEnsembleKernel:
         p0 = np.concatenate([p0, 10_000.0 * 10.0 ** rng.uniform(-3.0, 3.0, 40)])
         rows = np.concatenate([rows, rng.integers(0, len(ts), 40)])
         el = _EnsembleLikelihood(ts, geom, cfg)
-        terms = el._log_terms(el._offsets(p0, x, y)[3], rows)
+        terms = el._log_terms(el._weights(el._offsets(p0, x, y)[3]), rows).copy()
         if obs_snr_db == 60.0 and channel_snr_db >= 30.0:
             assert np.count_nonzero(terms < np.log(el.floor)) > 100
         ll, grad, hess = el.score(rows, p0, x, y)
@@ -294,6 +295,44 @@ class TestEnsembleKernel:
         assert grid.shape == (6, gx.size)
         for m in range(6):
             np.testing.assert_array_equal(grid[m], el.loglik(np.full(gx.size, m), gp, gx, gy))
+
+    @pytest.mark.parametrize("K", [20, 50])
+    @pytest.mark.parametrize("obs_snr_db, channel_snr_db", [(40.0, 0.0), (60.0, 40.0)])
+    def test_blocking_is_bit_identical(self, monkeypatch, obs_snr_db, channel_snr_db, K):
+        # one probe or round per block against the default element budget,
+        # whose last blocks are ragged here (210 rounds, 2,000 probes); at
+        # (60, 40) dB the log-domain fallback runs, at (40, 0) dB it is skipped
+        ts, geom, cfg, rows, p0, x, y = _kernel_case(obs_snr_db, channel_snr_db, n_rounds=210, n_probes=2000, K=K)
+        seeds = _seed_points(geom.R, 10_000.0)
+
+        def outputs():
+            el = _EnsembleLikelihood(ts, geom, cfg)
+            assert el.check_floor == (channel_snr_db == 40.0)
+            return [el.loglik(rows, p0, x, y), *el.score(rows, p0, x, y), el.grid_loglik(*seeds)]
+
+        default = outputs()
+        assert 2000 % (likelihood._ELEMENT_BUDGET // K) != 0
+        assert 210 % (likelihood._ELEMENT_BUDGET // (likelihood._GRID_CHUNK * K)) != 0
+        monkeypatch.setattr(likelihood, "_ELEMENT_BUDGET", 1)
+        for one, whole in zip(outputs(), default, strict=True):
+            np.testing.assert_array_equal(one.view(np.int64), whole.view(np.int64))
+
+    def test_work_arrays_bound_the_memory_of_a_call(self):
+        # outage-desk-shaped (K = 50, 0 dB, 200 rounds): once its work arrays
+        # exist, a call allocates little beyond its outputs (before them,
+        # per-block temporaries peaked at 7.4 MB and 12.4 MB)
+        ts, geom, cfg, rows, p0, x, y = _kernel_case(40.0, 0.0, n_rounds=200, n_probes=5000)
+        el = _EnsembleLikelihood(ts, geom, cfg)
+        calls = [(el.score, 1400, 1400 * 13 * 8), (el.loglik, 5000, 5000 * 8)]
+        for call, m, output_bytes in calls:
+            call(rows[:m], p0[:m], x[:m], y[:m])
+            tracemalloc.start()
+            try:
+                call(rows[:m], p0[:m], x[:m], y[:m])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < output_bytes + 1_000_000, (call.__name__, peak)
 
 
 class TestMlEstimate:
@@ -357,7 +396,7 @@ class TestMlEstimate:
         x0s = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), lnp0])
         el = _EnsembleLikelihood(ts, geom, cfg)
         objective = _SearchObjective(el, rows, 50.0, np.log(10.0), np.log(1e7))
-        polished, _ = _newton_polish(objective.score, x0s, np.array([1.0 / 50.0**2, 1.0 / 50.0**2, 1.0]))
+        polished, _, _ = _newton_polish(objective.score, x0s, np.array([1.0 / 50.0**2, 1.0 / 50.0**2, 1.0]))
         ids = np.arange(3 * n)
         before, after = objective.score(x0s, ids)[0], objective.score(polished, ids)[0]
         assert np.all(after <= before)
@@ -386,7 +425,7 @@ class TestMlEstimate:
         x0 = np.array([[1.0, -2.0, 1.0], [1.0, -2.0, 1.0]])
         before = score(x0, np.arange(2))[0]
         calls[:] = 0
-        polished, converged = _newton_polish(score, x0, np.zeros(3))
+        polished, _, converged = _newton_polish(score, x0, np.zeros(3))
         made = calls.copy()
         after = score(polished, np.arange(2))[0]
         assert np.all(after <= before)
@@ -423,8 +462,8 @@ class TestMlEstimate:
             return f, g, H
 
         x0 = np.array([[0.0, 0.0, 2.3]])
-        stuck, stuck_conv = _newton_polish(score, x0, np.zeros(3))
-        moved, moved_conv = _newton_polish(score, x0, np.array([1.0 / R**2, 1.0 / R**2, 1.0]))
+        stuck, _, stuck_conv = _newton_polish(score, x0, np.zeros(3))
+        moved, _, moved_conv = _newton_polish(score, x0, np.array([1.0 / R**2, 1.0 / R**2, 1.0]))
         assert stuck[0, 2] == 2.3 and not stuck_conv[0]
         assert moved[0, 2] == pytest.approx(5.0, abs=1e-5) and moved_conv[0]
         assert np.hypot(moved[0, 0], moved[0, 1]) == pytest.approx(R, rel=1e-6)
@@ -495,6 +534,17 @@ class TestMlEstimate:
         search_quality.estimate(index, case["channel_snr_db"], case["beta"])
         assert probes[0] <= PROBE_BUDGET
         assert sum(seeds) <= SEED_BUDGET
+
+    def test_returned_loglik_is_the_kernel_value_at_the_estimate(self):
+        # the polish's final value stands in for a rescoring inside the
+        # search domain, so it must be the raw log-likelihood bit for bit
+        index = search_quality.CHANNEL_SNRS_DB.index(0.0)
+        case = json.loads(search_quality.FIXTURE.read_text())["cases"][index]
+        ts, geom, cfg, p0_nominal = search_quality.rounds(index, case["channel_snr_db"], case["beta"])
+        found = ml_estimate_batch(ts, geom, cfg, p0_nominal)
+        theta = np.array([[r.theta_hat.P0, r.theta_hat.xT, r.theta_hat.yT] for r in found])
+        ll = _EnsembleLikelihood(ts, geom, cfg).loglik(np.arange(len(ts)), *theta.T)
+        assert [r.log_likelihood for r in found] == ll.tolist()
 
     def test_objective_score_matches_central_differences(self, ref_source):
         # the penalized objective's derivatives, inside and outside the disk

@@ -7,6 +7,10 @@
   result exactly: amplitudes depend only on (d0/d)^alpha, which such a
   scale leaves bit for bit, and the ML search's seeds, penalty and
   floors all scale with R.
+- Reflecting the geometry and the source in the x axis leaves every
+  distance, and so the energies and the bound, bit for bit, and mirrors
+  the estimates: the seed lattice is symmetric and the polar grid is up
+  to the rounding of its angles.
 """
 
 from __future__ import annotations
@@ -148,3 +152,39 @@ def test_power_of_two_scale_is_exact(tmp_path, policy):
             assert two[col] == one[col], (one["trial"], col)
     summary = {tag: json.loads((runs["estimate", tag] / "estimate_summary.json").read_text()) for tag in ("x1", "x2")}
     assert summary["x2"]["crlb_sgle"] == 4 * summary["x1"]["crlb_sgle"]
+
+
+@pytest.mark.parametrize(
+    "policy", [{}, {"threshold_mode": "per-sensor"}, {"beta": 4.0}], ids=["common", "per-sensor", "fixed"]
+)
+def test_reflection_in_x_axis_mirrors_the_estimates(tmp_path, policy):
+    # y -> -y in the sensors and the source: the bound and the thresholds
+    # are bit for bit the same, and each estimate mirrors to well within
+    # the search's resolution
+    geometry_config = tmp_path / "geometry.config.json"
+    geometry_config.write_text(json.dumps({"K": 20, "R": 50.0, "R_ex": 2.0, "seed": 11}))
+    assert main(["geometry", "--config", str(geometry_config), "--out", str(tmp_path / "g")]) == 0
+    doc = json.loads((tmp_path / "g" / "geometry.json").read_text())
+    mirrored = {**doc, "sensors": (np.array(doc["sensors"]) * [1.0, -1.0]).tolist()}
+    (tmp_path / "g2.json").write_text(json.dumps(mirrored))
+
+    base = {"seed": 11, "channel_snr_db": 10.0, "n_mc": 40, **policy}
+    runs = {}
+    for tag, geometry, source in (("up", tmp_path / "g" / "geometry.json", [5.0, 10.0]),
+                                  ("down", tmp_path / "g2.json", [5.0, -10.0])):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps({**base, "source": source}))
+        for mode in ("crlb", "estimate"):
+            out = tmp_path / f"{mode}-{tag}"
+            assert main([mode, "--config", str(path), "--out", str(out), "--geometry", str(geometry)]) == 0
+            runs[mode, tag] = out
+
+    crlb = {tag: json.loads((runs["crlb", tag] / "crlb.json").read_text()) for tag in ("up", "down")}
+    assert crlb["down"]["sgle_bound"] == crlb["up"]["sgle_bound"]
+    assert crlb["down"]["beta"] == crlb["up"]["beta"]
+
+    est = {tag: _rows(runs["estimate", tag] / "estimates.csv") for tag in ("up", "down")}
+    assert len(est["up"]) == len(est["down"]) == 40
+    for up, down in zip(est["up"], est["down"]):
+        assert float(down["x_hat"]) == pytest.approx(float(up["x_hat"]), abs=1e-9), up["trial"]
+        assert float(down["y_hat"]) == pytest.approx(-float(up["y_hat"]), abs=1e-9), up["trial"]
