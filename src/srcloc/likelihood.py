@@ -310,6 +310,7 @@ class _EnsembleLikelihood:
         return [w[:n].reshape(shape) for w in self._work[first : first + count]]
 
     def _probe_blocks(self, m):
+        """Slices of at most probe_block probes that cover m probes."""
         for lo in range(0, m, self.probe_block):
             yield slice(lo, min(lo + self.probe_block, m))
 
@@ -371,8 +372,7 @@ class _EnsembleLikelihood:
             sel = rows
             terms, tmp = self._views(s.shape, 7, 2)
             np.multiply(q0, self.f0.take(rows, axis=0, out=tmp, mode="clip"), out=terms)
-            tmp = self.f1.take(rows, axis=0, out=tmp, mode="clip")
-            terms += np.multiply(q1, tmp, out=tmp)
+            terms += np.multiply(q1, self.f1.take(rows, axis=0, out=tmp, mode="clip"), out=tmp)
         if self.check_floor:
             low = np.less(terms, self.floor, out=self._mask[: terms.size].reshape(terms.shape))
         with np.errstate(divide="ignore"):
