@@ -320,8 +320,8 @@ class TestEnsembleKernel:
 
     def test_work_arrays_bound_the_memory_of_a_call(self):
         # outage-desk-shaped (K = 50, 0 dB, 200 rounds): once its work arrays
-        # exist, a call allocates little beyond its outputs (before them,
-        # per-block temporaries peaked at 7.4 MB and 12.4 MB)
+        # exist, a call allocates little beyond its outputs, where per-block
+        # temporaries of this size would take megabytes
         ts, geom, cfg, rows, p0, x, y = _kernel_case(40.0, 0.0, n_rounds=200, n_probes=5000)
         el = _EnsembleLikelihood(ts, geom, cfg)
         calls = [(el.score, 1400, 1400 * 13 * 8), (el.loglik, 5000, 5000 * 8)]

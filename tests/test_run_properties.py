@@ -113,6 +113,14 @@ def _rows(path: Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
+def _written_geometry(tmp_path: Path) -> dict:
+    """``srcloc geometry``'s K = 20 document (R = 50, R_ex = 2, seed 11), at tmp_path/g/geometry.json."""
+    geometry_config = tmp_path / "geometry.config.json"
+    geometry_config.write_text(json.dumps({"K": 20, "R": 50.0, "R_ex": 2.0, "seed": 11}))
+    assert main(["geometry", "--config", str(geometry_config), "--out", str(tmp_path / "g")]) == 0
+    return json.loads((tmp_path / "g" / "geometry.json").read_text())
+
+
 @pytest.mark.parametrize(
     "policy", [{}, {"threshold_mode": "per-sensor"}, {"beta": 4.0}], ids=["common", "per-sensor", "fixed"]
 )
@@ -120,10 +128,7 @@ def test_power_of_two_scale_is_exact(tmp_path, policy):
     # doubling the sensors, R, R_ex, the source and d0 doubles every
     # location, quadruples every squared error and bound, and leaves the
     # thresholds, P0 and log-likelihoods bit for bit
-    geometry_config = tmp_path / "geometry.config.json"
-    geometry_config.write_text(json.dumps({"K": 20, "R": 50.0, "R_ex": 2.0, "seed": 11}))
-    assert main(["geometry", "--config", str(geometry_config), "--out", str(tmp_path / "g")]) == 0
-    doc = json.loads((tmp_path / "g" / "geometry.json").read_text())
+    doc = _written_geometry(tmp_path)
     scaled = {**doc, "R": 2 * doc["R"], "R_ex": 2 * doc["R_ex"], "sensors": (2 * np.array(doc["sensors"])).tolist()}
     (tmp_path / "g2.json").write_text(json.dumps(scaled))
 
@@ -161,10 +166,7 @@ def test_reflection_in_x_axis_mirrors_the_estimates(tmp_path, policy):
     # y -> -y in the sensors and the source: the bound and the thresholds
     # are bit for bit the same, and each estimate mirrors to well within
     # the search's resolution
-    geometry_config = tmp_path / "geometry.config.json"
-    geometry_config.write_text(json.dumps({"K": 20, "R": 50.0, "R_ex": 2.0, "seed": 11}))
-    assert main(["geometry", "--config", str(geometry_config), "--out", str(tmp_path / "g")]) == 0
-    doc = json.loads((tmp_path / "g" / "geometry.json").read_text())
+    doc = _written_geometry(tmp_path)
     mirrored = {**doc, "sensors": (np.array(doc["sensors"]) * [1.0, -1.0]).tolist()}
     (tmp_path / "g2.json").write_text(json.dumps(mirrored))
 
