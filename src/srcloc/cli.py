@@ -26,12 +26,11 @@ import numpy as np
 from . import __version__
 from .config import GEOMETRY_MODES, ExperimentConfig, load_config, parse_k_t_bin, require_source_in_disk
 from .crlb import crlb_sgle, per_sensor_term_norms
-from .errors import ConfigError, EmptySubset, PackingFailure, ParseError, SrclocError
+from .errors import ConfigError, PackingFailure, ParseError, SrclocError
 from .geometry import NetworkGeometry, has_sub_d0_sensor, load_geometry, save_geometry
 from .montecarlo import (
     _fmt,
     build_ccdf,
-    conditioned_ccdf,
     curve_to_csv,
     curves_to_csv,
     default_workers,
@@ -147,9 +146,10 @@ def _workers(config: ExperimentConfig) -> int:
 
 def _run_outage(config: ExperimentConfig, out: Path) -> list:
     """The ensemble's outage CCDF, whole and split into K_T bins at each
-    radius of r_t_list, in list order.  The trials come from a fresh
-    ensemble, or from a previous run's table (trials_file), split at the
-    table's own radii, without rerunning anything."""
+    radius of r_t_list, in list order; a bin that holds no geometry gets
+    no curve.  The trials come from a fresh ensemble, or from a previous
+    run's table (trials_file), split at the table's own radii, without
+    rerunning anything."""
     if config.trials_file:
         data = Path(config.trials_file).read_bytes()
         try:
@@ -168,14 +168,13 @@ def _run_outage(config: ExperimentConfig, out: Path) -> list:
     curve = build_ccdf(trials, gamma)
     (out / "outage_curve.csv").write_text(curve_to_csv(curve))
 
-    curves = [curve]
+    curves = [("all", curve)]
     bins = [parse_k_t_bin(spec) for spec in config.k_t_bins]
     for r_t in r_t_list:
         for predicate, label in bins:
-            try:
-                curves.append(conditioned_ccdf(trials, r_t, predicate, gamma, f"{label}@R_T={_fmt(r_t)}"))
-            except EmptySubset:
-                pass
+            subset = [tr for tr in trials if predicate(tr.k_t[r_t])]
+            if subset:
+                curves.append((f"{label}@R_T={_fmt(r_t)}", build_ccdf(subset, gamma)))
     (out / "conditioned_curves.csv").write_text(curves_to_csv(curves))
     return ["outage_curve.csv", *fresh, "conditioned_curves.csv"]
 

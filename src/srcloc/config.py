@@ -98,8 +98,8 @@ class ExperimentConfig:
 
     mode: Optional[str] = _one_of(None, MODES, required=True)
     K: Optional[int] = _count(10**5)
-    # R and P0 ceilings: far above any experiment, and low enough that R**2
-    # and the top of the ML search's P0 range, P0 * 1e3, stay finite
+    # R, d0 and P0 ceilings: far above any experiment, and low enough that
+    # R**2, d0**2 and the top of the ML search's P0 range, P0 * 1e3, stay finite
     R: Optional[float] = _positive(ceiling=1e150)
     R_ex: float = _nonnegative(0.0)
     source: tuple = _key(
@@ -109,7 +109,7 @@ class ExperimentConfig:
         _floats,
     )
     P0: float = _positive(10_000.0, ceiling=1e300)
-    d0: float = _positive(1.0)
+    d0: float = _positive(1.0, ceiling=1e150)
     alpha: float = _positive(2.0)
     obs_snr_db: float = _finite(40.0)
     channel_snr_db: float = _finite(0.0)
@@ -268,6 +268,12 @@ def load_config(
             "gamma_min",
             f"gamma_min {raw['gamma_min']!r} must lie below the grid's upper end {gamma_hi!r} "
             "(gamma_max, else the disk diameter 2R)",
+        )
+    if gamma_hi is not None and np.any(np.diff(np.geomspace(raw["gamma_min"], gamma_hi, raw["gamma_num"])) <= 0):
+        raise ValidationError(
+            "gamma_num",
+            f"gamma_num {raw['gamma_num']!r} log-spaced points from {raw['gamma_min']!r} to {gamma_hi!r} "
+            "are not all distinct; the grid must be strictly increasing",
         )
 
     if raw["R"] is not None:  # else the geometry file's disk is checked once it is read

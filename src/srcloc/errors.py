@@ -52,10 +52,6 @@ class QuadratureFailure(SrclocError):
     """The information integral diverges, or its tail bound is above tolerance."""
 
 
-class EmptySubset(SrclocError):
-    """A conditioning predicate matched no geometry trials."""
-
-
 class ConfigError(SrclocError):
     """Base class for configuration-file problems."""
 

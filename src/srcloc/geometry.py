@@ -68,14 +68,33 @@ class NetworkGeometry:
         return self.sensors.shape[0]
 
 
+# Pairs that one block of min_pairwise_distance holds: 64 KiB per array,
+# so its memory does not grow with K.  At K = 50 every pair fits in one.
+_PAIR_BUDGET = 1 << 13
+
+
 def min_pairwise_distance(points: np.ndarray) -> float:
-    """Smallest center-to-center distance among a set of points."""
+    """Smallest center-to-center distance among a set of points.
+
+    Rows are paired with the points after them a block at a time, within
+    ``_PAIR_BUDGET`` pairs, so memory stays O(K) rather than O(K^2).
+    """
     points = np.asarray(points, dtype=float)
-    if points.shape[0] < 2:
+    K = points.shape[0]
+    if K < 2:
         return np.inf
-    i, j = np.triu_indices(points.shape[0], k=1)
-    diff = points[i] - points[j]
-    return float(np.sqrt((diff * diff).sum(axis=1).min()))
+    x, y = points[:, 0], points[:, 1]
+    step = max(1, _PAIR_BUDGET // K)
+    best = np.inf
+    for a in range(0, K - 1, step):
+        b = min(a + step, K - 1)
+        dx = x[a:b, None] - x[a + 1 :]
+        dy = y[a:b, None] - y[a + 1 :]
+        d2 = dx * dx + dy * dy
+        # row r is point a + r and column c point a + 1 + c: drop the pairs with c < r
+        d2[np.arange(b - a)[:, None] > np.arange(K - a - 1)] = np.inf
+        best = min(best, d2.min())
+    return float(np.sqrt(best))
 
 
 def sample_geometry(

@@ -6,7 +6,9 @@ true source parameters, the error bound is computed once, and the
 empirical mean squared location error is averaged over independent
 sensing rounds.  Over the ensemble, the outage CCDF at threshold gamma
 is the fraction of geometries whose mean squared error (empirical, and
-separately the bound) exceeds gamma^2.
+separately the bound) exceeds gamma^2.  A conditioned CCDF, such as one
+K_T bin's, is the same reduction, ``build_ccdf``, over the subset of
+trials that the condition keeps.
 
 Every draw is keyed by a numpy SeedSequence spawn key under the master
 seed: geometry gi places its sensors from key (gi, PLACEMENT_NS) and
@@ -37,7 +39,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .crlb import crlb_sgle, optimize_thresholds
-from .errors import EmptySubset, ParseError, SingularFim
+from .errors import ParseError, SingularFim
 from .geometry import NetworkGeometry, SourceParams, count_within, has_sub_d0_sensor, sample_geometry
 from .signal_model import SensorEnsembleConfig, simulate_round
 
@@ -109,7 +111,6 @@ class OutageCurve:
     ccdf_empirical: np.ndarray
     ccdf_crlb: np.ndarray
     n_geometries: int
-    conditioning: Optional[str] = None
 
 
 # Fewest rounds worth a pool task.  Smaller lockstep batches cost more
@@ -269,11 +270,7 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> list[GeometryTri
     return _ordered_map(run_geometry_trial, calls, workers)
 
 
-def build_ccdf(
-    trials: Sequence[GeometryTrialResult],
-    gamma: np.ndarray,
-    conditioning: Optional[str] = None,
-) -> OutageCurve:
+def build_ccdf(trials: Sequence[GeometryTrialResult], gamma: np.ndarray) -> OutageCurve:
     """Outage CCDFs over the given trials at each gamma.
 
     A geometry is in outage at gamma when its mean squared error exceeds
@@ -295,32 +292,7 @@ def build_ccdf(
         ccdf_empirical=(emp[None, :] > g2[:, None]).mean(axis=1),
         ccdf_crlb=(bound[None, :] > g2[:, None]).mean(axis=1),
         n_geometries=len(trials),
-        conditioning=conditioning,
     )
-
-
-def conditioned_ccdf(
-    trials: Sequence[GeometryTrialResult],
-    r_t: float,
-    k_t_condition: Callable[[int], bool],
-    gamma: np.ndarray,
-    description: Optional[str] = None,
-) -> OutageCurve:
-    """Outage CCDF over the geometries whose K_T satisfies a predicate.
-
-    Raises EmptySubset when no trial matches, and ValueError when the
-    trials do not carry a count for the requested radius.
-    """
-    r_t = float(r_t)
-    subset = []
-    for tr in trials:
-        if r_t not in tr.k_t:
-            raise ValueError(f"trials carry no sensor count for R_T={r_t}")
-        if k_t_condition(tr.k_t[r_t]):
-            subset.append(tr)
-    if not subset:
-        raise EmptySubset(f"no geometry satisfies the K_T condition at R_T={r_t}")
-    return build_ccdf(subset, gamma, conditioning=description)
 
 
 # --- artifact serialization -------------------------------------------------
@@ -372,20 +344,22 @@ def trials_from_csv(
     return trials, r_t_list
 
 
+_CURVE_COLUMNS = "gamma,ccdf_empirical,ccdf_crlb"
+
+
+def _curve_rows(curve: OutageCurve) -> list[str]:
+    """One row of ``_CURVE_COLUMNS`` per gamma of the curve."""
+    rows = zip(curve.gamma, curve.ccdf_empirical, curve.ccdf_crlb)
+    return [f"{_fmt(g)},{_fmt(ce)},{_fmt(cb)}" for g, ce, cb in rows]
+
+
 def curve_to_csv(curve: OutageCurve) -> str:
-    lines = ["gamma,ccdf_empirical,ccdf_crlb"]
-    for g, ce, cb in zip(curve.gamma, curve.ccdf_empirical, curve.ccdf_crlb):
-        lines.append(f"{_fmt(g)},{_fmt(ce)},{_fmt(cb)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([_CURVE_COLUMNS, *_curve_rows(curve)]) + "\n"
 
 
-def curves_to_csv(curves: Sequence[OutageCurve]) -> str:
-    """Long-format CSV for a family of (possibly conditioned) curves."""
-    lines = ["condition,n_geometries,gamma,ccdf_empirical,ccdf_crlb"]
-    for curve in curves:
-        label = curve.conditioning or "all"
-        for g, ce, cb in zip(curve.gamma, curve.ccdf_empirical, curve.ccdf_crlb):
-            lines.append(
-                f"{label},{curve.n_geometries},{_fmt(g)},{_fmt(ce)},{_fmt(cb)}"
-            )
+def curves_to_csv(curves: Sequence[tuple[str, OutageCurve]]) -> str:
+    """Long-format CSV for a family of (label, curve) pairs, in the given order."""
+    lines = [f"condition,n_geometries,{_CURVE_COLUMNS}"]
+    for label, curve in curves:
+        lines += [f"{label},{curve.n_geometries},{row}" for row in _curve_rows(curve)]
     return "\n".join(lines) + "\n"

@@ -24,7 +24,6 @@ from srcloc.geometry import NetworkGeometry, SourceParams, count_within, sample_
 from srcloc.montecarlo import (
     _MIN_BLOCK,
     build_ccdf,
-    conditioned_ccdf,
     default_workers,
     run_ensemble,
     run_trials,
@@ -344,8 +343,8 @@ def test_criterion_8_k_t_conditioning():
         ("K_T>=3", lambda k: k >= 3),
     ]
     probs, ns = [], []
-    for label, pred in bins:
-        curve = conditioned_ccdf(trials0, 14.0, pred, gamma, label)
+    for _, pred in bins:
+        curve = build_ccdf([tr for tr in trials0 if pred(tr.k_t[14.0])], gamma)
         probs.append(curve.ccdf_empirical[g_idx])
         ns.append(curve.n_geometries)
     for j in range(1, len(probs)):
@@ -358,7 +357,7 @@ def test_criterion_8_k_t_conditioning():
     # complete exact-K_T partition reconstructs the unconditioned curve
     mix = np.zeros_like(gamma)
     for k in sorted({tr.k_t[14.0] for tr in trials0}):
-        cond = conditioned_ccdf(trials0, 14.0, lambda n, k=k: n == k, gamma)
+        cond = build_ccdf([tr for tr in trials0 if tr.k_t[14.0] == k], gamma)
         mix += cond.ccdf_empirical * (cond.n_geometries / curve0.n_geometries)
     np.testing.assert_allclose(mix, curve0.ccdf_empirical, rtol=0.0, atol=1e-12)
     return (

@@ -20,7 +20,6 @@ from srcloc.crlb import crlb_sgle
 from srcloc.errors import (
     ConfigError,
     DegenerateGeometry,
-    EmptySubset,
     PackingFailure,
     ParseError,
     QuadratureFailure,
@@ -366,6 +365,15 @@ class TestCliModes:
         for label in _conditions(out)[1:]:
             assert label.startswith("K_T")
 
+    def test_k_t_bin_that_holds_no_geometry_writes_no_curve(self, tmp_path):
+        # no geometry of 20 sensors has 99 near the source
+        cfg = write_config(
+            tmp_path, K=20, n_geom=3, n_mc=2, beta=4.0, gamma_num=8, k_t_bins=["0+", "99+"]
+        )
+        out = tmp_path / "out"
+        assert main(["outage", "--config", str(cfg), "--out", str(out)]) == 0
+        assert _conditions(out) == ["all", "K_T>=0@R_T=14"]
+
     def test_outage_conditions_at_every_radius_in_list_order(self, tmp_path):
         # a second radius appends its curves to the one-radius run's bytes
         base = dict(K=20, n_geom=4, n_mc=2, beta=4.0, gamma_num=8, k_t_bins=["0", "1", "2+"])
@@ -606,6 +614,65 @@ def test_uncalled_function_check_sees_what_it_must():
     assert _uncalled_public_functions(sources, {("a", "main")}) == ["a.unread", "a.shadowed", "a.size"]
 
 
+def _unraised_error_classes(sources: dict, base: str = "SrclocError") -> list[str]:
+    """Classes of a package, given as {module: source}, that derive from
+    ``base``, have no subclass of their own, and that no ``raise``
+    statement in the package names."""
+    trees = [ast.parse(source) for source in sources.values()]
+    bases = {
+        node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def derives(name):
+        return any(b == base or derives(b) for b in bases.get(name, ()))
+
+    raised = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    parents = set().union(*bases.values())
+    return [name for name in bases if derives(name) and name not in parents and name not in raised]
+
+
+def test_every_leaf_error_class_is_raised_in_the_package():
+    # an error class nothing raises is a code path that cannot happen; a
+    # class with subclasses is caught by its base name and need not be raised
+    package = Path(srcloc.__file__).parent
+    sources = {module.stem: module.read_text() for module in sorted(package.glob("*.py"))}
+    assert _unraised_error_classes(sources) == []
+
+
+def test_unraised_error_class_check_sees_what_it_must():
+    errors_src = (
+        "class SrclocError(Exception): pass\n"
+        "class Base(SrclocError): pass\n"
+        "class Called(Base): pass\n"
+        "class Bare(SrclocError): pass\n"
+        "class Dotted(SrclocError): pass\n"
+        "class Dead(SrclocError): pass\n"
+        "class Caught(SrclocError): pass\n"
+        "class Unrelated(Exception): pass\n"
+    )
+    user = (
+        "from . import errors\n"
+        "from .errors import Bare, Called, Caught\n"
+        "def f(x):\n"
+        "    try:\n"
+        "        raise Called(x)\n"
+        "    except Caught:\n"
+        "        raise\n"
+        "    if x:\n"
+        "        raise Bare\n"
+        "    raise errors.Dotted() from None\n"
+    )
+    assert _unraised_error_classes({"errors": errors_src, "user": user}) == ["Dead", "Caught"]
+
+
 _SCIPY_FREE_MODES = """
 import sys
 scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -664,7 +731,6 @@ ERROR_SAMPLES = [
     SingularFim(1e13),
     SingularFim(2.0, "information matrix inverse is not usable"),
     QuadratureFailure("tail bound above tolerance"),
-    EmptySubset("no geometry satisfies the K_T condition"),
     ConfigError("bad config"),
     ParseError("config.json: line 1, column 2: Expecting value"),
     ValidationError("K"),
@@ -817,8 +883,9 @@ class TestExitCodes:
             ("gamma_min", None),
             ("max_attempts", None),
             ("gamma_num", None),
-            # beyond the R and P0 ceilings, or a source whose square overflows
+            # beyond the R, d0 and P0 ceilings, or a source whose square overflows
             ("R", 1e200),
+            ("d0", 1e155),
             ("P0", 1e308),
             ("source", [1e200, 0.0]),
             # a K_T bin with a negative count
@@ -837,7 +904,7 @@ class TestExitCodes:
             "K-over-ceiling", "n_geom-over-ceiling", "n_mc-over-ceiling", "gamma_num-over-ceiling",
             "max_attempts-over-ceiling", "workers-over-ceiling", "trials_file-int", "trials_file-empty",
             "R_ex-null", "source_exclusion-null", "P0-null", "d0-null", "alpha-null", "gamma_min-null",
-            "max_attempts-null", "gamma_num-null", "R-over-ceiling", "P0-over-ceiling", "source-huge",
+            "max_attempts-null", "gamma_num-null", "R-over-ceiling", "d0-over-ceiling", "P0-over-ceiling", "source-huge",
             "k_t_bins-negative", "k_t_bins-negative-at-least", "beta-per-sensor", "seed-over-ceiling",
         ],
     )
@@ -877,15 +944,23 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize(
-        "gamma", [{"gamma_min": 20.0, "gamma_max": 10.0}, {"gamma_min": 200.0}], ids=["max", "diameter"]
+        "gamma, key",
+        [
+            ({"gamma_min": 20.0, "gamma_max": 10.0}, "gamma_min"),
+            ({"gamma_min": 200.0}, "gamma_min"),
+            # 64 log-spaced points between bounds one ulp apart cannot all
+            # be distinct; the grid would fail only after the ensemble ran
+            ({"gamma_min": 1.0, "gamma_max": 1.0000000000000002, "beta": 4.0}, "gamma_num"),
+        ],
+        ids=["max", "diameter", "repeated-points"],
     )
-    def test_empty_gamma_grid_exit_2_before_any_work(self, tmp_path, capsys, gamma):
+    def test_empty_gamma_grid_exit_2_before_any_work(self, tmp_path, capsys, gamma, key):
         # the grid's upper end is gamma_max, else 2R = 100
         path = write_config(tmp_path, K=5, R=50.0, seed=1, n_geom=2, n_mc=2, **gamma)
         out = tmp_path / "out"
         assert main(["outage", "--config", str(path), "--out", str(out)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
-        assert record["error_class"] == "ValidationError" and "gamma_min" in record["message"]
+        assert record["error_class"] == "ValidationError" and key in record["message"]
         assert not out.exists()
 
     def test_integer_conditioning_radius_is_a_float(self, tmp_path):
@@ -999,7 +1074,6 @@ class TestExitCodes:
             (DegenerateGeometry("a sensor on the source"), 4),
             (SingularFim(1e20), 4),
             (QuadratureFailure("tail above tolerance"), 4),
-            (EmptySubset("no geometry"), 4),
             (FloatingPointError("overflow"), 4),
             (OSError("disk full"), 5),
             (ParseError("bad table"), 2),
@@ -1008,7 +1082,7 @@ class TestExitCodes:
         ],
         ids=[
             "broken-pool", "interrupt", "srcloc-error", "degenerate-geometry", "singular-fim",
-            "quadrature-failure", "empty-subset", "floating-point", "os-error", "parse-error",
+            "quadrature-failure", "floating-point", "os-error", "parse-error",
             "validation-error", "packing",
         ],
     )

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from srcloc import geometry
 from srcloc.errors import PackingFailure
 from srcloc.geometry import (
     NetworkGeometry,
@@ -107,6 +109,31 @@ def test_min_pairwise_distance_matches_brute_force():
         assert min_pairwise_distance(pts) == pytest.approx(brute, rel=1e-15)
     assert min_pairwise_distance(np.zeros((1, 2))) == np.inf
     assert min_pairwise_distance(np.array([[1.0, 1.0], [1.0, 1.0], [4.0, 5.0]])) == 0.0
+
+
+@pytest.mark.parametrize("budget", [1, 7, 60, geometry._PAIR_BUDGET])
+def test_min_pairwise_distance_blocks_find_every_pair(monkeypatch, budget):
+    # one row per block up to one block for all: the same value bit for bit
+    rng = np.random.default_rng(13)
+    pts = rng.uniform(-50.0, 50.0, size=(60, 2))
+    pts[58] = pts[1] + (3e-4, 4e-4)  # the closest pair straddles every row split
+    dx, dy = (pts[:, None, k] - pts[None, :, k] for k in (0, 1))
+    d2 = (dx * dx + dy * dy)[np.triu_indices(60, k=1)]
+    monkeypatch.setattr(geometry, "_PAIR_BUDGET", budget)
+    assert min_pairwise_distance(pts) == np.sqrt(d2.min())
+
+
+def test_min_pairwise_distance_memory_does_not_grow_with_k_squared():
+    # every index pair of 2,000 points took 112 MB; the blocks take under 1 MB
+    pts = np.random.default_rng(14).uniform(-50.0, 50.0, size=(2_000, 2))
+    min_pairwise_distance(pts[:60])
+    tracemalloc.start()
+    try:
+        min_pairwise_distance(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_distance_examples():

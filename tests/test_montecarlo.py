@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from srcloc import montecarlo
 from srcloc.config import load_config
-from srcloc.errors import EmptySubset, PackingFailure
+from srcloc.errors import PackingFailure
 from srcloc.geometry import NetworkGeometry, SourceParams, sample_geometry
 from srcloc.likelihood import EstimateResult
 from srcloc.montecarlo import (
     GeometryTrialResult,
     build_ccdf,
-    conditioned_ccdf,
     curve_to_csv,
     curves_to_csv,
     run_ensemble,
@@ -253,16 +252,8 @@ class TestConditionedCcdf:
         trials = self._trials()
         gamma = np.geomspace(0.1, 100.0, 16)
         full = build_ccdf(trials, gamma)
-        cond = conditioned_ccdf(trials, 14.0, lambda k: k >= 0, gamma)
+        cond = build_ccdf([t for t in trials if t.k_t[14.0] >= 0], gamma)
         np.testing.assert_array_equal(cond.ccdf_empirical, full.ccdf_empirical)
-
-    def test_empty_subset_raises(self):
-        with pytest.raises(EmptySubset):
-            conditioned_ccdf(self._trials(), 14.0, lambda k: k > 99, np.geomspace(0.1, 100.0, 64))
-
-    def test_missing_radius_raises(self):
-        with pytest.raises(ValueError):
-            conditioned_ccdf(self._trials(), 7.0, lambda k: True, np.geomspace(0.1, 100.0, 64))
 
     def test_mixture_reconstructs_unconditioned(self):
         trials = self._trials()
@@ -271,7 +262,7 @@ class TestConditionedCcdf:
         ks = sorted({t.k_t[14.0] for t in trials})
         mix = np.zeros_like(gamma)
         for k in ks:
-            cond = conditioned_ccdf(trials, 14.0, lambda n, k=k: n == k, gamma)
+            cond = build_ccdf([t for t in trials if t.k_t[14.0] == k], gamma)
             mix += cond.ccdf_empirical * (cond.n_geometries / full.n_geometries)
         np.testing.assert_allclose(mix, full.ccdf_empirical, rtol=0.0, atol=1e-12)
 
@@ -309,8 +300,8 @@ class TestSerialization:
         trials = [GeometryTrialResult(0, 0, 9.0, 0.0, 4.0, False, {14.0: 1}, False, 1)]
         gamma = np.array([1.0, 10.0])
         full = build_ccdf(trials, gamma)
-        cond = conditioned_ccdf(trials, 14.0, lambda k: k == 1, gamma, "K_T==1@R_T=14")
-        lines = curves_to_csv([full, cond]).splitlines()
+        cond = build_ccdf([t for t in trials if t.k_t[14.0] == 1], gamma)
+        lines = curves_to_csv([("all", full), ("K_T==1@R_T=14", cond)]).splitlines()
         assert lines[0] == "condition,n_geometries,gamma,ccdf_empirical,ccdf_crlb"
         assert lines[1].startswith("all,1,")
         assert lines[3].startswith("K_T==1@R_T=14,1,")

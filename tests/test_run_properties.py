@@ -162,6 +162,50 @@ def test_power_of_two_scale_is_exact(tmp_path, policy):
 @pytest.mark.parametrize(
     "policy", [{}, {"threshold_mode": "per-sensor"}, {"beta": 4.0}], ids=["common", "per-sensor", "fixed"]
 )
+def test_power_of_two_scale_of_an_outage_is_exact(tmp_path, policy):
+    # doubling every length of an ensemble doubles each placement draw, so
+    # each geometry's squared errors and bound scale by exactly 4, its K_T
+    # counts and thresholds stay, and every outage fraction stays bit for bit
+    base = {"K": 12, "seed": 11, "channel_snr_db": 10.0, "n_geom": 4, "n_mc": 30, "k_t_bins": ["0", "1", "2+"],
+            "workers": 1, **policy}
+    lengths = {"R": 50.0, "R_ex": 3.0, "d0": 1.0, "source_exclusion": 2.0, "gamma_min": 0.5, "gamma_max": 100.0}
+    runs = {}
+    for scale in (1, 2):
+        path = tmp_path / f"x{scale}.json"
+        path.write_text(json.dumps({
+            **base, **{key: scale * v for key, v in lengths.items()},
+            "source": [scale * 5.0, scale * 10.0], "r_t_list": [scale * 10.0, scale * 14.0],
+        }))
+        runs[scale] = tmp_path / f"outage-x{scale}"
+        assert main(["outage", "--config", str(path), "--out", str(runs[scale])]) == 0
+
+    one, two = (_rows(runs[s] / "geometry_trials.csv") for s in (1, 2))
+    assert len(one) == len(two) == 4
+    for a, b in zip(one, two):
+        for rt in (10, 14):
+            assert b[f"k_t@{2 * rt}"] == a[f"k_t@{rt}"], a["geometry_id"]
+        assert b["beta_common"] == a["beta_common"], a["geometry_id"]
+        for col in ("empirical_sgle", "crlb_sgle"):
+            assert float(b[col]) == 4 * float(a[col]), (a["geometry_id"], col)
+
+    def ccdfs(name, scale):
+        # the CCDF columns, and each curve's label at the unscaled radii; the
+        # gamma column is the rounded log-spaced grid, not exactly doubled
+        curves = []
+        for row in _rows(runs[scale] / name):
+            label = row.get("condition", "").replace("R_T=20", "R_T=10").replace("R_T=28", "R_T=14")
+            curves.append((label, row.get("n_geometries"), row["ccdf_empirical"], row["ccdf_crlb"]))
+        return curves
+
+    assert ccdfs("outage_curve.csv", 2) == ccdfs("outage_curve.csv", 1)
+    conditioned = ccdfs("conditioned_curves.csv", 1)
+    assert ccdfs("conditioned_curves.csv", 2) == conditioned
+    assert len({row[0] for row in conditioned}) > 3
+
+
+@pytest.mark.parametrize(
+    "policy", [{}, {"threshold_mode": "per-sensor"}, {"beta": 4.0}], ids=["common", "per-sensor", "fixed"]
+)
 def test_reflection_in_x_axis_mirrors_the_estimates(tmp_path, policy):
     # y -> -y in the sensors and the source: the bound and the thresholds
     # are bit for bit the same, and each estimate mirrors to well within
