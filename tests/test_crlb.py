@@ -26,7 +26,7 @@ from srcloc.crlb import (
 from srcloc.errors import DegenerateGeometry, QuadratureFailure, SingularFim
 from srcloc.geometry import NetworkGeometry, SourceParams, sample_geometry
 from srcloc.signal_model import SensorEnsembleConfig, received_power, simulate_rounds
-from tests import thresholds
+from tests import kernel_bits, thresholds
 from tests.conftest import ref_config
 
 
@@ -476,3 +476,10 @@ def test_common_thresholds_match_exact_search(channel_snr_db):
         beta, bound = thresholds.tune(geoms[case["geometry"]], channel_snr_db)
         got = (repr(beta), repr(bound))
         assert got == (case["beta"], case["sgle_bound"]), case["geometry"]
+
+
+def test_kernel_and_curve_bits_match_frozen_hashes():
+    # mixture_integral in one call, and the information curve, give the
+    # bytes frozen in kernel_bits.json on every channel case
+    frozen = json.loads(kernel_bits.FIXTURE.read_text())["cases"]
+    assert kernel_bits.bits() == frozen, f"regenerate deliberately with {kernel_bits.COMMAND}"
