@@ -24,7 +24,14 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import GEOMETRY_MODES, ExperimentConfig, load_config, parse_k_t_bin, require_source_in_disk
+from .config import (
+    GEOMETRY_MODES,
+    ExperimentConfig,
+    load_config,
+    parse_k_t_bin,
+    require_bound_sensors,
+    require_source_in_disk,
+)
 from .crlb import crlb_sgle, per_sensor_term_norms
 from .errors import ConfigError, PackingFailure, ParseError, SrclocError
 from .geometry import NetworkGeometry, has_sub_d0_sensor, load_geometry, save_geometry
@@ -67,6 +74,7 @@ def _fixed_geometry(config: ExperimentConfig) -> NetworkGeometry:
         return place_geometry(config, 0)
     geom = load_geometry(config.geometry_file)
     require_source_in_disk(config.source, geom.R)
+    require_bound_sensors(config, geom.K)
     return geom
 
 

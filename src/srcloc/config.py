@@ -286,6 +286,8 @@ def load_config(
 
     config = ExperimentConfig(**raw)
     config.sensor_config()  # raises ValidationError on a degenerate noise level
+    if config.geometry_file is None:  # else the geometry file's K is checked once it is read
+        require_bound_sensors(config, config.K)
     return config
 
 
@@ -293,6 +295,23 @@ def require_source_in_disk(source: tuple, R: float) -> None:
     """Raise a ValidationError naming ``source`` when it lies outside the disk of radius R."""
     if math.hypot(*source) > R:
         raise ValidationError("source", f"source must lie inside the surveillance disk (R = {R!r})")
+
+
+def require_bound_sensors(config: ExperimentConfig, K: int) -> None:
+    """Raise a ValidationError naming ``K`` when the run needs the error bound and K < 3.
+
+    The information matrix over (P0, x, y) sums one rank-one term per
+    sensor, so with fewer than 3 sensors it is singular at any
+    thresholds.  crlb mode reports the bound, and tuned thresholds (in
+    estimate, or in an outage that runs its own ensemble) minimize it,
+    so such a run could only end in SingularFim after its work.  A
+    fixed-threshold estimate or outage still runs, and records the bound
+    as singular.
+    """
+    tuned = config.mode != "geometry" and config.trials_file is None and config.threshold_policy != "fixed"
+    if K < 3 and (config.mode == "crlb" or tuned):
+        needs = "crlb mode" if config.mode == "crlb" else f"{config.threshold_policy} threshold tuning"
+        raise ValidationError("K", f"K = {K}: {needs} needs the error bound, which takes at least 3 sensors")
 
 
 def parse_k_t_bin(spec: str):

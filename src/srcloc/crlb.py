@@ -18,8 +18,12 @@ so cannot raise the bound: each sensor sits at s* = argmax g.
 The common threshold is searched on an information curve: a
 piecewise-Chebyshev interpolant of log mixture_integral over the s
 range where a sensor's weight is nonzero, built once per (eb, tau2)
-from the exact kernel and memoized, so every geometry of a command
-shares it.  The curve only ranks candidate thresholds, and tuning
+from one call of the exact kernel and memoized, so every geometry of a
+command shares it.  The per-sensor operating point s* is memoized per
+(eb, tau2) the same way.  The kernel evaluates its integrand a block of
+points at a time in work arrays made once per call, so a call of any
+size, the curve's 1,155 points included, stays within a few megabytes,
+and a value does not depend on the call it is in.  The curve only ranks candidate thresholds, and tuning
 returns only the thresholds it picks.  Every bound that is reported
 comes from one exact pass at the chosen thresholds: crlb_sgle evaluates
 each sensor's term on the exact kernel once, and keeps the terms, the
@@ -56,6 +60,9 @@ _GEOMETRIC_POWERS = np.linspace(0.0, 1.0, 25)
 _CLUSTER_STEPS = 0.5 * 2.0 ** np.arange(8)
 _TAIL_ABS_TOL = 1e-10
 _TAIL_REL_TOL = 1e-8
+# The integrand is evaluated _BLOCK s-points at a time, in work arrays of
+# _BLOCK * 45 * 20 elements (225 KiB each) made once per call.
+_BLOCK = 32
 
 # Threshold rules: _N_COARSE scan points for the common threshold, and an
 # s grid refined to _S_TOL for the per-sensor operating point.
@@ -67,12 +74,10 @@ _SQRT_HALF = math.sqrt(0.5)
 # Information curve: degree-_CURVE_DEGREE Chebyshev interpolants of
 # log mixture_integral on _CURVE_PIECES equal pieces of |s| <= 27.3,
 # beyond which exp(-s^2) underflows to zero, from the kernel's values at
-# each piece's Chebyshev points, taken _CURVE_CHUNK points per call to
-# keep the kernel's working arrays network-sized.
+# each piece's Chebyshev points, all taken in one call.
 _CURVE_HALF_WIDTH = 27.3
 _CURVE_PIECES = 55
 _CURVE_DEGREE = 20
-_CURVE_CHUNK = 50
 _CHEB_POINTS = np.cos(np.pi * (np.arange(_CURVE_DEGREE + 1) + 0.5) / (_CURVE_DEGREE + 1))
 # values at _CHEB_POINTS -> Chebyshev coefficients (discrete orthogonality)
 _CHEB_TRANSFORM = np.polynomial.chebyshev.chebvander(_CHEB_POINTS, _CURVE_DEGREE) * (
@@ -90,6 +95,46 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     needs at a time.
     """
     return np.array([0.5 * math.erfc(-v * _SQRT_HALF) for v in x.tolist()])
+
+
+def _integrand(half, mid, a, b, q0, q1, rate, low, work, mask):
+    """mixture_integral's integrand at the Gauss-Legendre nodes of a block of s-points.
+
+    ``half`` and ``mid`` are the (m, panels) half-widths and midpoints of
+    the block's panels, and the other arguments its (m,) per-point
+    scalars.  The (m, panels, 20) result is a view of ``work``, four
+    float arrays of at least that many elements, and ``mask`` is a
+    boolean one; every intermediate is written into them by in-place
+    ufuncs, so a block allocates no array of its size.
+    """
+    shape = (*half.shape, _GL_NODES.size)
+    n = math.prod(shape)
+    t, u, den, gap = (w[:n].reshape(shape) for w in work)
+    underflow = mask[:n].reshape(shape)
+    a, b, q0, q1, rate, low = (x[:, None, None] for x in (a, b, q0, q1, rate, low))
+    np.multiply(half[..., None], _GL_NODES, out=t)
+    t += mid[..., None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.exp(np.multiply(t, -rate, out=u), out=u)  # ratio of fast to slow branch
+        np.multiply(u, q0 * b, out=den)
+        den += q1 * a
+        np.subtract(a, np.multiply(u, b, out=gap), out=gap)
+        if low.any():
+            np.expm1(np.multiply(t, -rate, out=u), out=u)
+            np.negative(u, out=u)
+            u *= b
+            u -= rate
+            np.copyto(gap, u, where=low)
+        f = np.exp(np.multiply(t, -a, out=u), out=u)
+        f *= np.square(gap, out=gap)
+        f /= den
+        if np.equal(den, 0.0, out=underflow).any():
+            # q1 and u both underflowed: take the analytic limit form
+            np.exp(np.multiply(t, b - 2.0 * a, out=gap), out=gap)
+            gap *= a * a
+            gap /= q0 * b
+            np.copyto(f, gap, where=underflow)
+    return f
 
 
 def mixture_integral(s, eb, tau2):
@@ -118,6 +163,13 @@ def mixture_integral(s, eb, tau2):
     1 from -100 dB down to the lowest channel SNR the sensor model
     accepts (about -161 dB at 1 dB transmit energy).  Above -20 dB the
     plain forms are kept, bit for bit.
+
+    The integrand is evaluated _BLOCK points at a time, in work arrays
+    made once per call (see _integrand), so a call's memory grows with
+    its panel edges, 46 per point, and not with its 900 nodes per point.
+    Every element goes through the same operations in the same order
+    whatever the call holds, so a value is the same, bit for bit, alone
+    or in a call of any size.
 
     Raises QuadratureFailure where the integral diverges (q1 underflowed
     to zero while eb >= tau2) or the tail bound exceeds
@@ -170,22 +222,16 @@ def mixture_integral(s, eb, tau2):
         axis=1,
     )
     edges = np.sort(np.clip(edges, 0.0, t_end[:, None]), axis=1)
-    half = 0.5 * np.diff(edges, axis=1)[..., None]
-    t = 0.5 * (edges[:, 1:] + edges[:, :-1])[..., None] + half * _GL_NODES
+    half = 0.5 * np.diff(edges, axis=1)
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
 
-    a, b, q0, q1, rate, low = (x[:, None, None] for x in (a, b, q0, q1, rate, low))
-    u = np.exp(-rate * t)  # ratio of fast to slow branch
-    den = q1 * a + q0 * b * u
-    gap = a - b * u
-    if low.any():
-        gap = np.where(low, b * -np.expm1(-rate * t) - rate, gap)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f = np.exp(-a * t) * gap**2 / den
-        underflow = den == 0.0
-        if underflow.any():
-            # q1 and u both underflowed: take the analytic limit form
-            f = np.where(underflow, a * a * np.exp((b - 2.0 * a) * t) / (q0 * b), f)
-    value = (half[..., 0] * (f @ _GL_WEIGHTS)).sum(axis=1)
+    value = np.empty(s.size)
+    work = np.empty((4, min(s.size, _BLOCK) * half.shape[1] * _GL_NODES.size))
+    mask = np.empty(work.shape[1], dtype=bool)
+    for lo in range(0, s.size, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        f = _integrand(half[blk], mid[blk], a[blk], b[blk], q0[blk], q1[blk], rate[blk], low[blk], work, mask)
+        value[blk] = (half[blk] * (f @ _GL_WEIGHTS)).sum(axis=1)
 
     over = tail_bound > np.maximum(_TAIL_ABS_TOL, _TAIL_REL_TOL * np.abs(value))
     if over.any():
@@ -204,23 +250,20 @@ def _information_curve(eb: float, tau2: float):
     log mixture_integral is interpolated by a degree-20 Chebyshev
     polynomial on each of 55 equal pieces of |s| <= 27.3, the range
     where a sensor's weight exp(-s^2) is nonzero, from the kernel's
-    values at the pieces' Chebyshev points (1,155 points, taken 50 per
-    call).  At channel SNR -10 to 40 dB it is within rel 1e-12 of
+    values at the pieces' Chebyshev points (1,155 points, in one call).
+    At channel SNR -10 to 40 dB it is within rel 1e-12 of
     mixture_integral for |s| <= 10 (observed: at most 3.6e-13, the
     kernel's own panel-rule noise) and within rel 3e-12 on the whole
     range; at 60 and 80 dB the observed maxima are 1.5e-11 and 4.1e-11.
     Finite and positive wherever the kernel is, as the exponential of a
     polynomial.  Depends on (eb, tau2) only, so one process builds it
-    once per channel, in 30 to 50 ms.
+    once per channel, in about 15 to 25 ms on a 2-vCPU x86 VM.
     """
     width = 2.0 * _CURVE_HALF_WIDTH / _CURVE_PIECES
     nodes = (
         -_CURVE_HALF_WIDTH + width * (np.arange(_CURVE_PIECES)[:, None] + 0.5 * (_CHEB_POINTS + 1.0))
     ).ravel()
-    values = np.concatenate(
-        [mixture_integral(nodes[i : i + _CURVE_CHUNK], eb, tau2) for i in range(0, nodes.size, _CURVE_CHUNK)]
-    )
-    logs = np.log(values).reshape(_CURVE_PIECES, _CURVE_DEGREE + 1)
+    logs = np.log(mixture_integral(nodes, eb, tau2)).reshape(_CURVE_PIECES, _CURVE_DEGREE + 1)
     coef = (logs[:, :, None] * _CHEB_TRANSFORM).sum(axis=1)
 
     def curve(s: np.ndarray) -> np.ndarray:
@@ -396,13 +439,16 @@ def _golden_section(f, lo: float, hi: float, tol: float, evaluated: list):
             evaluated.append((fd, d))
 
 
+@functools.lru_cache(maxsize=8)
 def _best_operating_point(eb: float, tau2: float) -> float:
     """s* = argmax over s of g(s) = exp(-s^2) * mixture_integral(s, eb, tau2).
 
     Scans _S_GRID in one kernel call and golden-section refines the
     bracket around the best grid point.  g depends on (eb, tau2) only
     through eb/tau2, and is unimodal with its maximum between s = -0.23
-    and 0 at channel SNR -20 to 60 dB, well inside the grid.
+    and 0 at channel SNR -20 to 60 dB, well inside the grid.  Memoized
+    per (eb, tau2) like the information curve, so every geometry of a
+    command shares it.
     """
 
     def neg_g(s):
@@ -414,6 +460,19 @@ def _best_operating_point(eb: float, tau2: float) -> float:
     lo, hi = _S_GRID[max(0, k - 1)], _S_GRID[min(len(_S_GRID) - 1, k + 1)]
     _golden_section(neg_g, lo, hi, _S_TOL, evaluated)
     return min(evaluated)[1]
+
+
+def prepare_tuning(cfg: SensorEnsembleConfig, mode: str) -> None:
+    """Build and memoize what optimize_thresholds needs of cfg's channel in
+    ``mode``: the information curve in common mode, s* in per-sensor mode.
+
+    A caller about to fork workers that tune on one channel calls this
+    first, so the workers inherit the result instead of each building it.
+    """
+    if mode == "common":
+        _information_curve(cfg.eb, cfg.tau2)
+    else:
+        _best_operating_point(cfg.eb, cfg.tau2)
 
 
 def optimize_thresholds(

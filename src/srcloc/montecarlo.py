@@ -24,7 +24,9 @@ spreads its rounds instead, in contiguous blocks of at least
 The ML estimator, and with it scipy, is imported only where rounds are
 estimated: ``run_trials`` imports it before it estimates, and
 ``run_ensemble`` before its pool forks, so the workers inherit it and a
-command imports it once.  Placement, threshold tuning and the bound run
+command imports it once.  ``run_ensemble`` likewise builds the channel's
+tuning data (the information curve, or the per-sensor operating point)
+before the fork, so a command builds it once.  Placement, threshold tuning and the bound run
 without scipy.  Likewise ``multiprocessing`` loads only when a pool
 starts.
 """
@@ -38,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .crlb import crlb_sgle, optimize_thresholds
+from .crlb import crlb_sgle, optimize_thresholds, prepare_tuning
 from .errors import ParseError, SingularFim
 from .geometry import NetworkGeometry, SourceParams, count_within, has_sub_d0_sensor, sample_geometry
 from .signal_model import SensorEnsembleConfig, simulate_round
@@ -265,6 +267,9 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> list[GeometryTri
     if config.n_geom < 1:
         raise ValueError("n_geom must be >= 1")
     from . import likelihood  # noqa: F401  (loaded once here, not in every worker)
+
+    if config.threshold_policy != "fixed":  # the channel's tuning data, likewise built once here
+        prepare_tuning(config.sensor_config(), config.threshold_policy)
 
     calls = [(config, gi) for gi in range(config.n_geom)]
     return _ordered_map(run_geometry_trial, calls, workers)

@@ -313,6 +313,33 @@ class TestCliModes:
         ccdf = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
         assert np.all(np.diff(ccdf[:, 1]) <= 0) and np.all(np.diff(ccdf[:, 2]) <= 0)
 
+    @pytest.mark.parametrize("policy, nodes", [("common", 1155), ("per-sensor", crlb._S_GRID.size)])
+    def test_ensemble_tunes_each_channel_once(self, tmp_path, monkeypatch, policy, nodes):
+        # the channel's tuning data, the curve's one 1,155-node kernel call
+        # or s*'s one grid call, is built once per command: at one worker
+        # for every geometry, and at two in the parent before its pool
+        # forks; the results are the same either way
+        calls = []
+        real = crlb.mixture_integral
+
+        def counting(s, eb, tau2):
+            calls.append(np.size(s))
+            return real(s, eb, tau2)
+
+        monkeypatch.setattr(crlb, "mixture_integral", counting)
+        cfg = write_config(tmp_path, K=8, n_geom=3, n_mc=2, threshold_mode=policy)
+        outs = {}
+        for workers in (1, 2):
+            crlb._information_curve.cache_clear()
+            crlb._best_operating_point.cache_clear()
+            calls.clear()
+            outs[workers] = tmp_path / f"w{workers}"
+            args = ["outage", "--config", str(cfg), "--out", str(outs[workers]), "--workers", str(workers)]
+            assert main(args) == 0
+            assert calls.count(nodes) == 1, (workers, calls)
+        for name in ("outage_curve.csv", "geometry_trials.csv", "conditioned_curves.csv"):
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
+
     @pytest.mark.parametrize(
         "kw", [{}, {"threshold_mode": "per-sensor"}, {"beta": 4.0}], ids=["common", "per-sensor", "fixed"]
     )
@@ -781,7 +808,7 @@ class TestExitCodes:
         [
             (dict(K=100, R=5.0, R_ex=5.0, source=[0.0, 1.0], max_attempts=200, beta=4.0),
              3, "PackingFailure"),
-            (dict(K=2, R=50.0), 4, "SingularFim"),
+            (dict(alpha=1e200), 4, "SingularFim"),
         ],
         ids=["packing", "singular-common-tuning"],
     )
@@ -813,12 +840,66 @@ class TestExitCodes:
         assert record["error_class"] == "SingularFim"
 
     def test_numerical_error_exit_4(self, tmp_path):
-        # a single sensor cannot localize: the bound is undefined
-        cfg = write_config(tmp_path, K=1, beta=4.0)
+        # sensors on one line through the source cannot localize across
+        # it: the bound is undefined
+        geometry = tmp_path / "collinear.json"
+        sensors = [[5.0 + t, 10.0 + 2.0 * t] for t in (-2.0, -1.0, 1.0, 2.0, 3.0)]
+        geometry.write_text(json.dumps({"format": "network-geometry", "R": 50.0, "sensors": sensors}))
+        cfg = write_config(tmp_path, beta=4.0)
         out = tmp_path / "numfail"
-        assert main(["crlb", "--config", str(cfg), "--out", str(out)]) == 4
+        assert main(["crlb", "--config", str(cfg), "--out", str(out), "--geometry", str(geometry)]) == 4
         record = json.loads((out / "error.json").read_text())
         assert record["error_class"] == "SingularFim"
+
+    @pytest.mark.parametrize(
+        "mode, kw",
+        [
+            ("crlb", {"K": 1, "beta": 4.0}),
+            ("crlb", {"K": 2}),
+            ("estimate", {"K": 2}),
+            ("outage", {"K": 2, "threshold_mode": "per-sensor"}),
+            ("outage", {"K": 1}),
+        ],
+        ids=["crlb-fixed-K1", "crlb-common-K2", "estimate-common-K2", "outage-per-sensor-K2", "outage-common-K1"],
+    )
+    def test_too_few_sensors_for_the_bound_exit_2(self, tmp_path, capsys, mode, kw):
+        # fewer than 3 sensors leave the information matrix singular at any
+        # thresholds, so crlb and threshold tuning are refused before any work
+        path = write_config(tmp_path, n_geom=2, n_mc=2, **kw)
+        out = tmp_path / "out"
+        assert main([mode, "--config", str(path), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error_class"] == "ValidationError" and record["message"].startswith(f"K = {kw['K']}:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, kw, code",
+        [("crlb", {"beta": 4.0}, 2), ("estimate", {"threshold_mode": "per-sensor"}, 2), ("estimate", {"beta": 4.0}, 0)],
+        ids=["crlb-fixed", "estimate-per-sensor", "estimate-fixed"],
+    )
+    def test_too_few_sensors_in_a_geometry_file(self, tmp_path, mode, kw, code):
+        # a geometry file meets the 3-sensor rule once it is read
+        geometry = tmp_path / "two.json"
+        geometry.write_text(json.dumps({"format": "network-geometry", "R": 50.0, "sensors": [[1.0, 2.0], [-3.0, 4.0]]}))
+        out = tmp_path / "out"
+        args = [mode, "--config", str(write_config(tmp_path, n_mc=2, **kw)), "--out", str(out), "--geometry", str(geometry)]
+        assert main(args) == code
+        if code == 2:
+            record = json.loads((out / "error.json").read_text())
+            assert record["error_class"] == "ValidationError" and record["message"].startswith("K = 2:")
+
+    @pytest.mark.parametrize("mode", ["estimate", "outage"])
+    def test_fixed_thresholds_run_with_two_sensors(self, tmp_path, mode):
+        # with a fixed threshold nothing is tuned: the run completes and
+        # records the bound as singular
+        path = write_config(tmp_path, K=2, beta=4.0, n_geom=2, n_mc=2)
+        out = tmp_path / "out"
+        assert main([mode, "--config", str(path), "--out", str(out), "--workers", "1"]) == 0
+        if mode == "estimate":
+            assert json.loads((out / "estimate_summary.json").read_text())["crlb_singular"] is True
+        else:
+            trials, _ = trials_from_csv((out / "geometry_trials.csv").read_text())
+            assert [tr.crlb_singular for tr in trials] == [True, True]
 
     def test_degenerate_noise_level_exit_2(self, tmp_path, capsys):
         path = tmp_path / "loud.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,6 @@ from scipy.special import log_ndtr, ndtr
 
 from srcloc import crlb
 from srcloc.crlb import (
-    _CURVE_CHUNK,
     _CURVE_HALF_WIDTH,
     _assemble,
     _bounds,
@@ -190,6 +190,46 @@ class TestMixtureIntegral:
         val = mixture_integral((1.0 - 1e3) / 1.0, 0.5, 2.0)
         oracle = _trapezoid_mixture_integral(1.0, 1e3, 1.0, 0.5, 2.0, t_hi=800.0)
         assert val == pytest.approx(oracle, rel=1e-5)
+
+    @pytest.mark.parametrize("tau2, channel_snr_db", [(1.0, 0.0), (1.0, 30.0), (100.0, -30.0), (100.0, -3.0)])
+    def test_blocking_is_bit_identical(self, monkeypatch, tau2, channel_snr_db):
+        # a value does not depend on the call it is in: one call over every
+        # point equals, bit for bit, calls of 1, 7 and _BLOCK points.  At
+        # tau2 = 100 below -20 dB the cancellation-free forms run, and near
+        # s = -38.4 the denominator underflows (den == 0) far out in t
+        eb = tau2 * 10.0 ** (channel_snr_db / 10.0)
+        s = np.linspace(-27.0, 27.0, 151)
+        underflows = []
+        if tau2 == 100.0:
+            s = np.concatenate([s, [-38.45, -38.4]])
+            real = crlb._integrand
+
+            def spying(*args):
+                f = real(*args)
+                underflows.append(bool(args[-1][: f.size].any()))  # the den == 0 mask
+                return f
+
+            monkeypatch.setattr(crlb, "_integrand", spying)
+        whole = mixture_integral(s, eb, tau2)
+        assert any(underflows) == (tau2 == 100.0)
+        for size in (1, 7, crlb._BLOCK):
+            parts = np.concatenate([mixture_integral(s[i : i + size], eb, tau2) for i in range(0, s.size, size)])
+            np.testing.assert_array_equal(parts.view(np.int64), whole.view(np.int64))
+        assert mixture_integral(float(s[-1]), eb, tau2) == whole[-1]
+
+    def test_work_arrays_bound_the_memory_of_a_call(self):
+        # a warm call at the curve's 1,155 points peaks at a few megabytes,
+        # where whole-call (1155, 45, 20) temporaries take 8.3 MB each
+        cfg = ref_config(0.0)
+        s = np.linspace(-_CURVE_HALF_WIDTH, _CURVE_HALF_WIDTH, 1155)
+        mixture_integral(s, cfg.eb, cfg.tau2)
+        tracemalloc.start()
+        try:
+            mixture_integral(s, cfg.eb, cfg.tau2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, peak
 
 
 class TestNormalCdf:
@@ -443,8 +483,9 @@ class TestInformationCurve:
         np.testing.assert_allclose(curve(near), mixture_integral(near, cfg.eb, cfg.tau2), rtol=1e-12, atol=0.0)
 
     def test_memoized_per_channel(self, ref_source, monkeypatch):
-        # the curve is built once per (eb, tau2), in network-sized kernel
-        # calls; a second tuning on that channel does not call the kernel
+        # the curve is built once per (eb, tau2), in one kernel call at its
+        # 55 x 21 Chebyshev nodes; a second tuning on that channel does
+        # not call the kernel
         cfg = ref_config(channel_snr_db=7.25)
         calls = []
         real = crlb.mixture_integral
@@ -456,7 +497,7 @@ class TestInformationCurve:
         monkeypatch.setattr(crlb, "mixture_integral", counting)
         _information_curve.cache_clear()
         optimize_thresholds(ref_source, sample_geometry(20, 50.0, 0.0, rng=56), cfg)
-        assert calls and max(calls) <= _CURVE_CHUNK
+        assert calls == [1155]
         calls.clear()
         optimize_thresholds(ref_source, sample_geometry(30, 50.0, 2.0, rng=57), cfg)
         assert calls == []
