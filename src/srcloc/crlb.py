@@ -19,16 +19,16 @@ The common threshold is searched on an information curve: a
 piecewise-Chebyshev interpolant of log mixture_integral over the s
 range where a sensor's weight is nonzero, built once per (eb, tau2)
 from one call of the exact kernel and memoized, so every geometry of a
-command shares it.  The per-sensor operating point s* is memoized per
+command shares it; the per-sensor operating point s* is memoized per
 (eb, tau2) the same way.  The kernel evaluates its integrand a block of
 points at a time in work arrays made once per call, so a call of any
 size, the curve's 1,155 points included, stays within a few megabytes,
-and a value does not depend on the call it is in.  The curve only ranks candidate thresholds, and tuning
-returns only the thresholds it picks.  Every bound that is reported
-comes from one exact pass at the chosen thresholds: crlb_sgle evaluates
-each sensor's term on the exact kernel once, and keeps the terms, the
-information matrix and its eigenvalues with the bound, so nothing
-downstream evaluates them again.
+and a value does not depend on the call it is in.  The curve only ranks
+candidate thresholds, and tuning returns only the thresholds it picks.
+Every bound that is reported comes from one exact pass at the chosen
+thresholds: crlb_sgle evaluates each sensor's term on the exact kernel
+once, and keeps the terms, the information matrix and its eigenvalues
+with the bound, so nothing downstream evaluates them again.
 
 The normal CDF Phi that weights the two energy branches comes from the
 standard library (``math.erfc``), applied elementwise: the bound needs it

@@ -24,11 +24,11 @@ spreads its rounds instead, in contiguous blocks of at least
 The ML estimator, and with it scipy, is imported only where rounds are
 estimated: ``run_trials`` imports it before it estimates, and
 ``run_ensemble`` before its pool forks, so the workers inherit it and a
-command imports it once.  ``run_ensemble`` likewise builds the channel's
-tuning data (the information curve, or the per-sensor operating point)
-before the fork, so a command builds it once.  Placement, threshold tuning and the bound run
-without scipy.  Likewise ``multiprocessing`` loads only when a pool
-starts.
+command imports it once.  ``run_ensemble`` likewise builds the
+channel's tuning data (the information curve, or the per-sensor
+operating point) before the fork, so a command builds it once.
+Placement, threshold tuning and the bound run without scipy.  Likewise
+``multiprocessing`` loads only when a pool starts.
 """
 
 from __future__ import annotations

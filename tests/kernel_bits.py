@@ -5,10 +5,10 @@ SNRs from -160 to 80 dB (both sides of the kernel's -20 dB branch) and
 two tau2 scales, ``kernel_bits.json`` holds the sha256 of the float64
 bytes of ``crlb.mixture_integral`` over 1,001 points of |s| <= 27 in one
 call, and of the channel's information curve at the same points.  The
-tests require the kernel and the curve to give the same bytes.  The end-to-end fingerprint
-(``fingerprint.json``) guards these bits only through the bounds and
-thresholds they end in; this file guards them at the layer.  Regenerate
-(from the repository root) with
+tests require the kernel and the curve to give the same bytes.  The
+end-to-end fingerprint (``fingerprint.json``) guards these bits only
+through the bounds and thresholds they end in; this file guards them at
+the layer.  Regenerate (from the repository root) with
 
     PYTHONPATH=src python -m tests.kernel_bits
 

@@ -199,17 +199,17 @@ class TestMixtureIntegral:
         # s = -38.4 the denominator underflows (den == 0) far out in t
         eb = tau2 * 10.0 ** (channel_snr_db / 10.0)
         s = np.linspace(-27.0, 27.0, 151)
-        underflows = []
         if tau2 == 100.0:
             s = np.concatenate([s, [-38.45, -38.4]])
-            real = crlb._integrand
+        underflows = []
+        real = crlb._integrand
 
-            def spying(*args):
-                f = real(*args)
-                underflows.append(bool(args[-1][: f.size].any()))  # the den == 0 mask
-                return f
+        def spying(*args):
+            f = real(*args)
+            underflows.append(bool(args[-1][: f.size].any()))  # the den == 0 mask
+            return f
 
-            monkeypatch.setattr(crlb, "_integrand", spying)
+        monkeypatch.setattr(crlb, "_integrand", spying)
         whole = mixture_integral(s, eb, tau2)
         assert any(underflows) == (tau2 == 100.0)
         for size in (1, 7, crlb._BLOCK):
