@@ -8,7 +8,9 @@ call, and of the channel's information curve at the same points.  The
 tests require the kernel and the curve to give the same bytes.  The
 end-to-end fingerprint (``fingerprint.json``) guards these bits only
 through the bounds and thresholds they end in; this file guards them at
-the layer.  Regenerate (from the repository root) with
+the layer.  Like ``fingerprint.json``, the hashes hold for one numpy
+build and CPU family: another SIMD path for ``exp`` can move last bits.
+Regenerate (from the repository root) with
 
     PYTHONPATH=src python -m tests.kernel_bits
 
