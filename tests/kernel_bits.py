@@ -4,8 +4,9 @@ For each channel case, eb = tau2 * 10^(channel_snr_db / 10) at channel
 SNRs from -160 to 80 dB (both sides of the kernel's -20 dB branch) and
 two tau2 scales, ``kernel_bits.json`` holds the sha256 of the float64
 bytes of ``crlb.mixture_integral`` over 1,001 points of |s| <= 27 in one
-call, and of the channel's information curve at the same points.  The
-tests require the kernel and the curve to give the same bytes.  The
+call, and of the channel's information curve at the same points, and
+the channel's per-sensor operating point s* in ``float.hex`` form.  The
+tests require the kernel, the curve and s* to give the same bits.  The
 end-to-end fingerprint (``fingerprint.json``) guards these bits only
 through the bounds and thresholds they end in; this file guards them at
 the layer.  Like ``fingerprint.json``, the hashes hold for one numpy
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from srcloc.crlb import _information_curve, mixture_integral
+from srcloc.crlb import _best_operating_point, _information_curve, mixture_integral
 
 FIXTURE = Path(__file__).with_name("kernel_bits.json")
 COMMAND = "PYTHONPATH=src python -m tests.kernel_bits"
@@ -49,11 +50,15 @@ def _sha256(values: np.ndarray) -> str:
 
 
 def bits() -> dict:
-    """label -> {"kernel": sha256, "curve": sha256} of every channel."""
+    """label -> {"kernel": sha256, "curve": sha256, "s_star": hex} of every channel."""
     out = {}
     for label, eb, tau2 in cases():
         curve = _information_curve(eb, tau2)
-        out[label] = {"kernel": _sha256(mixture_integral(S, eb, tau2)), "curve": _sha256(curve(S))}
+        out[label] = {
+            "kernel": _sha256(mixture_integral(S, eb, tau2)),
+            "curve": _sha256(curve(S)),
+            "s_star": _best_operating_point(eb, tau2).hex(),
+        }
     return out
 
 
