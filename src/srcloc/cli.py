@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import BrokenExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -275,7 +274,9 @@ def main(argv=None) -> int:
         return _error_record(out, exc, EXIT_CONFIG)
     except (SrclocError, FloatingPointError) as exc:
         return _error_record(out, exc, EXIT_NUMERICAL)
-    except BrokenExecutor as exc:  # BrokenProcessPool: srcloc runs no thread pool
+    # BrokenProcessPool (srcloc runs no thread pool): a broken pool implies
+    # concurrent.futures is loaded, so a command with no pool never imports it
+    except getattr(sys.modules.get("concurrent.futures"), "BrokenExecutor", ()) as exc:
         return _error_record(out, exc, EXIT_WORKER)
     except KeyboardInterrupt as exc:
         return _error_record(out, exc, EXIT_INTERRUPTED)

@@ -20,11 +20,13 @@ piecewise-Chebyshev interpolant of log mixture_integral over the s
 range where a sensor's weight is nonzero, built once per (eb, tau2)
 from one call of the exact kernel and memoized, so every geometry of a
 command shares it; the per-sensor operating point s* is memoized per
-(eb, tau2) the same way.  The kernel evaluates its integrand a block of
-points at a time in work arrays made once per call, so a call of any
-size, the curve's 1,155 points included, stays within a few megabytes,
-and a value does not depend on the call it is in.  The curve only ranks
-candidate thresholds, and tuning returns only the thresholds it picks.
+(eb, tau2) the same way.  Both refine their brackets in one lockstep
+golden section.  The kernel takes only what these callers pass, and
+evaluates its integrand a block of points at a time in work arrays made
+once per call, so a call of any size, the curve's 1,155 points
+included, stays within a few megabytes, and a value does not depend on
+the call it is in.  The curve only ranks candidate thresholds, and
+tuning returns only the thresholds it picks.
 Every bound that is reported comes from one exact pass at the chosen
 thresholds: crlb_sgle evaluates each sensor's term on the exact kernel
 once, and keeps the terms, the information matrix and its eigenvalues
@@ -97,72 +99,70 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     return np.array([0.5 * math.erfc(-v * _SQRT_HALF) for v in x.tolist()])
 
 
-def _integrand(half, mid, a, b, q0, q1, rate, low, work, mask):
+def _integrand(half, mid, q0, q1, low, a, b, rate, work):
     """mixture_integral's integrand at the Gauss-Legendre nodes of a block of s-points.
 
     ``half`` and ``mid`` are the (m, panels) half-widths and midpoints of
-    the block's panels, and the other arguments its (m,) per-point
-    scalars.  The (m, panels, 20) result is a view of ``work``, four
-    float arrays of at least that many elements, and ``mask`` is a
-    boolean one; every intermediate is written into them by in-place
-    ufuncs, so a block allocates no array of its size.
+    the block's panels, ``q0`` and ``q1`` its (m,) branch weights, and
+    ``low``, ``a``, ``b`` and ``rate`` the channel's scalars.  The
+    (m, panels, 20) result is a view of ``work``, four float arrays of at
+    least that many elements; every intermediate is written into them by
+    in-place ufuncs, so a block allocates no array of its size.
     """
     shape = (*half.shape, _GL_NODES.size)
     n = math.prod(shape)
     t, u, den, gap = (w[:n].reshape(shape) for w in work)
-    underflow = mask[:n].reshape(shape)
-    a, b, q0, q1, rate, low = (x[:, None, None] for x in (a, b, q0, q1, rate, low))
+    q0, q1 = q0[:, None, None], q1[:, None, None]
     np.multiply(half[..., None], _GL_NODES, out=t)
     t += mid[..., None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         np.exp(np.multiply(t, -rate, out=u), out=u)  # ratio of fast to slow branch
         np.multiply(u, q0 * b, out=den)
         den += q1 * a
-        np.subtract(a, np.multiply(u, b, out=gap), out=gap)
-        if low.any():
-            np.expm1(np.multiply(t, -rate, out=u), out=u)
-            np.negative(u, out=u)
-            u *= b
-            u -= rate
-            np.copyto(gap, u, where=low)
+        if low:
+            np.expm1(np.multiply(t, -rate, out=gap), out=gap)
+            np.negative(gap, out=gap)
+            gap *= b
+            gap -= rate
+        else:
+            np.subtract(a, np.multiply(u, b, out=gap), out=gap)
         f = np.exp(np.multiply(t, -a, out=u), out=u)
         f *= np.square(gap, out=gap)
         f /= den
-        if np.equal(den, 0.0, out=underflow).any():
-            # q1 and u both underflowed: take the analytic limit form
-            np.exp(np.multiply(t, b - 2.0 * a, out=gap), out=gap)
-            gap *= a * a
-            gap /= q0 * b
-            np.copyto(f, gap, where=underflow)
     return f
 
 
 def mixture_integral(s, eb, tau2):
-    """Information integral of the energy mixture, elementwise.
+    """Information integral of the energy mixture at operating points s.
 
     Integrates (f1 - f0)^2 / (q1 f1 + q0 f0) over t in [0, inf), where
     f0 and f1 are the exponential energy densities with means tau2 and
     eb + tau2, q1 = Phi(s) and q0 = 1 - q1.  A sensor with received
     power P_i, threshold beta_i and noise deviation sigma operates at
-    s = (sqrt(P_i) - beta_i) / sigma.  The arguments broadcast; scalar
-    arguments give a float.  eb == 0 gives 0.
+    s = (sqrt(P_i) - beta_i) / sigma.  A scalar s gives a float.
+
+    The domain is what the callers pass, and anything else raises
+    ValueError: scalar eb > 0 and tau2 > 0, as SensorEnsembleConfig
+    guarantees, and |s| <= _CURVE_HALF_WIDTH, where a sensor's weight
+    exp(-s^2) is nonzero.  There q0 and q1 are at least 1e-164, so the
+    integrand's denominator is positive and the mixture crossover
+    t_cross is finite.
 
     The rule is fixed: 20-point Gauss-Legendre on panels broken at
     geometric steps from 0.01*tau2 to the window end, at 2*tau2, 10*tau2
     and the branch crossing t*, and at a two-sided geometric cluster
-    around the mixture crossover t_cross, where the integrand peaks
-    sharply when q1 is small.  The window extends 60 slow-branch lengths
-    past a late crossover, and the tail beyond it is bounded
-    analytically.  Against scipy ``quad`` on feature-split panels it is
-    within rel 1e-8 (observed: at most 6e-14) at channel SNR eb/tau2
-    from -10 to 40 dB for |s| <= 27, the range where a sensor's weight
-    in the information matrix is nonzero.  Below -20 dB (100 eb < tau2)
-    the branch-rate difference b - a, log(b/a) and the integrand's
-    a - b*u are formed without cancellation, from eb/tau2 directly, so
-    the value follows its (eb/tau2)^2 limit: the ratio is within 1e-8 of
-    1 from -100 dB down to the lowest channel SNR the sensor model
-    accepts (about -161 dB at 1 dB transmit energy).  Above -20 dB the
-    plain forms are kept, bit for bit.
+    around t_cross, where the integrand peaks sharply when q1 is small.
+    The window extends 60 slow-branch lengths past a late crossover, and
+    the tail beyond it is bounded analytically.  Against scipy ``quad``
+    on feature-split panels it is within rel 1e-8 (observed: at most
+    6e-14) at channel SNR eb/tau2 from -10 to 40 dB over the whole
+    domain.  Below -20 dB (100 eb < tau2) the branch-rate difference
+    b - a, log(b/a) and the integrand's a - b*u are formed without
+    cancellation, from eb/tau2 directly, so the value follows its
+    (eb/tau2)^2 limit: the ratio is within 1e-8 of 1 from -100 dB down
+    to the lowest channel SNR the sensor model accepts (about -161 dB at
+    1 dB transmit energy).  Above -20 dB the plain forms are kept, bit
+    for bit.
 
     The integrand is evaluated _BLOCK points at a time, in work arrays
     made once per call (see _integrand), so a call's memory grows with
@@ -171,50 +171,40 @@ def mixture_integral(s, eb, tau2):
     whatever the call holds, so a value is the same, bit for bit, alone
     or in a call of any size.
 
-    Raises QuadratureFailure where the integral diverges (q1 underflowed
-    to zero while eb >= tau2) or the tail bound exceeds
+    Raises QuadratureFailure where the tail bound exceeds
     max(1e-10, 1e-8 * value).
     """
-    s, eb, tau2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (s, eb, tau2)))
-    out = np.zeros(eb.shape)
-    live = eb != 0.0
-    s, eb, tau2 = s[live], eb[live], tau2[live]
+    s = np.asarray(s, dtype=float)
+    if not (np.ndim(eb) == np.ndim(tau2) == 0 and eb > 0.0 and tau2 > 0.0):
+        raise ValueError(f"mixture_integral needs scalar eb > 0 and tau2 > 0, got {eb!r} and {tau2!r}")
+    if not np.all(np.abs(s) <= _CURVE_HALF_WIDTH):
+        raise ValueError(f"mixture_integral needs |s| <= {_CURVE_HALF_WIDTH}")
+    points = s.ravel()
     a = 1.0 / (eb + tau2)
     b = 1.0 / tau2
-    q0 = _normal_cdf(-s)
-    q1 = _normal_cdf(s)
+    q0 = _normal_cdf(-points)
+    q1 = _normal_cdf(points)
 
-    if np.any((q1 == 0.0) & (2.0 * a <= b)):
-        raise QuadratureFailure(
-            "mixture integral diverges: the one-branch weight underflowed "
-            "and the squared fast branch decays slower than the density"
-        )
     # Below -20 dB, b - a, log(b/a) and a - b*u cancel: take them from
     # eb/tau2 directly there, and keep the plain forms above.
     low = 100.0 * eb < tau2
-    rate = np.where(low, eb / (tau2 * (eb + tau2)), b - a)  # b - a
-    log_ratio = np.where(low, np.log1p(eb / tau2), np.log(b / a))
+    rate = eb / (tau2 * (eb + tau2)) if low else b - a  # b - a
+    log_ratio = np.log1p(eb / tau2) if low else np.log(b / a)
     t_star = log_ratio / rate  # where the two branch densities cross
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # where the mixture switches from the fast to the slow branch
-        t_cross = (np.log(q0) - np.log(q1) + log_ratio) / rate
-        t_end = 50.0 / a
-        late = (q1 > 0.0) & (q1 < q0)
-        t_end = np.maximum(np.where(late, np.maximum(t_end, t_cross + 60.0 / a), t_end), t_star)
-        tail_bound = np.where(
-            q1 > 0.0,
-            np.exp(-a * t_end) / q1,
-            a * a * np.exp(-(2.0 * a - b) * t_end) / (q0 * b * (2.0 * a - b)),
-        )
+    # where the mixture switches from the fast to the slow branch
+    t_cross = (np.log(q0) - np.log(q1) + log_ratio) / rate
+    t_end = 50.0 / a
+    t_end = np.maximum(np.where(q1 < q0, np.maximum(t_end, t_cross + 60.0 / a), t_end), t_star)
+    tail_bound = np.exp(-a * t_end) / q1
 
     t0 = 0.01 * tau2
-    center = np.where(np.isfinite(t_cross), t_cross, t_star)[:, None]
-    steps = (1.0 / rate)[:, None] * _CLUSTER_STEPS
+    center = t_cross[:, None]
+    steps = (1.0 / rate) * _CLUSTER_STEPS
     edges = np.concatenate(
         [
-            np.zeros((s.size, 1)),
-            t0[:, None] * (t_end / t0)[:, None] ** _GEOMETRIC_POWERS,
-            np.stack([2.0 * tau2, 10.0 * tau2, t_star], axis=1),
+            np.zeros((points.size, 1)),
+            t0 * (t_end / t0)[:, None] ** _GEOMETRIC_POWERS,
+            np.broadcast_to([2.0 * tau2, 10.0 * tau2, t_star], (points.size, 3)),
             center,
             center - steps,
             center + steps,
@@ -225,12 +215,11 @@ def mixture_integral(s, eb, tau2):
     half = 0.5 * np.diff(edges, axis=1)
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
 
-    value = np.empty(s.size)
-    work = np.empty((4, min(s.size, _BLOCK) * half.shape[1] * _GL_NODES.size))
-    mask = np.empty(work.shape[1], dtype=bool)
-    for lo in range(0, s.size, _BLOCK):
+    value = np.empty(points.size)
+    work = np.empty((4, min(points.size, _BLOCK) * half.shape[1] * _GL_NODES.size))
+    for lo in range(0, points.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        f = _integrand(half[blk], mid[blk], a[blk], b[blk], q0[blk], q1[blk], rate[blk], low[blk], work, mask)
+        f = _integrand(half[blk], mid[blk], q0[blk], q1[blk], low, a, b, rate, work)
         value[blk] = (half[blk] * (f @ _GL_WEIGHTS)).sum(axis=1)
 
     over = tail_bound > np.maximum(_TAIL_ABS_TOL, _TAIL_REL_TOL * np.abs(value))
@@ -239,8 +228,7 @@ def mixture_integral(s, eb, tau2):
         raise QuadratureFailure(
             f"tail bound {tail_bound[i]:.3e} above tolerance at t={t_end[i]:.3e}"
         )
-    out[live] = value
-    return float(out) if out.ndim == 0 else out
+    return float(value[0]) if s.ndim == 0 else value.reshape(s.shape)
 
 
 @functools.lru_cache(maxsize=8)
@@ -419,24 +407,35 @@ def per_sensor_term_norms(result: CrlbResult) -> np.ndarray:
 # --- threshold optimization -------------------------------------------------
 
 
-def _golden_section(f, lo: float, hi: float, tol: float, evaluated: list):
-    """Golden-section refinement; appends every probe to ``evaluated``."""
+def _golden_sections(f, brackets, tol: float) -> list:
+    """Golden-section refinement of every bracket (lo, hi) in lockstep.
+
+    ``f`` maps an array of points to their values.  Each bracket probes
+    its two interior golden points, then shrinks toward the lower value
+    (ties keep the lower side), one new probe per step, until it is no
+    wider than ``tol``.  One call of ``f`` scores the pending probes of
+    every bracket still live, so each bracket gets the probes and values
+    it would get alone.  Returns every (value, point) probed.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    evaluated.extend([(fc, c), (fd, d)])
-    while hi - lo > tol:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-            evaluated.append((fc, c))
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-            evaluated.append((fd, d))
+    # [lo, hi, c, f(c), d, f(d)] of each live bracket; None marks a probe to score
+    live = [[lo, hi, hi - invphi * (hi - lo), None, lo + invphi * (hi - lo), None] for lo, hi in brackets]
+    evaluated = []
+    while live:
+        pending = [(br, i) for br in live for i in (2, 4) if br[i + 1] is None]
+        probes = [br[i] for br, i in pending]
+        values = f(np.array(probes)).tolist()
+        evaluated.extend(zip(values, probes))
+        for (br, i), value in zip(pending, values):
+            br[i + 1] = value
+        live = [br for br in live if br[1] - br[0] > tol]
+        for br in live:
+            lo, hi, c, fc, d, fd = br
+            if fc <= fd:
+                br[:] = lo, d, d - invphi * (d - lo), None, c, fc
+            else:
+                br[:] = c, hi, d, fd, c + invphi * (hi - c), None
+    return evaluated
 
 
 @functools.lru_cache(maxsize=8)
@@ -451,14 +450,13 @@ def _best_operating_point(eb: float, tau2: float) -> float:
     command shares it.
     """
 
-    def neg_g(s):
-        return -math.exp(-s * s) * mixture_integral(s, eb, tau2)
+    def neg_g(s: np.ndarray) -> np.ndarray:
+        return -np.array([math.exp(-v * v) for v in s.tolist()]) * mixture_integral(s, eb, tau2)
 
     objs = -np.exp(-_S_GRID * _S_GRID) * mixture_integral(_S_GRID, eb, tau2)
-    evaluated = list(zip(objs.tolist(), _S_GRID.tolist()))
     k = int(np.argmin(objs))
-    lo, hi = _S_GRID[max(0, k - 1)], _S_GRID[min(len(_S_GRID) - 1, k + 1)]
-    _golden_section(neg_g, lo, hi, _S_TOL, evaluated)
+    bracket = (_S_GRID[max(0, k - 1)], _S_GRID[min(len(_S_GRID) - 1, k + 1)])
+    evaluated = list(zip(objs.tolist(), _S_GRID.tolist())) + _golden_sections(neg_g, [bracket], _S_TOL)
     return min(evaluated)[1]
 
 
@@ -489,8 +487,9 @@ def optimize_thresholds(
 
     Common mode scans _N_COARSE points over
     [-3*sigma, sqrt(P0) + 3*sigma] in one stacked pass, golden-section
-    refines the three best local basins, and returns the best point
-    evaluated, ties to the lower threshold.  Every candidate is scored on
+    refines the three best local basins in lockstep, one stacked pass per
+    step, and returns the best point evaluated, ties to the lower
+    threshold.  Every candidate is scored on
     the channel's memoized information curve (_information_curve), whose
     bounds sit within about 1e-12 relative of the exact ones: on 1,040
     random tunings at -30 to 60 dB it picked the threshold the exact
@@ -524,26 +523,19 @@ def optimize_thresholds(
         """The bound at each common threshold, inf where singular, on the curve."""
         return _bounds(_assemble(*_information_terms(theta, geom, cfg, betas[:, None], curve)))[2]
 
-    def common_objective(beta: float) -> float:
-        return float(curve_bounds(np.array([beta]))[0])
-
     grid = np.linspace(lo, hi, _N_COARSE)
     objs = curve_bounds(grid)
     if not np.any(np.isfinite(objs)):
         raise SingularFim(np.inf, "no threshold in the bracket yields an invertible FIM")
 
-    evaluated = list(zip(objs.tolist(), grid.tolist()))
     # Refine the three best local basins: a coarse grid this wide can
     # straddle more than one minimum of the aggregated bound.
-    basin_order = np.argsort(objs, kind="stable")
-    refined = set()
-    for k in basin_order[: min(3, len(basin_order))]:
+    brackets = []
+    for k in np.argsort(objs, kind="stable")[:3]:
         if not np.isfinite(objs[k]):
             break
-        span = (max(0, k - 1), min(len(grid) - 1, k + 1))
-        if span in refined:
-            continue
-        refined.add(span)
-        _golden_section(common_objective, grid[span[0]], grid[span[1]], tol, evaluated)
-
+        bracket = (grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)])
+        if bracket not in brackets:
+            brackets.append(bracket)
+    evaluated = list(zip(objs.tolist(), grid.tolist())) + _golden_sections(curve_bounds, brackets, tol)
     return float(min(evaluated, key=lambda p: (p[0], p[1]))[1])

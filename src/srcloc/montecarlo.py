@@ -28,7 +28,8 @@ command imports it once.  ``run_ensemble`` likewise builds the
 channel's tuning data (the information curve, or the per-sensor
 operating point) before the fork, so a command builds it once.
 Placement, threshold tuning and the bound run without scipy.  Likewise
-``multiprocessing`` loads only when a pool starts.
+``concurrent.futures`` and ``multiprocessing`` load only when a pool
+starts.
 """
 
 from __future__ import annotations

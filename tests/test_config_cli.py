@@ -703,7 +703,7 @@ def test_unraised_error_class_check_sees_what_it_must():
 _SCIPY_FREE_MODES = """
 import sys
 scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-pool_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing")
+pool_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent"))
 import srcloc.cli
 assert scipy_modules() == [], ("import srcloc.cli", scipy_modules())
 assert pool_modules() == [], ("import srcloc.cli", pool_modules())
@@ -724,7 +724,8 @@ for name, argv in runs.items():
 def test_only_ml_modes_load_scipy(tmp_path):
     # scipy is the likelihood layer's import: a bound-only command never
     # loads it, and an ensemble loads it in the parent before its pool forks.
-    # multiprocessing likewise loads only where a pool starts.
+    # multiprocessing and concurrent.futures likewise load only where a
+    # pool starts.
     env = dict(os.environ)
     src_dir = str(Path(srcloc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))

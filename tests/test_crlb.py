@@ -148,9 +148,6 @@ class TestMixtureIntegral:
         got = mixture_integral(np.array([-1.0, 0.0, 1.0]), eb, tau2)
         np.testing.assert_allclose(got / (eb / tau2) ** 2, 1.0, rtol=0.0, atol=1e-8)
 
-    def test_zero_transmit_energy(self):
-        assert mixture_integral((10.0 - 5.0) / 1.0, 0.0, 1.0) == 0.0
-
     def test_against_dense_trapezoid(self):
         # balanced mixture weights, eb = tau2 = 1
         val = mixture_integral((2.0 - 2.0) / 1.0, 1.0, 1.0)
@@ -181,37 +178,42 @@ class TestMixtureIntegral:
             assert scaled == pytest.approx(oracle, rel=1e-6)
 
     def test_divergent_degenerate_weights(self):
-        # the always-silent limit with eb > tau2 genuinely diverges
-        with pytest.raises(QuadratureFailure):
+        # s = -999, where the always-silent limit with eb > tau2 diverges,
+        # lies outside the domain every caller stays in
+        with pytest.raises(ValueError):
             mixture_integral((1.0 - 1e3) / 1.0, 4.0, 1.0)
 
-    def test_convergent_degenerate_weights(self):
-        # always-silent limit but eb < tau2: integrable; check the oracle
-        val = mixture_integral((1.0 - 1e3) / 1.0, 0.5, 2.0)
-        oracle = _trapezoid_mixture_integral(1.0, 1e3, 1.0, 0.5, 2.0, t_hi=800.0)
-        assert val == pytest.approx(oracle, rel=1e-5)
+    @pytest.mark.parametrize("channel_snr_db", [-161.0, 0.0, 40.0])
+    def test_domain_is_what_the_callers_pass(self, channel_snr_db):
+        # |s| <= _CURVE_HALF_WIDTH, where a sensor's weight exp(-s^2) is
+        # nonzero, and scalar eb > 0 and tau2 > 0; anything else raises
+        cfg = ref_config(channel_snr_db)
+        edges = mixture_integral(np.array([-_CURVE_HALF_WIDTH, _CURVE_HALF_WIDTH]), cfg.eb, cfg.tau2)
+        assert np.all(np.isfinite(edges)) and np.all(edges > 0.0)
+        for s in (np.nextafter(-_CURVE_HALF_WIDTH, -np.inf), np.nextafter(_CURVE_HALF_WIDTH, np.inf), np.nan):
+            with pytest.raises(ValueError):
+                mixture_integral(np.array([0.0, s]), cfg.eb, cfg.tau2)
+        for eb, tau2 in ((0.0, cfg.tau2), (cfg.eb, 0.0), (np.array([cfg.eb]), cfg.tau2)):
+            with pytest.raises(ValueError):
+                mixture_integral(0.0, eb, tau2)
 
     @pytest.mark.parametrize("tau2, channel_snr_db", [(1.0, 0.0), (1.0, 30.0), (100.0, -30.0), (100.0, -3.0)])
     def test_blocking_is_bit_identical(self, monkeypatch, tau2, channel_snr_db):
         # a value does not depend on the call it is in: one call over every
         # point equals, bit for bit, calls of 1, 7 and _BLOCK points.  At
-        # tau2 = 100 below -20 dB the cancellation-free forms run, and near
-        # s = -38.4 the denominator underflows (den == 0) far out in t
+        # tau2 = 100 and -30 dB the cancellation-free forms run
         eb = tau2 * 10.0 ** (channel_snr_db / 10.0)
         s = np.linspace(-27.0, 27.0, 151)
-        if tau2 == 100.0:
-            s = np.concatenate([s, [-38.45, -38.4]])
-        underflows = []
+        lows = []
         real = crlb._integrand
 
-        def spying(*args):
-            f = real(*args)
-            underflows.append(bool(args[-1][: f.size].any()))  # the den == 0 mask
-            return f
+        def spying(half, mid, q0, q1, low, *rest):
+            lows.append(low)
+            return real(half, mid, q0, q1, low, *rest)
 
         monkeypatch.setattr(crlb, "_integrand", spying)
         whole = mixture_integral(s, eb, tau2)
-        assert any(underflows) == (tau2 == 100.0)
+        assert set(lows) == {channel_snr_db < -20.0}
         for size in (1, 7, crlb._BLOCK):
             parts = np.concatenate([mixture_integral(s[i : i + size], eb, tau2) for i in range(0, s.size, size)])
             np.testing.assert_array_equal(parts.view(np.int64), whole.view(np.int64))
@@ -389,6 +391,82 @@ def _random_geometry(channel_snr_db, k):
     """Geometry k of the per-sensor cases at this SNR: K = 6 to 10, R = 50."""
     rng = np.random.default_rng([55, int(channel_snr_db) + 10, k])
     return sample_geometry(int(rng.integers(6, 11)), 50.0, 0.0, rng=rng)
+
+
+def _lone_golden_section(f, lo, hi, tol):
+    """One bracket refined by itself, one probe per call of f: the rule
+    each bracket of _golden_sections follows.  Returns every (value, point)."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
+    probed = [(fc, c), (fd, d)]
+    while hi - lo > tol:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = f(c)
+            probed.append((fc, c))
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = f(d)
+            probed.append((fd, d))
+    return probed
+
+
+class TestGoldenSections:
+    # disjoint brackets, the second already narrower than the tolerance
+    BRACKETS = [(-2.0, 1.0), (3.0, 3.0 + 5e-7), (10.0, 14.0)]
+    TOL = 1e-6
+
+    @staticmethod
+    def objective(x):
+        # arithmetic only, so a point's value does not depend on its call
+        return ((x * x - 1.7) * (x - 12.1)) ** 2 + 0.25 * x
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_each_bracket_refines_as_if_alone(self, n):
+        brackets = self.BRACKETS[:n]
+        calls = []
+
+        def stacked(x):
+            calls.append(x.size)
+            return self.objective(x)
+
+        got = crlb._golden_sections(stacked, brackets, self.TOL)
+        alone = [
+            _lone_golden_section(lambda x: float(self.objective(np.array([x]))[0]), lo, hi, self.TOL)
+            for lo, hi in brackets
+        ]
+        hexed = lambda probed: sorted((float(v).hex(), float(x).hex()) for v, x in probed)
+        for (lo, hi), lone in zip(brackets, alone):
+            assert hexed(p for p in got if lo < p[1] < hi) == hexed(lone)
+        assert len(got) == sum(map(len, alone))
+        # one call scores both first probes of every bracket, then one
+        # call per step scores the next probe of each bracket still wider
+        # than the tolerance
+        steps = [len(lone) - 2 for lone in alone]
+        assert calls == [2 * n] + [sum(k < m for m in steps) for k in range(max(steps))]
+
+    def test_common_tuning_scores_in_stacked_passes(self, ref_source, monkeypatch):
+        # one _N_COARSE scan, then one pass per golden-section step over
+        # every live basin: 15 bound passes here, where refining the three
+        # basins one candidate at a time makes one pass per candidate, 46
+        geom = sample_geometry(50, 50.0, 0.0, rng=47)
+        cfg = ref_config(channel_snr_db=0.0)
+        passes = []
+        real = crlb._bounds
+
+        def counting(fim):
+            passes.append(len(fim))
+            return real(fim)
+
+        monkeypatch.setattr(crlb, "_bounds", counting)
+        optimize_thresholds(ref_source, geom, cfg)
+        basins = passes[1] // 2
+        assert passes[0] == crlb._N_COARSE and basins == 3
+        assert passes[1:3] == [2 * basins, basins] and max(passes[2:]) == basins
+        assert len(passes) == 15 and 1 + sum(passes[1:]) == 46
 
 
 class TestOptimizeThresholds:
