@@ -23,7 +23,7 @@ from srcloc.crlb import (
     optimize_thresholds,
     per_sensor_term_norms,
 )
-from srcloc.errors import DegenerateGeometry, QuadratureFailure, SingularFim
+from srcloc.errors import DegenerateGeometry, SingularFim
 from srcloc.geometry import NetworkGeometry, SourceParams, sample_geometry
 from srcloc.signal_model import SensorEnsembleConfig, received_power, simulate_rounds
 from tests import kernel_bits, thresholds
@@ -463,9 +463,7 @@ class TestGoldenSections:
 
         monkeypatch.setattr(crlb, "_bounds", counting)
         optimize_thresholds(ref_source, geom, cfg)
-        basins = passes[1] // 2
-        assert passes[0] == crlb._N_COARSE and basins == 3
-        assert passes[1:3] == [2 * basins, basins] and max(passes[2:]) == basins
+        assert passes[:3] == [crlb._N_COARSE, 6, 3] and max(passes[2:]) == 3
         assert len(passes) == 15 and 1 + sum(passes[1:]) == 46
 
 
