@@ -272,7 +272,7 @@ def main(argv=None) -> int:
         return _error_record(out, exc, EXIT_IO)
     except ConfigError as exc:  # a malformed geometry file or trials table
         return _error_record(out, exc, EXIT_CONFIG)
-    except (SrclocError, FloatingPointError) as exc:
+    except SrclocError as exc:  # SingularFim or DegenerateGeometry
         return _error_record(out, exc, EXIT_NUMERICAL)
     # BrokenProcessPool (srcloc runs no thread pool): a broken pool implies
     # concurrent.futures is loaded, so a command with no pool never imports it

@@ -80,8 +80,9 @@ def _nonnegative(default):
     return _key(default, lambda v: _is_finite(v) and v >= 0, "a finite nonnegative number")
 
 
-def _finite(default=None):
-    return _key(default, _is_finite, "a finite number")
+def _finite(default=None, ceiling=math.inf):
+    must = "a finite number" if ceiling == math.inf else f"a finite number up to {ceiling:g}"
+    return _key(default, lambda v: _is_finite(v) and v <= ceiling, must)
 
 
 def _one_of(default, options: tuple, required=False):
@@ -112,7 +113,8 @@ class ExperimentConfig:
     d0: float = _positive(1.0, ceiling=1e150)
     alpha: float = _positive(2.0)
     obs_snr_db: float = _finite(40.0)
-    channel_snr_db: float = _finite(0.0)
+    # the information kernel is checked against quad up to 300 dB, and is NaN from about 1,550 dB
+    channel_snr_db: float = _finite(0.0, ceiling=300.0)
     beta: Optional[float] = _finite()
     threshold_mode: str = _one_of("common", ("common", "per-sensor", "fixed"))
     n_geom: int = _count(10**7, 100)

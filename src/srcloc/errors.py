@@ -48,10 +48,6 @@ class SingularFim(SrclocError):
         super().__init__(msg)
 
 
-class QuadratureFailure(SrclocError):
-    """The information integral diverges, or its tail bound is above tolerance."""
-
-
 class ConfigError(SrclocError):
     """Base class for configuration-file problems."""
 

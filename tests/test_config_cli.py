@@ -22,7 +22,6 @@ from srcloc.errors import (
     DegenerateGeometry,
     PackingFailure,
     ParseError,
-    QuadratureFailure,
     SingularFim,
     SrclocError,
     ValidationError,
@@ -700,6 +699,76 @@ def test_unraised_error_class_check_sees_what_it_must():
     assert _unraised_error_classes({"errors": errors_src, "user": user}) == ["Dead", "Caught"]
 
 
+_RAISE_MODE_SETTERS = {"numpy.seterr", "scipy.special.seterr", "scipy.special.errstate"}
+
+
+def _raise_mode_calls(sources: dict) -> list[str]:
+    """Calls in a package, given as {module: source}, that can turn a
+    floating-point event into an exception: numpy's or scipy.special's
+    seterr, scipy.special's errstate, or numpy's errstate given "raise".
+    Names are resolved through each module's imports."""
+    found = []  # (module, line, name)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        names = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):  # "import a.b" binds a, "import a.b as c" binds c to a.b
+                names.update((a.asname, a.name) if a.asname else (a.name.split(".")[0],) * 2 for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                names.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            attrs, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                attrs.insert(0, func.attr)
+                func = func.value
+            if not isinstance(func, ast.Name):
+                continue
+            name = ".".join([names.get(func.id, func.id), *attrs])
+            args = [*node.args, *(k.value for k in node.keywords)]
+            raising = any(isinstance(a, ast.Constant) and a.value == "raise" for a in args)
+            if name in _RAISE_MODE_SETTERS or (name == "numpy.errstate" and raising):
+                found.append((module, node.lineno, name))
+    return [f"{module}:{line} {name}" for module, line, name in sorted(found)]
+
+
+def test_no_module_makes_floating_point_events_raise():
+    # the CLI maps no FloatingPointError to an exit code: every numpy and
+    # scipy.special error mode in the package stays at warn or ignore
+    package = Path(srcloc.__file__).parent
+    sources = {module.stem: module.read_text() for module in sorted(package.glob("*.py"))}
+    assert _raise_mode_calls(sources) == []
+
+
+def test_raise_mode_check_sees_what_it_must():
+    source = (
+        "import numpy as np\n"
+        "import numpy\n"
+        "import scipy.special\n"
+        "from scipy import special as sp\n"
+        "from scipy.special import errstate\n"
+        "from numpy import seterr as modes\n"
+        "def f(x, kw):\n"
+        "    with np.errstate(over='ignore', invalid='ignore'):\n"
+        "        pass\n"
+        "    with np.errstate(divide='raise'):\n"
+        "        pass\n"
+        "    numpy.errstate('raise')\n"
+        "    np.seterr(all='ignore')\n"
+        "    modes(over='warn')\n"
+        "    sp.seterr(all='raise')\n"
+        "    scipy.special.errstate(all='ignore')\n"
+        "    errstate(all='raise')\n"
+        "    x.errstate(all='raise')\n"
+        "    np.errstate(**kw)\n"
+    )
+    assert _raise_mode_calls({"m": source}) == [
+        "m:10 numpy.errstate", "m:12 numpy.errstate", "m:13 numpy.seterr", "m:14 numpy.seterr",
+        "m:15 scipy.special.seterr", "m:16 scipy.special.errstate", "m:17 scipy.special.errstate",
+    ]
+
+
 _SCIPY_FREE_MODES = """
 import sys
 scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -758,7 +827,6 @@ ERROR_SAMPLES = [
     DegenerateGeometry("sensor coincides with the source"),
     SingularFim(1e13),
     SingularFim(2.0, "information matrix inverse is not usable"),
-    QuadratureFailure("tail bound above tolerance"),
     ConfigError("bad config"),
     ParseError("config.json: line 1, column 2: Expecting value"),
     ValidationError("K"),
@@ -925,6 +993,22 @@ class TestExitCodes:
         path = write_config(tmp_path, K=20, channel_snr_db=-161.0)
         assert main(["crlb", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("mode", ["crlb", "estimate", "outage"])
+    def test_channel_snr_ceiling(self, tmp_path, capsys, mode):
+        # 300 dB, the ceiling, runs with tuned thresholds and warns of
+        # nothing; above it a run exits 2 before its output directory
+        # exists, as at 1,550 dB, where the kernel's squared gap overflows
+        path = write_config(tmp_path, K=10, n_geom=2, n_mc=2, gamma_num=8, channel_snr_db=300.0)
+        assert main([mode, "--config", str(path), "--out", str(tmp_path / "top")]) == 0
+        assert capsys.readouterr().err == ""
+        for snr in (float(np.nextafter(300.0, np.inf)), 1550.0):
+            path = write_config(tmp_path, K=10, channel_snr_db=snr)
+            out = tmp_path / f"over-{snr}"
+            assert main([mode, "--config", str(path), "--out", str(out)]) == 2
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record["error_class"] == "ValidationError" and "channel_snr_db" in record["message"]
+            assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, bad",
         [
@@ -965,10 +1049,11 @@ class TestExitCodes:
             ("gamma_min", None),
             ("max_attempts", None),
             ("gamma_num", None),
-            # beyond the R, d0 and P0 ceilings, or a source whose square overflows
+            # beyond the R, d0, P0 and channel SNR ceilings, or a source whose square overflows
             ("R", 1e200),
             ("d0", 1e155),
             ("P0", 1e308),
+            ("channel_snr_db", float(np.nextafter(300.0, np.inf))),
             ("source", [1e200, 0.0]),
             # a K_T bin with a negative count
             ("k_t_bins", ["-1"]),
@@ -986,7 +1071,8 @@ class TestExitCodes:
             "K-over-ceiling", "n_geom-over-ceiling", "n_mc-over-ceiling", "gamma_num-over-ceiling",
             "max_attempts-over-ceiling", "workers-over-ceiling", "trials_file-int", "trials_file-empty",
             "R_ex-null", "source_exclusion-null", "P0-null", "d0-null", "alpha-null", "gamma_min-null",
-            "max_attempts-null", "gamma_num-null", "R-over-ceiling", "d0-over-ceiling", "P0-over-ceiling", "source-huge",
+            "max_attempts-null", "gamma_num-null", "R-over-ceiling", "d0-over-ceiling", "P0-over-ceiling",
+            "snr-over-ceiling", "source-huge",
             "k_t_bins-negative", "k_t_bins-negative-at-least", "beta-per-sensor", "seed-over-ceiling",
         ],
     )
@@ -1155,8 +1241,6 @@ class TestExitCodes:
             (SrclocError("numerical"), 4),
             (DegenerateGeometry("a sensor on the source"), 4),
             (SingularFim(1e20), 4),
-            (QuadratureFailure("tail above tolerance"), 4),
-            (FloatingPointError("overflow"), 4),
             (OSError("disk full"), 5),
             (ParseError("bad table"), 2),
             (ValidationError("K"), 2),
@@ -1164,8 +1248,7 @@ class TestExitCodes:
         ],
         ids=[
             "broken-pool", "interrupt", "srcloc-error", "degenerate-geometry", "singular-fim",
-            "quadrature-failure", "floating-point", "os-error", "parse-error",
-            "validation-error", "packing",
+            "os-error", "parse-error", "validation-error", "packing",
         ],
     )
     def test_pool_failure_and_interrupt_exit_codes(self, tmp_path, monkeypatch, exc, code):

@@ -10,6 +10,7 @@ from scipy.special import log_ndtr, ndtr
 
 from srcloc import crlb
 from srcloc.crlb import (
+    CONDITION_LIMIT,
     _CURVE_HALF_WIDTH,
     _assemble,
     _bounds,
@@ -129,9 +130,10 @@ class TestGMatrix:
 
 
 class TestMixtureIntegral:
-    @pytest.mark.parametrize("channel_snr_db", [-10.0, 0.0, 10.0, 20.0, 30.0, 40.0])
+    @pytest.mark.parametrize("channel_snr_db", [-10.0, 0.0, 10.0, 20.0, 30.0, 40.0, 60.0, 100.0, 200.0, 300.0])
     def test_against_quad_reference(self, channel_snr_db):
-        # every s at which a sensor's weight exp(-s^2) is nonzero
+        # every s at which a sensor's weight exp(-s^2) is nonzero, up to the
+        # highest channel SNR the CLI accepts
         cfg = ref_config(channel_snr_db)
         eb, tau2 = float(cfg.eb), float(cfg.tau2)
         s = np.arange(-27.0, 27.01, 0.5)
@@ -351,6 +353,9 @@ class TestCrlbSgle:
     def test_condition_indicator(self):
         assert _bounds(np.diag([1.0, 2.0, 4.0]))[1] == 4.0
         assert _bounds(np.diag([1.0, 1.0, 0.0]))[1] == np.inf
+        # an indicator of exactly CONDITION_LIMIT is not singular
+        _, cond, bound = _bounds(np.diag([1.0, 1.0, CONDITION_LIMIT]))
+        assert cond == CONDITION_LIMIT and bound == 1.0 + 1.0 / CONDITION_LIMIT
 
     def test_subnormal_fim_raises_instead_of_nan(self):
         # all-subnormal eigenvalues pass the ratio gate but overflow the
