@@ -94,15 +94,9 @@ def _run_estimate(config: ExperimentConfig, out: Path) -> list:
     ts, estimates = run_trials(geom, source, cfg, config.n_mc, stream, workers=_workers(config))
 
     est_lines = ["trial,x_hat,y_hat,p0_hat,log_likelihood,converged,sgle"]
-    energy_lines = ["round,sensor,t"] if config.dump_energies else None
-    for m, (est, sgle) in enumerate(zip(estimates, squared_errors(estimates, source))):
-        th = est.theta_hat
-        est_lines.append(
-            f"{m},{_fmt(th.xT)},{_fmt(th.yT)},{_fmt(th.P0)},"
-            f"{_fmt(est.log_likelihood)},{int(est.converged)},{_fmt(sgle)}"
-        )
-        if energy_lines is not None:
-            energy_lines.extend(f"{m},{i},{_fmt(v)}" for i, v in enumerate(ts[m]))
+    rows = zip(estimates.tolist(), squared_errors(estimates, source).tolist())
+    for m, ((x, y, p0, ll, conv), sgle) in enumerate(rows):
+        est_lines.append(f"{m},{_fmt(x)},{_fmt(y)},{_fmt(p0)},{_fmt(ll)},{int(conv)},{_fmt(sgle)}")
     (out / "estimates.csv").write_text("\n".join(est_lines) + "\n")
 
     trial = trial_result(geom, source, cfg, estimates, config.r_t_list)
@@ -120,8 +114,9 @@ def _run_estimate(config: ExperimentConfig, out: Path) -> list:
     }
     (out / "estimate_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     artifacts = ["estimates.csv", "estimate_summary.json"]
-    if energy_lines is not None:
-        (out / "energies.csv").write_text("\n".join(energy_lines) + "\n")
+    if config.dump_energies:
+        energy_lines = [f"{m},{i},{_fmt(v)}" for m, row in enumerate(ts.tolist()) for i, v in enumerate(row)]
+        (out / "energies.csv").write_text("\n".join(["round,sensor,t", *energy_lines]) + "\n")
         artifacts.append("energies.csv")
     return artifacts
 

@@ -35,12 +35,11 @@ returns dT/ds and d2T/ds2 in the weight argument s, from which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .geometry import NetworkGeometry, SourceParams
+from .geometry import NetworkGeometry
 from .signal_model import SensorEnsembleConfig
 
 
@@ -113,15 +112,6 @@ _TIE_REL_TOL = 1e-12
 _ELEMENT_BUDGET = 32_768
 _GRID_CHUNK = 8
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-
-
-@dataclass
-class EstimateResult:
-    """Outcome of one ML estimation: best theta found and diagnostics."""
-
-    theta_hat: SourceParams
-    log_likelihood: float
-    converged: bool
 
 
 def _cholesky_solve3(A, b):
@@ -287,11 +277,19 @@ class _EnsembleLikelihood:
         self.log_f1 = -ts / (eb + tau2) - np.log(eb + tau2)
         self.f0 = np.exp(self.log_f0)
         self.f1 = np.exp(self.log_f1)
-        # log|f1 - f0| and its sign, for the slopes
-        top = np.maximum(self.log_f0, self.log_f1)
+        # log|f1 - f0| and its sign, for the slopes.  Below -20 dB
+        # (100 eb < tau2, crlb's switch) log_f1 - log_f0 cancels, so it is
+        # formed from eb/tau2 directly there, as d = log(f1/f0); above,
+        # the plain forms are kept, bit for bit.
         with np.errstate(divide="ignore"):
-            self.log_df = top + np.log1p(-np.exp(np.minimum(self.log_f0, self.log_f1) - top))
-        self.sign_df = np.sign(self.log_f1 - self.log_f0)
+            if 100.0 * eb < tau2:
+                d = ts * eb / (tau2 * (eb + tau2)) - np.log1p(eb / tau2)
+                self.log_df = self.log_f0 + np.log(np.abs(np.expm1(d)))
+            else:
+                top = np.maximum(self.log_f0, self.log_f1)
+                d = self.log_f1 - self.log_f0
+                self.log_df = top + np.log1p(-np.exp(np.minimum(self.log_f0, self.log_f1) - top))
+        self.sign_df = np.sign(d)
         # A weight or density that underflows is off by at most tiny, so
         # it moves a linear term by at most tiny * (2 + max density);
         # terms above this floor are therefore exact to rounding.
@@ -533,8 +531,11 @@ def ml_estimate_batch(
     geom: NetworkGeometry,
     cfg: SensorEnsembleConfig,
     p0_nominal: float,
-) -> list:
+) -> np.recarray:
     """ML source estimates for a block of rounds on one geometry.
+
+    Returns one record per round, in round order, with the columns of
+    estimates.csv: x_hat, y_hat, p0_hat, log_likelihood and converged.
 
     The location is searched on the geometry's disk (quadratic penalty
     outside) and P0 on a log scale within a factor 1e3 of p0_nominal.
@@ -570,7 +571,7 @@ def ml_estimate_batch(
     n_starts = _N_STARTS + 1
     x0s = np.empty((M, n_starts, 3))
     x0s[:, :_N_STARTS] = np.stack([gx[picks], gy[picks], np.log(gp[picks])], axis=-1)
-    ones = el.log_f1 > el.log_f0
+    ones = el.sign_df > 0
     n_ones = np.maximum(ones.sum(axis=1), 1)
     cx, cy = (ones * el.xs).sum(axis=1) / n_ones, (ones * el.ys).sum(axis=1) / n_ones
     ln_p0s = np.linspace(ln_lo, ln_hi, _N_CENTROID_P0)
@@ -616,11 +617,5 @@ def ml_estimate_batch(
     tied = cand_ll >= top - _TIE_REL_TOL * np.abs(top)
     tied &= cand_x == np.where(tied, cand_x, np.inf).min(axis=1, keepdims=True)
     win = np.arange(M), np.argmin(np.where(tied, cand_y, np.inf), axis=1)
-    return [
-        EstimateResult(
-            theta_hat=SourceParams(P0=float(p), xT=float(xt), yT=float(yt)),
-            log_likelihood=float(ll),
-            converged=bool(conv),
-        )
-        for ll, xt, yt, p, conv in zip(cand_ll[win], cand_x[win], cand_y[win], cand_p0[win], cand_conv[win])
-    ]
+    columns = cand_x[win], cand_y[win], cand_p0[win], cand_ll[win], cand_conv[win]
+    return np.rec.fromarrays(columns, names="x_hat,y_hat,p0_hat,log_likelihood,converged")

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,9 +45,6 @@ from .crlb import crlb_sgle, optimize_thresholds, prepare_tuning
 from .errors import ParseError, SingularFim
 from .geometry import NetworkGeometry, SourceParams, count_within, has_sub_d0_sensor, sample_geometry
 from .signal_model import SensorEnsembleConfig, simulate_round
-
-if TYPE_CHECKING:
-    from .likelihood import EstimateResult
 
 # Spawn-key namespaces under a geometry's key: its placement, and its rounds.
 PLACEMENT_NS = 0
@@ -157,7 +154,7 @@ def run_trials(
     n_mc: int,
     stream: np.random.SeedSequence,
     workers: int = 1,
-) -> tuple[np.ndarray, list[EstimateResult]]:
+) -> tuple[np.ndarray, np.recarray]:
     """Energies and ML estimates for n_mc rounds of one geometry.
 
     ``stream`` is the geometry's, key (gi,); round m simulates its
@@ -168,7 +165,9 @@ def run_trials(
     workers > 1 up to ``n_mc // _MIN_BLOCK`` contiguous blocks run in a
     process pool.  Each round's estimate does not depend on the other
     rounds of its batch, so the result is the same at any worker count.
-    Energies are always simulated here, in the calling process.
+    Energies are always simulated here, in the calling process.  The
+    estimates are one record array, ``ml_estimate_batch``'s, in round
+    order.
     """
     from .likelihood import ml_estimate_batch
 
@@ -179,21 +178,25 @@ def run_trials(
     n_blocks = max(1, min(workers, n_mc // _MIN_BLOCK))
     edges = [n_mc * b // n_blocks for b in range(n_blocks + 1)]
     blocks = [(ts[a:b], geom, cfg, source.P0) for a, b in zip(edges, edges[1:])]
-    return ts, [est for part in _ordered_map(ml_estimate_batch, blocks, n_blocks) for est in part]
+    parts = _ordered_map(ml_estimate_batch, blocks, n_blocks)
+    return ts, np.concatenate(parts).view(np.recarray)
 
 
-def squared_errors(estimates: Sequence[EstimateResult], source: SourceParams) -> np.ndarray:
-    """Squared location error of each estimate."""
-    return np.array(
-        [(e.theta_hat.xT - source.xT) ** 2 + (e.theta_hat.yT - source.yT) ** 2 for e in estimates]
-    )
+def squared_errors(estimates: np.recarray, source: SourceParams) -> np.ndarray:
+    """Squared location error of each estimate.
+
+    The squares are libm's pow(d, 2), as numpy's float_power takes them,
+    not d * d: the two differ in the last bit for about 1 value in 1,200,
+    and the result files hold pow's.
+    """
+    return np.float_power(estimates.x_hat - source.xT, 2) + np.float_power(estimates.y_hat - source.yT, 2)
 
 
 def trial_result(
     geom: NetworkGeometry,
     source: SourceParams,
     cfg: SensorEnsembleConfig,
-    estimates: Sequence[EstimateResult],
+    estimates: np.recarray,
     r_t_list: Sequence[float] = (),
     geometry_id: int = 0,
     seed: int = -1,

@@ -27,6 +27,7 @@ from srcloc.montecarlo import (
     default_workers,
     run_ensemble,
     run_trials,
+    squared_errors,
 )
 from srcloc.signal_model import (
     SensorEnsembleConfig,
@@ -234,9 +235,7 @@ def test_criterion_5_threshold_optimality():
 
 def _sgle_trials(geom, cfg, n_mc, stream):
     _, estimates = run_trials(geom, SRC, cfg, n_mc, stream, workers=default_workers())
-    return np.array(
-        [(e.theta_hat.xT - SRC.xT) ** 2 + (e.theta_hat.yT - SRC.yT) ** 2 for e in estimates]
-    )
+    return squared_errors(estimates, SRC)
 
 
 @criterion(6, 600)

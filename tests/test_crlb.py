@@ -27,7 +27,7 @@ from srcloc.crlb import (
 from srcloc.errors import DegenerateGeometry, SingularFim
 from srcloc.geometry import NetworkGeometry, SourceParams, sample_geometry
 from srcloc.signal_model import SensorEnsembleConfig, received_power, simulate_rounds
-from tests import kernel_bits, thresholds
+from tests import kernel_accuracy, kernel_bits, thresholds
 from tests.conftest import ref_config
 
 
@@ -140,6 +140,15 @@ class TestMixtureIntegral:
         got = mixture_integral(s, eb, tau2)
         ref = np.array([_quad_mixture_integral(v, eb, tau2) for v in s])
         np.testing.assert_allclose(got, ref, rtol=1e-8, atol=0.0)
+
+    def test_against_closed_form_fixture(self):
+        # every point of kernel_accuracy.json: the closed form in mpmath at
+        # 400 digits, from -161 to 300 dB over |s| <= 27.3
+        for case in json.loads(kernel_accuracy.FIXTURE.read_text())["cases"]:
+            cfg = SensorEnsembleConfig.from_snr_db(1.0, 0.0, case["channel_snr_db"])
+            assert (cfg.eb, cfg.tau2) == (case["eb"], case["tau2"])
+            got = mixture_integral(np.array(case["s"]), cfg.eb, cfg.tau2)
+            np.testing.assert_allclose(got, case["value"], rtol=1e-8, atol=0.0, err_msg=str(case["channel_snr_db"]))
 
     @pytest.mark.parametrize("channel_snr_db", [-100.0, -120.0, -140.0, -155.0, -161.0])
     def test_low_channel_snr_limit(self, channel_snr_db):

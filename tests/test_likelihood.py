@@ -1,3 +1,4 @@
+import decimal
 import json
 import tracemalloc
 
@@ -318,6 +319,28 @@ class TestEnsembleKernel:
         for one, whole in zip(outputs(), default, strict=True):
             np.testing.assert_array_equal(one.view(np.int64), whole.view(np.int64))
 
+    @pytest.mark.parametrize("channel_snr_db", [-20.0, -40.0, -60.0, -100.0, -140.0, -160.0])
+    def test_slopes_against_decimal_reference(self, ref_source, channel_snr_db):
+        # log|f1 - f0| and the sign of f1 - f0, which the slopes dT/ds
+        # carry, on 200 model-drawn energies against 80-digit decimal
+        # arithmetic on the same doubles; log_f1 - log_f0 cancels at low
+        # channel SNR (rel 1e-3 at -100 dB, and the sign is mostly 0 at
+        # -160 dB)
+        geom = sample_geometry(50, 50.0, 0.0, rng=41)
+        cfg = ref_config(channel_snr_db=channel_snr_db, beta=4.0)
+        ts = simulate_rounds(geom, ref_source, cfg, 4, np.random.default_rng(48))
+        el = _EnsembleLikelihood(ts, geom, cfg)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80
+            eb, tau2 = decimal.Decimal(cfg.eb), decimal.Decimal(cfg.tau2)
+            ref_log, ref_sign = [], []
+            for t in map(decimal.Decimal, ts.ravel().tolist()):
+                df = (-t / (eb + tau2)).exp() / (eb + tau2) - (-t / tau2).exp() / tau2
+                ref_log.append(float(abs(df).ln()))
+                ref_sign.append((df > 0) - (df < 0))
+        np.testing.assert_array_equal(el.sign_df.ravel(), ref_sign)
+        assert np.max(np.abs(np.expm1(el.log_df.ravel() - ref_log))) <= 1e-9
+
     def test_work_arrays_bound_the_memory_of_a_call(self):
         # outage-desk-shaped (K = 50, 0 dB, 200 rounds): once its work arrays
         # exist, a call allocates little beyond its outputs, where per-block
@@ -356,8 +379,8 @@ class TestMlEstimate:
         t = simulate_round(geom, ref_source, silent, rng)
         est = ml_estimate(t, geom, cfg, 1e4)
         assert np.isfinite(est.log_likelihood)
-        assert est.theta_hat.xT**2 + est.theta_hat.yT**2 <= geom.R**2 + 1e-9
-        assert est.theta_hat.P0 > 0
+        assert est.x_hat**2 + est.y_hat**2 <= geom.R**2 + 1e-9
+        assert est.p0_hat > 0
 
     def test_estimates_stay_in_search_domain(self, ref_source):
         geom = sample_geometry(25, 50.0, 0.0, rng=35)
@@ -366,8 +389,8 @@ class TestMlEstimate:
             rng = np.random.default_rng((36, m))
             t = simulate_round(geom, ref_source, cfg, rng)
             est = ml_estimate(t, geom, cfg, 10_000.0)
-            assert np.hypot(est.theta_hat.xT, est.theta_hat.yT) <= geom.R + 1e-12
-            assert 10.0 <= est.theta_hat.P0 <= 1e7
+            assert np.hypot(est.x_hat, est.y_hat) <= geom.R + 1e-12
+            assert 10.0 <= est.p0_hat <= 1e7
 
     def test_asymptotic_consistency_high_channel_snr(self, ref_source):
         # favorable fixed geometry, strong channel: RMSE over 200 rounds
@@ -380,7 +403,7 @@ class TestMlEstimate:
             rng = np.random.default_rng((37, m))
             t = simulate_round(geom, ref_source, cfg, rng)
             est = ml_estimate(t, geom, cfg, 10_000.0)
-            sq.append((est.theta_hat.xT - 5.0) ** 2 + (est.theta_hat.yT - 10.0) ** 2)
+            sq.append((est.x_hat - 5.0) ** 2 + (est.y_hat - 10.0) ** 2)
         assert np.sqrt(np.mean(sq)) < 5.0
 
     def test_polish_never_raises_the_objective(self, ref_source):
@@ -506,9 +529,9 @@ class TestMlEstimate:
                 t = np.nextafter(t, direction)
             found.append(ml_estimate(t, geom, cfg, config.P0))
         for est in found[1:]:
-            assert est.theta_hat.xT == pytest.approx(found[0].theta_hat.xT, abs=1e-6)
-            assert est.theta_hat.yT == pytest.approx(found[0].theta_hat.yT, abs=1e-6)
-            assert est.theta_hat.P0 == pytest.approx(found[0].theta_hat.P0, rel=1e-9)
+            assert est.x_hat == pytest.approx(found[0].x_hat, abs=1e-6)
+            assert est.y_hat == pytest.approx(found[0].y_hat, abs=1e-6)
+            assert est.p0_hat == pytest.approx(found[0].p0_hat, rel=1e-9)
             assert est.log_likelihood == pytest.approx(found[0].log_likelihood, rel=1e-12)
 
     def test_probe_budget_on_the_fixture_case(self, monkeypatch):
@@ -543,9 +566,8 @@ class TestMlEstimate:
         case = json.loads(search_quality.FIXTURE.read_text())["cases"][index]
         ts, geom, cfg, p0_nominal = search_quality.rounds(index, case["channel_snr_db"], case["beta"])
         found = ml_estimate_batch(ts, geom, cfg, p0_nominal)
-        theta = np.array([[r.theta_hat.P0, r.theta_hat.xT, r.theta_hat.yT] for r in found])
-        ll = _EnsembleLikelihood(ts, geom, cfg).loglik(np.arange(len(ts)), *theta.T)
-        assert [r.log_likelihood for r in found] == ll.tolist()
+        ll = _EnsembleLikelihood(ts, geom, cfg).loglik(np.arange(len(ts)), found.p0_hat, found.x_hat, found.y_hat)
+        assert found.log_likelihood.tolist() == ll.tolist()
 
     def test_objective_score_matches_central_differences(self, ref_source):
         # the penalized objective's derivatives, inside and outside the disk
@@ -581,8 +603,7 @@ class TestMlEstimate:
             for lo, hi in blocks:
                 block = ml_estimate_batch(ts[lo:hi], geom, cfg, 1e4)
                 for m, est in zip(range(lo, hi), block):
-                    th = est.theta_hat
-                    out[m] = (est.log_likelihood, th.P0, th.xT, th.yT, est.converged)
+                    out[m] = (est.log_likelihood, est.p0_hat, est.x_hat, est.y_hat, est.converged)
             return [out[m] for m in range(n)]
 
         whole = run([(0, n)])
@@ -629,7 +650,7 @@ class TestMlEstimate:
             rng = np.random.default_rng((77, m))
             t = simulate_round(geom, src, cfg, rng)
             est = ml_estimate(t, geom, cfg, 10_000.0)
-            hits += np.hypot(est.theta_hat.xT - 5.0, est.theta_hat.yT - 10.0) < 0.5
+            hits += np.hypot(est.x_hat - 5.0, est.y_hat - 10.0) < 0.5
         assert hits >= 0.95 * n_runs
 
 
@@ -647,7 +668,7 @@ def test_monotone_quality_in_channel_snr(ref_source):
             rng = np.random.default_rng((1234, m))
             t = simulate_round(geom, ref_source, cfg, rng)
             est = ml_estimate(t, geom, cfg, 10_000.0)
-            errs.append((est.theta_hat.xT - 5.0) ** 2 + (est.theta_hat.yT - 10.0) ** 2)
+            errs.append((est.x_hat - 5.0) ** 2 + (est.y_hat - 10.0) ** 2)
         sgle[eta] = np.array(errs)
     med = {eta: np.median(v) for eta, v in sgle.items()}
     assert med[10.0] <= med[0.0] * 1.10
