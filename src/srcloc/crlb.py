@@ -139,11 +139,10 @@ def mixture_integral(s, eb, tau2):
     s = (sqrt(P_i) - beta_i) / sigma.  A scalar s gives a float.
 
     The domain is what the callers pass, and anything else raises
-    ValueError: scalar eb > 0 and tau2 > 0, as SensorEnsembleConfig
-    guarantees, and |s| <= _CURVE_HALF_WIDTH, where a sensor's weight
-    exp(-s^2) is nonzero.  There q0 and q1 are at least 1e-164, so the
-    integrand's denominator is positive and the mixture crossover
-    t_cross is finite.
+    ValueError: scalar eb > 0 and tau2 > 0, as from_snr_db guarantees,
+    and |s| <= _CURVE_HALF_WIDTH, where a sensor's weight exp(-s^2) is
+    nonzero.  There q0 and q1 are at least 1e-164, so the integrand's
+    denominator is positive and the mixture crossover t_cross is finite.
 
     The rule is fixed: 20-point Gauss-Legendre on panels broken at
     geometric steps from 0.01*tau2 to the window end t_end, at 2*tau2,
@@ -492,9 +491,10 @@ def optimize_thresholds(
 ) -> float | np.ndarray:
     """Quantization threshold(s) minimizing the location-error bound.
 
-    Returns only the thresholds: a float in common mode, a (K,) array
-    in per-sensor mode.  No exact bound is evaluated here; the bound the
-    thresholds achieve is crlb_sgle's, which the caller computes once.
+    ``mode`` is "common" or "per-sensor".  Returns only the thresholds:
+    a float in common mode, a (K,) array in per-sensor mode.  No exact
+    bound is evaluated here; the bound the thresholds achieve is
+    crlb_sgle's, which the caller computes once.
 
     Common mode scans _N_COARSE points over
     [-3*sigma, sqrt(P0) + 3*sigma] in one stacked pass, golden-section
@@ -516,8 +516,6 @@ def optimize_thresholds(
     The bound is evaluated at the true source parameters, so this is a
     benchmarking (genie-aided) policy, not a deployable protocol.
     """
-    if mode not in ("common", "per-sensor"):
-        raise ValueError(f"unknown threshold mode {mode!r}")
     if mode == "per-sensor":
         s_star = _best_operating_point(cfg.eb, cfg.tau2)
         # No clip to the common bracket is needed: s* lies in [-3, 3], and

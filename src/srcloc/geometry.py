@@ -28,10 +28,6 @@ class SourceParams:
     xT: float
     yT: float
 
-    def __post_init__(self):
-        if not self.P0 > 0:
-            raise ValueError(f"P0 must be positive, got {self.P0}")
-
 
 @dataclass
 class NetworkGeometry:
@@ -114,18 +110,12 @@ def sample_geometry(
     placed sensor's R_ex disk, or the optional source exclusion disk).
     Points exactly on the disk boundary or exactly at separation R_ex
     are accepted.  Redraws of every kind count against ``max_attempts``.
+    The arguments are load_config's checked values: K >= 1, R > 0,
+    R_ex >= 0 and max_attempts >= 1.
 
     Raises:
         PackingFailure: some sensor exhausted its attempt budget.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if not R > 0:
-        raise ValueError("R must be positive")
-    if R_ex < 0:
-        raise ValueError("R_ex must be nonnegative")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
 
@@ -165,8 +155,6 @@ def distances(geom: NetworkGeometry, source: SourceParams) -> np.ndarray:
 
 def count_within(geom: NetworkGeometry, source: SourceParams, R_T: float) -> int:
     """Number of sensors within distance R_T of the source (inclusive)."""
-    if R_T < 0:
-        raise ValueError("R_T must be nonnegative")
     return int(np.count_nonzero(distances(geom, source) <= R_T))
 
 

@@ -268,8 +268,6 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> list[GeometryTri
     and come back in index order, so the output is identical at any
     worker count.  Each trial's rounds run serially in its worker.
     """
-    if config.n_geom < 1:
-        raise ValueError("n_geom must be >= 1")
     from . import likelihood  # noqa: F401  (loaded once here, not in every worker)
 
     if config.threshold_policy != "fixed":  # the channel's tuning data, likewise built once here
@@ -280,17 +278,14 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> list[GeometryTri
 
 
 def build_ccdf(trials: Sequence[GeometryTrialResult], gamma: np.ndarray) -> OutageCurve:
-    """Outage CCDFs over the given trials at each gamma.
+    """Outage CCDFs over the given trials at each gamma of a positive,
+    strictly increasing grid (ExperimentConfig.gamma_grid).
 
     A geometry is in outage at gamma when its mean squared error exceeds
     gamma^2.  Geometries with a singular information matrix count as
     outage at every gamma on the bound curve (their bound is unbounded).
     """
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 1 or gamma.size < 1:
-        raise ValueError("gamma grid must be a nonempty 1-D array")
-    if np.any(gamma <= 0) or np.any(np.diff(gamma) <= 0):
-        raise ValueError("gamma grid must be positive and strictly increasing")
     emp = np.array([tr.empirical_sgle for tr in trials])
     bound = np.array(
         [np.inf if tr.crlb_singular else tr.crlb_sgle for tr in trials]

@@ -51,16 +51,6 @@ class SensorEnsembleConfig:
     eb: float
     tau2: float
 
-    def __post_init__(self):
-        if not self.d0 > 0:
-            raise ValueError("d0 must be positive")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        for name in ("sigma2", "eb", "tau2"):
-            val = getattr(self, name)
-            if np.ndim(val) != 0 or not val > 0:
-                raise ValueError(f"{name} must be a positive scalar")
-
     @classmethod
     def from_snr_db(
         cls,

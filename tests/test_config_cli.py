@@ -114,6 +114,14 @@ class TestLoadConfig:
             ("source", [100.0, 0.0]),  # outside the disk
             ("threshold_mode", "nope"),
             ("gamma_min", -2.0),
+            # the only checks of these values: the modules take them as checked
+            ("R_ex", -0.5),
+            ("max_attempts", 0),
+            ("P0", 0.0),
+            ("d0", 0.0),
+            ("n_geom", 0),
+            ("r_t_list", [-1.0]),
+            ("gamma_max", 0.0),
         ]:
             path = write_config(tmp_path, name=f"{field}.json", **{field: bad})
             with pytest.raises(ValidationError) as err:
@@ -919,6 +927,23 @@ class TestExitCodes:
         assert main(["crlb", "--config", str(cfg), "--out", str(out), "--geometry", str(geometry)]) == 4
         record = json.loads((out / "error.json").read_text())
         assert record["error_class"] == "SingularFim"
+
+    @pytest.mark.parametrize(
+        "mode, kw",
+        [("crlb", {}), ("crlb", {"threshold_mode": "per-sensor"}), ("crlb", {"beta": 4.0}), ("estimate", {"beta": 4.0})],
+        ids=["crlb-common", "crlb-per-sensor", "crlb-fixed", "estimate-fixed"],
+    )
+    def test_sensor_at_the_source_exit_4(self, tmp_path, mode, kw):
+        # the bound's gradients are undefined at a sensor on the source,
+        # whether tuning or the bound itself reaches them first
+        geometry = tmp_path / "on_source.json"
+        sensors = [[5.0, 10.0], [-20.0, 3.0], [12.0, -30.0], [-8.0, -15.0]]
+        geometry.write_text(json.dumps({"format": "network-geometry", "R": 50.0, "sensors": sensors}))
+        cfg = write_config(tmp_path, n_mc=2, **kw)
+        out = tmp_path / "numfail"
+        assert main([mode, "--config", str(cfg), "--out", str(out), "--geometry", str(geometry)]) == 4
+        record = json.loads((out / "error.json").read_text())
+        assert record["error_class"] == "DegenerateGeometry" and record["exit_code"] == 4
 
     @pytest.mark.parametrize(
         "mode, kw",

@@ -553,11 +553,6 @@ class TestOptimizeThresholds:
         per = optimize_thresholds(ref_source, geom, cfg, mode="per-sensor")
         assert crlb_sgle(ref_source, geom, cfg.with_beta(per)).sgle_bound <= 1.5402
 
-    def test_unknown_mode_rejected(self, ref_source):
-        geom = sample_geometry(4, 50.0, 0.0, rng=52)
-        with pytest.raises(ValueError):
-            optimize_thresholds(ref_source, geom, ref_config(0.0), mode="bogus")
-
 
 class TestInformationCurve:
     @pytest.mark.parametrize("channel_snr_db", [-10.0, 0.0, 10.0, 20.0, 30.0, 40.0])

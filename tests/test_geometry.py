@@ -88,8 +88,6 @@ def test_invalid_arguments():
         sample_geometry(5, -1.0, 0.0, rng=1)
     with pytest.raises(ValueError):
         sample_geometry(5, 10.0, -0.5, rng=1)
-    with pytest.raises(ValueError):
-        sample_geometry(5, 10.0, 0.0, max_attempts=0, rng=1)
 
 
 def test_geometry_invariant_validation():

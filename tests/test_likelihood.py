@@ -14,7 +14,7 @@ from scipy.stats import chisquare, norm, wilcoxon
 from srcloc import likelihood
 from srcloc.config import load_config
 from srcloc.crlb import optimize_thresholds
-from srcloc.geometry import NetworkGeometry, SourceParams, sample_geometry
+from srcloc.geometry import NetworkGeometry, SourceParams, min_pairwise_distance, sample_geometry
 from srcloc.likelihood import (
     _EnsembleLikelihood,
     _SearchObjective,
@@ -325,19 +325,43 @@ class TestEnsembleKernel:
         # carry, on 200 model-drawn energies against 80-digit decimal
         # arithmetic on the same doubles; log_f1 - log_f0 cancels at low
         # channel SNR (rel 1e-3 at -100 dB, and the sign is mostly 0 at
-        # -160 dB)
+        # -160 dB).  Then the slopes themselves at a dozen probes:
+        # dT = phi(s) (f1 - f0) / (q0 f0 + q1 f1) and d2T = -s dT - dT^2 on
+        # the kernel's own s, q0 and q1, where phi(s) does not underflow
         geom = sample_geometry(50, 50.0, 0.0, rng=41)
         cfg = ref_config(channel_snr_db=channel_snr_db, beta=4.0)
         ts = simulate_rounds(geom, ref_source, cfg, 4, np.random.default_rng(48))
         el = _EnsembleLikelihood(ts, geom, cfg)
+        rng = np.random.default_rng(49)
+        rows = np.arange(12) % 4
+        r, a = 50.0 * np.sqrt(rng.uniform(size=12)), 2.0 * np.pi * rng.uniform(size=12)
+        weights = el._weights(el._offsets(10_000.0 * 10.0 ** rng.uniform(-1, 1, 12), r * np.cos(a), r * np.sin(a))[3])
+        s, q0, q1 = (w.ravel().tolist() for w in weights)  # copies: _log_terms overwrites q0 and q1
+        _, dT, d2T = (v.ravel().tolist() for v in el._log_terms(weights, rows, slopes=True))
         with decimal.localcontext() as ctx:
             ctx.prec = 80
             eb, tau2 = decimal.Decimal(cfg.eb), decimal.Decimal(cfg.tau2)
+
+            def densities(t):
+                return (-t / tau2).exp() / tau2, (-t / (eb + tau2)).exp() / (eb + tau2)
+
             ref_log, ref_sign = [], []
             for t in map(decimal.Decimal, ts.ravel().tolist()):
-                df = (-t / (eb + tau2)).exp() / (eb + tau2) - (-t / tau2).exp() / tau2
-                ref_log.append(float(abs(df).ln()))
-                ref_sign.append((df > 0) - (df < 0))
+                f0, f1 = densities(t)
+                ref_log.append(float(abs(f1 - f0).ln()))
+                ref_sign.append((f1 > f0) - (f1 < f0))
+            sqrt_2pi = (2 * decimal.Decimal(np.pi)).sqrt()  # pi's double rounding, rel 4e-17, is far inside 1e-9
+            checked = 0
+            for i, t in enumerate(map(decimal.Decimal, ts[rows].ravel().tolist())):
+                si, f0, f1 = decimal.Decimal(s[i]), *densities(t)
+                ref = (-si * si / 2).exp() / sqrt_2pi * (f1 - f0) / (decimal.Decimal(q0[i]) * f0 + decimal.Decimal(q1[i]) * f1)
+                if abs(ref) < decimal.Decimal("1e-290"):
+                    continue
+                checked += 1
+                assert abs(decimal.Decimal(dT[i]) - ref) <= decimal.Decimal("1e-9") * abs(ref), (i, dT[i], ref)
+                scale = abs(si * ref) + ref * ref
+                assert abs(decimal.Decimal(d2T[i]) + si * ref + ref * ref) <= decimal.Decimal("1e-9") * scale, i
+        assert checked >= 500
         np.testing.assert_array_equal(el.sign_df.ravel(), ref_sign)
         assert np.max(np.abs(np.expm1(el.log_df.ravel() - ref_log))) <= 1e-9
 
@@ -370,6 +394,22 @@ class TestMlEstimate:
             est = ml_estimate(t, geom, cfg, 10_000.0)
             grid_best = _EnsembleLikelihood(t[None, :], geom, cfg).grid_loglik(*seeds).max()
             assert est.log_likelihood >= grid_best - 1e-12
+
+    def test_polar_seeds_map_to_themselves_under_a_seventh_turn(self):
+        # the first 147 seeds are 49 distinct locations (each with 3 P0
+        # factors) on radii (k + 1/2) R / 7, and a rotation by 2 pi / 7
+        # maps that set to itself
+        R = 50.0
+        _, gx, gy = _seed_points(R, 10_000.0)
+        pts = np.column_stack([gx[:147:3], gy[:147:3]])
+        np.testing.assert_array_equal(np.repeat(pts, 3, axis=0), np.column_stack([gx[:147], gy[:147]]))
+        assert min_pairwise_distance(pts) > 0.01 * R
+        radii = np.sort(np.hypot(pts[:, 0], pts[:, 1]))
+        np.testing.assert_allclose(radii, np.repeat((np.arange(7) + 0.5) * R / 7, 7), rtol=0, atol=1e-9 * R)
+        c, s = np.cos(2.0 * np.pi / 7), np.sin(2.0 * np.pi / 7)
+        turned = pts @ np.array([[c, s], [-s, c]])
+        gap = np.hypot(turned[:, None, 0] - pts[:, 0], turned[:, None, 1] - pts[:, 1]).min(axis=1)
+        assert gap.max() <= 1e-9 * R
 
     def test_degenerate_all_silent_data_no_crash(self, ref_source):
         geom = sample_geometry(20, 50.0, 0.0, rng=33)

@@ -218,13 +218,6 @@ class TestBuildCcdf:
         curve = build_ccdf(trials, np.array([5.0, 500.0]))
         np.testing.assert_array_equal(curve.ccdf_crlb, [0.5, 0.5])
 
-    def test_grid_validation(self):
-        trials = [GeometryTrialResult(0, 0, 1.0, 0.0, 1.0, False, {}, False, 1)]
-        with pytest.raises(ValueError):
-            build_ccdf(trials, np.array([2.0, 1.0]))
-        with pytest.raises(ValueError):
-            build_ccdf(trials, np.array([-1.0, 1.0]))
-
     @given(st.lists(st.floats(0.0, 1e4), min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_monotone_range_and_quantized(self, sgles):

@@ -181,19 +181,3 @@ class TestConfig:
         cfg2 = cfg.with_beta(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             cfg2.thresholds(4)
-
-    def test_positivity_validation(self):
-        with pytest.raises(ValueError):
-            SensorEnsembleConfig(d0=0.0, alpha=2.0, sigma2=1.0, beta=0.0, eb=1.0, tau2=1.0)
-        with pytest.raises(ValueError):
-            SensorEnsembleConfig(d0=1.0, alpha=2.0, sigma2=-1.0, beta=0.0, eb=1.0, tau2=1.0)
-        with pytest.raises(ValueError):
-            SensorEnsembleConfig(d0=1.0, alpha=2.0, sigma2=1.0, beta=0.0, eb=1.0, tau2=0.0)
-
-    @pytest.mark.parametrize("name", ["sigma2", "eb", "tau2"])
-    def test_only_beta_may_be_per_sensor(self, name):
-        params = dict(d0=1.0, alpha=2.0, sigma2=1.0, beta=np.ones(3), eb=1.0, tau2=1.0)
-        SensorEnsembleConfig(**params)
-        params[name] = np.ones(3)
-        with pytest.raises(ValueError, match=name):
-            SensorEnsembleConfig(**params)
