@@ -82,7 +82,7 @@ def _fixed_geometry(config: ExperimentConfig) -> NetworkGeometry:
 
 def _run_geometry(config: ExperimentConfig, out: Path) -> list:
     geom = _fixed_geometry(config)
-    save_geometry(out / "geometry.json", geom, seed=config.seed)
+    save_geometry(out / "geometry.json", geom, seed=None if config.geometry_file else config.seed)
     return ["geometry.json"]
 
 

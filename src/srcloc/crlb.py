@@ -366,9 +366,9 @@ def _checked_bound(fim: np.ndarray) -> tuple:
     eigenvalues, cond, bound = _bounds(fim)
     cond, bound = float(cond), float(bound)
     if not cond <= CONDITION_LIMIT:
-        raise SingularFim(cond)
+        raise SingularFim(f"Fisher information matrix is singular (condition indicator {cond:.3e})")
     if bound == np.inf:
-        raise SingularFim(cond, "information matrix inverse is not usable")
+        raise SingularFim("information matrix inverse is not usable")
     return eigenvalues, cond, bound
 
 
@@ -535,5 +535,5 @@ def optimize_thresholds(
 
     best = _minimize(curve_bounds, np.linspace(lo, hi, _N_COARSE), tol, 3)
     if best is None:
-        raise SingularFim(np.inf, "no threshold in the bracket yields an invertible FIM")
+        raise SingularFim("no threshold in the bracket yields an invertible FIM")
     return float(best[1])

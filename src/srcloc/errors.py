@@ -7,8 +7,9 @@ class SrclocError(Exception):
     """Base class for all package-specific errors."""
 
     def __reduce__(self):
-        # Rebuild without __init__, whose parameters differ from ``args``,
-        # so an error raised in a pool worker unpickles in the parent.
+        # Rebuild without __init__, as ValidationError's parameters differ
+        # from its ``args``, so an error raised in a pool worker unpickles
+        # in the parent.
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
@@ -20,13 +21,6 @@ class PackingFailure(SrclocError):
     packing (too many sensors for the disk at the requested separation).
     """
 
-    def __init__(self, sensor_index: int, attempts: int):
-        self.sensor_index = sensor_index
-        self.attempts = attempts
-        super().__init__(
-            f"could not place sensor {sensor_index} after {attempts} attempts"
-        )
-
 
 class DegenerateGeometry(SrclocError):
     """A sensor coincides with the source, so distance-based terms blow up."""
@@ -35,17 +29,9 @@ class DegenerateGeometry(SrclocError):
 class SingularFim(SrclocError):
     """The Fisher information matrix is numerically singular.
 
-    Carries the condition indicator (ratio of extreme absolute eigenvalues)
-    that triggered the rejection.
+    The message gives the condition indicator (ratio of extreme absolute
+    eigenvalues) that triggered the rejection, where there is one.
     """
-
-    def __init__(self, condition_indicator: float, message: str = ""):
-        self.condition_indicator = condition_indicator
-        msg = message or (
-            f"Fisher information matrix is singular "
-            f"(condition indicator {condition_indicator:.3e})"
-        )
-        super().__init__(msg)
 
 
 class ConfigError(SrclocError):

@@ -55,9 +55,8 @@ class NetworkGeometry:
         r2 = np.einsum("ij,ij->i", self.sensors, self.sensors)
         if np.any(r2 > self.R * self.R):
             raise ValueError("sensor outside the surveillance disk")
-        if self.R_ex > 0 and self.K > 1:
-            if min_pairwise_distance(self.sensors) < self.R_ex:
-                raise ValueError("sensor pair closer than R_ex")
+        if self.R_ex > 0 and min_pairwise_distance(self.sensors) < self.R_ex:
+            raise ValueError("sensor pair closer than R_ex")
 
     @property
     def K(self) -> int:
@@ -77,8 +76,6 @@ def min_pairwise_distance(points: np.ndarray) -> float:
     """
     points = np.asarray(points, dtype=float)
     K = points.shape[0]
-    if K < 2:
-        return np.inf
     x, y = points[:, 0], points[:, 1]
     step = max(1, _PAIR_BUDGET // K)
     best = np.inf
@@ -141,7 +138,7 @@ def sample_geometry(
             placed[i] = (x, y)
             break
         else:
-            raise PackingFailure(sensor_index=i, attempts=max_attempts)
+            raise PackingFailure(f"could not place sensor {i} after {max_attempts} attempts")
 
     return NetworkGeometry(sensors=placed, R=float(R), R_ex=float(R_ex))
 

@@ -64,17 +64,26 @@ def _flag(cell: str) -> bool:
     return cell == "1"
 
 
-def _mean_square(cell: str) -> float:
-    x = float(cell)
-    if not 0.0 <= x < np.inf:
-        raise ValueError(f"{cell!r} is not a finite nonnegative mean square")
-    return x
+def _rule(convert: Callable, ok: Callable, what: str) -> Callable:
+    """A cell parser: ``convert`` the cell, and refuse a value ``ok`` rejects."""
+
+    def parse(cell: str):
+        x = convert(cell)
+        if not ok(x):
+            raise ValueError(f"{cell!r} is not {what}")
+        return x
+
+    return parse
 
 
-_INT = {"fmt": str, "parse": int}
+_COUNT = {"fmt": str, "parse": _rule(int, lambda n: n >= 0, "a nonnegative integer")}
 _FLAG = {"fmt": lambda b: str(int(b)), "parse": _flag}
-_MEAN_SQUARE = {"fmt": _fmt, "parse": _mean_square}
-_OPTIONAL = {"fmt": lambda b: "" if b is None else _fmt(b), "parse": lambda c: float(c) if c else None}
+_MEAN_SQUARE = {"fmt": _fmt, "parse": _rule(float, lambda x: 0.0 <= x < np.inf, "a finite nonnegative mean square")}
+_BOUND = {"fmt": _fmt, "parse": _rule(float, lambda x: np.isnan(x) or 0.0 < x < np.inf, "nan or positive and finite")}
+_OPTIONAL = {
+    "fmt": lambda b: "" if b is None else _fmt(b),
+    "parse": _rule(lambda c: float(c) if c else None, lambda b: b is None or np.isfinite(b), "empty or finite"),
+}
 
 
 @dataclass
@@ -84,16 +93,15 @@ class GeometryTrialResult:
     ``fmt`` and read back by its ``parse``, except that a ``per_radius``
     field is one ``<name>@<R_T>`` column per radius."""
 
-    geometry_id: int = field(metadata=_INT)
-    seed: int = field(metadata=_INT)
+    geometry_id: int = field(metadata=_COUNT)
+    seed: int = field(metadata=_COUNT)
     empirical_sgle: float = field(metadata=_MEAN_SQUARE)
     sgle_var: float = field(metadata=_MEAN_SQUARE)
-    # nan when the information matrix was singular
-    crlb_sgle: float = field(metadata={"fmt": _fmt, "parse": float})
+    crlb_sgle: float = field(metadata=_BOUND)  # nan exactly when the information matrix was singular
     crlb_singular: bool = field(metadata=_FLAG)
-    k_t: dict = field(metadata={**_INT, "per_radius": True})  # R_T -> sensor count around the source
+    k_t: dict = field(metadata={**_COUNT, "per_radius": True})  # R_T -> sensor count around the source
     has_sub_d0_sensor: bool = field(metadata=_FLAG)
-    n_mc: int = field(metadata=_INT)
+    n_mc: int = field(metadata={"fmt": str, "parse": _rule(int, lambda n: n >= 1, "a positive integer")})
     beta_common: Optional[float] = field(default=None, metadata=_OPTIONAL)
 
     @property
@@ -340,6 +348,8 @@ def trials_from_csv(
                     row[f.name] = {rt: parse(next(cells)) for rt in r_t_list}
                 else:
                     row[f.name] = parse(next(cells))
+            if row["crlb_singular"] != np.isnan(row["crlb_sgle"]):
+                raise ValueError(f"row {ln!r}: crlb_singular must be 1 exactly when crlb_sgle is nan")
             trials.append(GeometryTrialResult(**row))
     except (ValueError, IndexError) as exc:
         raise ParseError(f"{origin}: malformed trials table ({type(exc).__name__}: {exc})") from exc

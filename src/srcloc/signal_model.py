@@ -119,27 +119,18 @@ def received_power(P0: float, d0: float, alpha: float, d: ArrayLike) -> ArrayLik
     return float(power[0]) if scalar else power
 
 
-def transmit_and_detect(
-    u: ArrayLike, eb: ArrayLike, tau2: ArrayLike, rng: np.random.Generator
-) -> np.ndarray:
+def transmit_and_detect(u: ArrayLike, eb: float, tau2: float, rng: np.random.Generator) -> np.ndarray:
     """Received energy |h*sqrt(eb)*u + n|^2 for one OOK transmission.
 
     h is unit-power circular complex Gaussian (Rayleigh fading) and n is
-    circular complex Gaussian with total variance tau2.
+    circular complex Gaussian with total variance tau2.  Each draws its
+    real part, then its imaginary part, h before n.
     """
     u = np.asarray(u, dtype=float)
-    shape = u.shape
-    h = _circular_gaussian(shape, 1.0, rng)
-    n = _circular_gaussian(shape, np.asarray(tau2, dtype=float), rng)
+    h = np.sqrt(0.5) * (rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape))
+    n = np.sqrt(tau2 / 2.0) * (rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape))
     z = h * np.sqrt(eb) * u + n
     return np.abs(z) ** 2
-
-
-def _circular_gaussian(shape, total_variance, rng):
-    scale = np.sqrt(np.asarray(total_variance) / 2.0)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return scale * (re + 1j * im)
 
 
 def simulate_round(

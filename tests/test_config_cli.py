@@ -237,6 +237,18 @@ class TestCliModes:
         summary = json.loads((out / "estimate_summary.json").read_text())
         assert summary["config"]["geometry_file"].endswith("geometry.json")
 
+    def test_geometry_from_file_records_no_seed(self, tmp_path):
+        # a geometry read from a file was placed from no seed of this run
+        first, second = tmp_path / "placed", tmp_path / "resaved"
+        cfg = write_config(tmp_path, K=9, R_ex=2.0, seed=3)
+        assert main(["geometry", "--config", str(cfg), "--out", str(first)]) == 0
+        cfg = write_config(tmp_path, name="c2.json", seed=999)
+        geometry = ["--geometry", str(first / "geometry.json")]
+        assert main(["geometry", "--config", str(cfg), "--out", str(second), *geometry]) == 0
+        placed, resaved = (json.loads((out / "geometry.json").read_text()) for out in (first, second))
+        assert placed["seed"] == 3 and resaved["seed"] is None
+        assert [resaved[k] for k in ("sensors", "R", "R_ex")] == [placed[k] for k in ("sensors", "R", "R_ex")]
+
     def test_source_outside_geometry_file_disk_exit_2(self, tmp_path, capsys):
         # the config holds no R, so only the file's disk can reject the source
         gout = tmp_path / "g"
@@ -831,10 +843,10 @@ def test_only_ml_modes_load_scipy(tmp_path):
 
 ERROR_SAMPLES = [
     SrclocError("base"),
-    PackingFailure(3, 200),
+    PackingFailure("could not place sensor 3 after 200 attempts"),
     DegenerateGeometry("sensor coincides with the source"),
-    SingularFim(1e13),
-    SingularFim(2.0, "information matrix inverse is not usable"),
+    SingularFim("Fisher information matrix is singular (condition indicator 1.000e+13)"),
+    SingularFim("information matrix inverse is not usable"),
     ConfigError("bad config"),
     ParseError("config.json: line 1, column 2: Expecting value"),
     ValidationError("K"),
@@ -857,11 +869,13 @@ def test_errors_survive_pickling(exc):
 
 class TestExitCodes:
     def test_config_error_exit_2(self, tmp_path, capsys):
+        # a required key in neither the file nor the flags
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"R": 50.0, "seed": 1}))
-        assert main(["outage", "--config", str(path)]) == 2
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record["error_class"] == "ValidationError"
+        for doc, key in (({"R": 50.0, "seed": 1}, "K"), ({"K": 8, "R": 50.0}, "seed")):
+            path.write_text(json.dumps(doc))
+            assert main(["outage", "--config", str(path)]) == 2
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record["error_class"] == "ValidationError" and repr(key) in record["message"]
 
     def test_packing_failure_exit_3(self, tmp_path):
         cfg = write_config(
@@ -1083,8 +1097,11 @@ class TestExitCodes:
             # a K_T bin with a negative count
             ("k_t_bins", ["-1"]),
             ("k_t_bins", ["1", "-2+"]),
-            # a fixed beta where each sensor's threshold is tuned
+            # a fixed beta where each sensor's threshold is tuned, and none where it is fixed
             ("beta", {"beta": 4.0, "threshold_mode": "per-sensor"}),
+            ("beta", {"threshold_mode": "fixed"}),
+            # one K_T bin spec, not a list of them
+            ("k_t_bins", "3+"),
             # a seed whose default directory name would be too long
             ("seed", 10**300),
         ],
@@ -1098,7 +1115,8 @@ class TestExitCodes:
             "R_ex-null", "source_exclusion-null", "P0-null", "d0-null", "alpha-null", "gamma_min-null",
             "max_attempts-null", "gamma_num-null", "R-over-ceiling", "d0-over-ceiling", "P0-over-ceiling",
             "snr-over-ceiling", "source-huge",
-            "k_t_bins-negative", "k_t_bins-negative-at-least", "beta-per-sensor", "seed-over-ceiling",
+            "k_t_bins-negative", "k_t_bins-negative-at-least", "beta-per-sensor", "beta-fixed-missing",
+            "k_t_bins-string", "seed-over-ceiling",
         ],
     )
     def test_mistyped_value_exit_2(self, tmp_path, capsys, key, bad):
@@ -1196,16 +1214,19 @@ class TestExitCodes:
         assert main(["outage", "--config", str(tmp_path / "nope.json")]) == 2
 
     @pytest.mark.parametrize(
-        "content", [b"\x80", b"[" * 100_000], ids=["not-utf-8", "too-deep"]
+        "content, detail",
+        [(b"\x80", "UnicodeDecodeError"), (b"[" * 100_000, "RecursionError"), (b'{"K": 8,', "line 1, column")],
+        ids=["not-utf-8", "too-deep", "truncated"],
     )
-    def test_malformed_config_file_exit_2(self, tmp_path, capsys, content):
-        # bytes that are not text and nesting past the parser's depth are
-        # parse errors naming the file, not tracebacks
+    def test_malformed_config_file_exit_2(self, tmp_path, capsys, content, detail):
+        # bytes that are not text, nesting past the parser's depth and a
+        # syntax error are parse errors naming the file, not tracebacks
         path = tmp_path / "config.json"
         path.write_bytes(content)
         assert main(["crlb", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error_class"] == "ParseError" and str(path) in record["message"]
+        assert detail in record["message"]
 
     @pytest.mark.parametrize(
         "mode, flag, name, content",
@@ -1234,6 +1255,17 @@ class TestExitCodes:
             ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,0.5,1.25,0,2,0,2,4,9\n"),
             ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,nan,0.5,1.25,0,2,0,2,4\n"),
             ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,-0.5,1.25,0,2,0,2,4\n"),
+            ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,0.5,-1.25,0,2,0,2,4\n"),
+            ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,0.5,0,0,2,0,2,4\n"),
+            ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,0.5,inf,0,2,0,2,4\n"),
+            ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,0.5,1.25,1,2,0,2,4\n"),
+            ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,0.5,nan,0,2,0,2,4\n"),
+            ("outage", "--trials", "trials.csv", TRIALS_HEADER + "-1,7,1.5,0.5,1.25,0,2,0,2,4\n"),
+            ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,-7,1.5,0.5,1.25,0,2,0,2,4\n"),
+            ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,0.5,1.25,0,-2,0,2,4\n"),
+            ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,0.5,1.25,0,2,0,0,4\n"),
+            ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,0.5,1.25,0,2,0,2,nan\n"),
+            ("outage", "--trials", "trials.csv", TRIALS_HEADER + "0,7,1.5,0.5,1.25,0,2,0,2,-inf\n"),
             # a radius twice, whose later cell would silently win
             (
                 "outage", "--trials", "trials.csv",
@@ -1245,7 +1277,9 @@ class TestExitCodes:
             "json-list", "json-null", "not-utf-8", "json-too-deep", "json-huge-int",
             "csv-no-beta-column", "trials-not-utf-8", "empty-trials", "header-only",
             "flag-not-0-or-1", "row-wider-than-header", "nan-mean-square",
-            "negative-variance", "repeated-radius",
+            "negative-variance", "negative-bound", "zero-bound", "infinite-bound",
+            "finite-bound-flagged-singular", "nan-bound-not-flagged", "negative-geometry-id",
+            "negative-seed", "negative-k-t", "zero-n-mc", "nan-beta", "infinite-beta", "repeated-radius",
         ],
     )
     def test_malformed_input_file_exit_2(self, tmp_path, mode, flag, name, content):
@@ -1265,11 +1299,11 @@ class TestExitCodes:
             (KeyboardInterrupt(), 130),
             (SrclocError("numerical"), 4),
             (DegenerateGeometry("a sensor on the source"), 4),
-            (SingularFim(1e20), 4),
+            (SingularFim("Fisher information matrix is singular (condition indicator 1.000e+20)"), 4),
             (OSError("disk full"), 5),
             (ParseError("bad table"), 2),
             (ValidationError("K"), 2),
-            (PackingFailure(3, 100), 3),
+            (PackingFailure("could not place sensor 3 after 100 attempts"), 3),
         ],
         ids=[
             "broken-pool", "interrupt", "srcloc-error", "degenerate-geometry", "singular-fim",
